@@ -93,10 +93,6 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
     parser.set_defaults(**converted)
 
 
-def _resolved_pairs(args: argparse.Namespace, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
-
-
 def _manifest_lengths(manifest: lidar_io.SequenceManifest) -> dict:
     return {s.sequence_id: s.frame_count for s in manifest.sequences}
 

@@ -16,6 +16,7 @@ the window of that root.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, lidar_io
-from .errors import ConfigError, DataError, EmptyIndexError, FormatError
+from .errors import ConfigError, DataError, EmptyIndexError, FormatError, MissingDataError
 from .lidar_io import LabelMap, PointCloud, SequenceManifest
 from .spatial_index import KdTree
 from .split import round_half_up
@@ -211,15 +212,35 @@ class DatasetSource:
 
 
 class ManifestSource:
-    """Frame access over an on-disk dataset, with a small read cache."""
+    """Frame access over an on-disk dataset, with a small read cache.
+
+    The cache is shared by worker threads; a lock around it makes every
+    frame decode once even when two threads miss it at the same time.
+    """
 
     def __init__(self, manifest: SequenceManifest, cache_frames: int = 128):
         self._manifest = manifest
         self._by_id = {s.sequence_id: s for s in manifest.sequences}
-        self._read = lru_cache(maxsize=cache_frames)(self._read_frame)
+        self._cached_read = lru_cache(maxsize=cache_frames)(self._read_frame)
+        self._lock = threading.Lock()
+
+    def _info(self, seq: str, frame: int):
+        """The sequence's manifest entry, checked to hold `frame`."""
+        info = self._by_id.get(seq)
+        if info is None:
+            raise MissingDataError(f"unknown sequence {seq!r}")
+        if not 0 <= frame < info.frame_count:
+            raise DataError(
+                f"sequence {seq}: frame {frame} is outside 0..{info.frame_count - 1}"
+            )
+        return info
+
+    def _read(self, seq: str, frame: int):
+        with self._lock:
+            return self._cached_read(seq, frame)
 
     def _read_frame(self, seq: str, frame: int):
-        info = self._by_id[seq]
+        info = self._info(seq, frame)
         cloud = lidar_io.read_scan(info.scan_paths[frame], frame, seq)
         labels = None
         if info.label_paths is not None:
@@ -245,7 +266,7 @@ class ManifestSource:
         return labels
 
     def pose(self, seq: str, frame: int) -> geometry.RigidTransform:
-        return self._by_id[seq].poses[frame]
+        return self._info(seq, frame).poses[frame]
 
 
 def _estimate_for(source, seq: str, target: int, refs, labels_of, cfg: PleConfig) -> PseudoLabelMap:

@@ -3,8 +3,8 @@
 ``KdTree`` answers single-nearest-neighbor queries exactly (no approximation)
 and deterministically: among equidistant candidates the lowest original point
 index wins. ``nearest_brute`` is the reference implementation; both compute
-squared distances with the same expression so results agree bit for bit on
-identical inputs.
+squared distances through ``_squared_distances``, so results agree bit for
+bit on identical inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError, EmptyIndexError, ShapeError
 
-DEFAULT_LEAF_SIZE = 16
+DEFAULT_LEAF_SIZE = 256
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -23,9 +23,23 @@ def _as_points(arr, name: str) -> np.ndarray:
     return out
 
 
-def _squared_distances(points: np.ndarray, query: np.ndarray) -> np.ndarray:
-    diff = points - query
-    return np.einsum("ij,ij->i", diff, diff)
+def _squared_distances(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Squared distances from queries to points, one axis at a time.
+
+    ``q`` is one query of shape (3,) or per-axis queries of shape (3, M);
+    ``p`` holds per-axis points, shape (3, K). The result has shape (K,) or
+    (M, K). The sum order, ``(dx*dx + dz*dz) + dy*dy``, is fixed so that
+    every caller gets the same bits for the same pair.
+    """
+    d2 = np.subtract.outer(q[0], p[0])
+    d2 *= d2
+    d = np.subtract.outer(q[2], p[2])
+    d *= d
+    d2 += d
+    np.subtract.outer(q[1], p[1], out=d)
+    d *= d
+    d2 += d
+    return d2
 
 
 def nearest_brute(points, queries):
@@ -40,7 +54,7 @@ def nearest_brute(points, queries):
     indices = np.empty(len(qry), dtype=np.int64)
     dists = np.empty(len(qry), dtype=np.float64)
     for i, q in enumerate(qry):
-        d2 = _squared_distances(pts, q)
+        d2 = _squared_distances(q, pts.T)
         j = int(np.argmin(d2))
         indices[i] = j
         dists[i] = np.sqrt(d2[j])
@@ -48,7 +62,12 @@ def nearest_brute(points, queries):
 
 
 class KdTree:
-    """Median-split kd-tree over (N, 3) float64 points."""
+    """Median-split kd-tree over (N, 3) float64 points.
+
+    Each leaf holds its points in ascending original index, stored
+    contiguously per axis, so a leaf visit reads three slices and the first
+    minimum along a row is already the lowest-index one.
+    """
 
     def __init__(self, points, leaf_size: int = DEFAULT_LEAF_SIZE):
         pts = _as_points(points, "points")
@@ -89,6 +108,7 @@ class KdTree:
         while stack:
             node, lo, hi = stack.pop()
             if hi - lo <= self._leaf_size:
+                perm[lo:hi].sort()
                 start[node], end[node] = lo, hi
                 continue
             coords = pts[perm[lo:hi]]
@@ -104,6 +124,8 @@ class KdTree:
             stack.append((right[node], mid, hi))
 
         self._perm = perm
+        # x, y and z rows in perm order: a leaf's points are one column slice.
+        self._leaf_xyz = np.ascontiguousarray(pts[perm].T)
         self._axis = np.array(axis, dtype=np.int64)
         self._split = np.array(split, dtype=np.float64)
         self._left = np.array(left, dtype=np.int64)
@@ -122,23 +144,19 @@ class KdTree:
         best_d2 = np.full(m, np.inf, dtype=np.float64)
         best_idx = np.full(m, -1, dtype=np.int64)
         if m:
-            self._visit(0, np.arange(m, dtype=np.int64), qry, best_d2, best_idx)
+            qxyz = np.ascontiguousarray(qry.T)
+            self._visit(0, np.arange(m, dtype=np.int64), qxyz, best_d2, best_idx)
         return best_idx, np.sqrt(best_d2)
 
-    def _visit(self, node, active, qry, best_d2, best_idx) -> None:
+    def _visit(self, node, active, qxyz, best_d2, best_idx) -> None:
         if self._axis[node] < 0:
             lo, hi = self._start[node], self._end[node]
-            leaf_idx = self._perm[lo:hi]
-            # Candidate columns ordered by original index so argmin's
+            d2 = _squared_distances(qxyz[:, active], self._leaf_xyz[:, lo:hi])
+            # Leaf points ascend in original index, so argmin's
             # first-occurrence rule yields the lowest index on ties.
-            order = np.argsort(leaf_idx)
-            leaf_idx = leaf_idx[order]
-            diff = qry[active, None, :] - self._points[leaf_idx][None, :, :]
-            d2 = np.einsum("qkj,qkj->qk", diff, diff)
             col = np.argmin(d2, axis=1)
-            rows = np.arange(len(active))
-            cand_d2 = d2[rows, col]
-            cand_idx = leaf_idx[col]
+            cand_d2 = d2[np.arange(len(active)), col]
+            cand_idx = self._perm[lo + col]
             cur_d2 = best_d2[active]
             cur_idx = best_idx[active]
             take = (cand_d2 < cur_d2) | ((cand_d2 == cur_d2) & (cand_idx < cur_idx))
@@ -147,7 +165,7 @@ class KdTree:
             best_idx[upd] = cand_idx[take]
             return
 
-        signed = qry[active, self._axis[node]] - self._split[node]
+        signed = qxyz[self._axis[node], active] - self._split[node]
         go_left = signed < 0.0
         for near_mask, near, far in (
             (go_left, self._left[node], self._right[node]),
@@ -156,9 +174,9 @@ class KdTree:
             group = active[near_mask]
             if len(group) == 0:
                 continue
-            self._visit(near, group, qry, best_d2, best_idx)
+            self._visit(near, group, qxyz, best_d2, best_idx)
             plane_d2 = signed[near_mask] ** 2
             # <= keeps exact plane ties searchable on both sides.
             cross = plane_d2 <= best_d2[group]
             if cross.any():
-                self._visit(far, group[cross], qry, best_d2, best_idx)
+                self._visit(far, group[cross], qxyz, best_d2, best_idx)

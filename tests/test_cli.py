@@ -231,6 +231,28 @@ def test_eval_without_estimates_exits_empty(workspace, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "seq, frame, message",
+    [("99", 1, "unknown sequence"), ("00", 999, "outside")],
+)
+def test_eval_estimate_outside_dataset_exits_data(
+    workspace, tmp_path, capsys, seq, frame, message
+):
+    est = tmp_path / "est" / seq
+    est.mkdir(parents=True)
+    (est / f"{frame:06d}.ple").write_bytes(bytes(40))
+    code = cli.main(
+        [
+            "eval",
+            "--root", str(workspace["data"]),
+            "--ple-dir", str(tmp_path / "est"),
+            "--out", str(tmp_path / "r"),
+        ]
+    )
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
 def test_eval_offset_grouping_needs_split(workspace, tmp_path):
     code = cli.main(
         [

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plelidar import geometry, synth
 from plelidar.errors import DataError, EmptyIndexError, ShapeError
-from plelidar.spatial_index import KdTree, nearest_brute
+from plelidar.spatial_index import DEFAULT_LEAF_SIZE, KdTree, nearest_brute
+
+from conftest import one_box_config
 
 
 def assert_matches_brute(points, queries, leaf_size=16):
@@ -77,12 +80,40 @@ def test_queries_on_split_planes():
     assert_matches_brute(pts, queries, leaf_size=2)
 
 
-@pytest.mark.parametrize("leaf_size", [1, 2, 7, 16, 100])
+@pytest.mark.parametrize("leaf_size", [1, 2, 7, 16, 100, 256, 512])
 def test_leaf_sizes_agree(leaf_size):
     rng = np.random.default_rng(leaf_size)
     pts = rng.uniform(-20, 20, (777, 3))
     queries = rng.uniform(-25, 25, (111, 3))
     assert_matches_brute(pts, queries, leaf_size=leaf_size)
+
+
+def test_scan_pair_matches_brute_at_default_leaf_size():
+    # Planar ground and walls put many points exactly on split planes, and
+    # fixed sampling makes most target points exact duplicates of reference
+    # points, so the lowest-index rule decides across leaves.
+    data = synth.generate(one_box_config(frames=2, points_per_surface=6.0))
+    to_target = geometry.relative_transform(data.poses[0], data.poses[1])
+    target = data.clouds[1].points
+    pool = np.concatenate([geometry.apply_points(to_target, data.clouds[0].points), target])
+    assert len(pool) > 40 * DEFAULT_LEAF_SIZE
+    assert_matches_brute(pool, target, leaf_size=DEFAULT_LEAF_SIZE)
+
+
+def test_leaf_indices_ascend():
+    rng = np.random.default_rng(5)
+    pts = rng.integers(-3, 4, (500, 3)).astype(np.float64)
+    tree = KdTree(pts, leaf_size=16)
+    leaves = np.flatnonzero(tree._axis < 0)
+    assert len(leaves) > 1
+    covered = []
+    for node in leaves:
+        idx = tree._perm[tree._start[node]:tree._end[node]]
+        assert (np.diff(idx) > 0).all()
+        covered.extend(idx.tolist())
+    assert sorted(covered) == list(range(len(pts)))
+    # the per-axis leaf storage holds those points in that order
+    assert np.array_equal(tree._leaf_xyz.T, pts[tree._perm])
 
 
 def test_empty_points_rejected():
