@@ -207,13 +207,13 @@ def cmd_eval(args) -> int:
         raise ConfigError("--group-by-offset needs --split to locate labeled frames")
     manifest = lidar_io.build_manifest(args.root, args.frequency)
     source = ple.ManifestSource(manifest)
+    split = _load_split_for(manifest, args.split) if args.split else None
     ple_dir = Path(args.ple_dir)
     if not ple_dir.is_dir():
         raise MissingDataError(f"{ple_dir} is not a directory")
     frames = _eval_frames(ple_dir)
     if not frames:
         raise EmptyResultError(f"no {ple.PLE_SUFFIX} files under {ple_dir}")
-    split = split_mod.read_split(args.split) if args.split else None
 
     class_ids: set = set()
     for seq, frame, path in frames:

@@ -32,24 +32,6 @@ class ConfusionMatrix:
         self.class_ids = tuple(ids)
         self.ignore_class = ignore_class
         self.counts = np.zeros((len(ids), len(ids)), dtype=np.int64)
-        self._index = {c: i for i, c in enumerate(ids)}
-
-    def copy(self) -> "ConfusionMatrix":
-        out = ConfusionMatrix(self.class_ids, self.ignore_class)
-        out.counts[:] = self.counts
-        return out
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        """Entrywise sum; both matrices must share the class set."""
-        if other.class_ids != self.class_ids or other.ignore_class != self.ignore_class:
-            raise DataError("cannot merge confusion matrices over different classes")
-        self.counts += other.counts
-        return self
-
-    def transposed(self) -> "ConfusionMatrix":
-        out = self.copy()
-        out.counts = self.counts.T.copy()
-        return out
 
 
 def accumulate(cm: ConfusionMatrix, gt, pred) -> ConfusionMatrix:

@@ -91,11 +91,6 @@ def apply_points(t: RigidTransform, points: np.ndarray) -> np.ndarray:
     return pts @ t.rotation.T + t.translation
 
 
-def apply(t: RigidTransform, cloud):
-    """Transform a PointCloud, preserving intensities and point order."""
-    return cloud.with_points(apply_points(t, cloud.points))
-
-
 def yaw_rotation(angle: float) -> np.ndarray:
     """Rotation matrix for a yaw (about +z) of `angle` radians."""
     c, s = np.cos(angle), np.sin(angle)

@@ -53,10 +53,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def with_points(self, points: np.ndarray) -> "PointCloud":
-        """Copy of this cloud with replaced coordinates (same intensities/ids)."""
-        return PointCloud(points, self.intensities, self.frame_id, self.sequence_id)
-
 
 @dataclass(frozen=True, eq=False)
 class LabelMap:
@@ -98,21 +94,6 @@ class SequenceInfo:
 @dataclass(frozen=True, eq=False)
 class SequenceManifest:
     sequences: tuple
-
-    def total_frames(self) -> int:
-        return sum(s.frame_count for s in self.sequences)
-
-    def frames(self):
-        """Yield (sequence_id, frame_id) over the whole manifest, in order."""
-        for seq in self.sequences:
-            for f in range(seq.frame_count):
-                yield seq.sequence_id, f
-
-    def sequence(self, sequence_id: str) -> SequenceInfo:
-        for seq in self.sequences:
-            if seq.sequence_id == sequence_id:
-                return seq
-        raise MissingDataError(f"unknown sequence {sequence_id!r}")
 
 
 def read_scan(path, frame_id: int = 0, sequence_id: str = "") -> PointCloud:

@@ -5,13 +5,13 @@ labeled points are transformed into the target's sensor frame with the pose
 difference, pooled into one KD-tree, and every target point takes the class
 of its globally nearest pooled point.
 
-Two drivers exist. ``run_naive`` references ground-truth frames only, within
-a temporal window around each unlabeled frame. ``run_progressive`` moves
-outward from the labeled frames in rounds of growing temporal offset, letting
-earlier-round outputs serve as references for later rounds; every frame
-belongs to exactly one chain, rooted at its temporally nearest ground-truth
-frame (ties to the earlier frame id), and its references always stay within
-the window of that root.
+Two drivers share one round loop. ``run_naive`` is a single round that
+references ground-truth frames only, within a temporal window around each
+unlabeled frame. ``run_progressive`` moves outward from the labeled frames in
+rounds of growing temporal offset, letting earlier-round outputs serve as
+references for later rounds; every frame belongs to exactly one chain, rooted
+at its temporally nearest ground-truth frame (ties to the earlier frame id),
+and its references always stay within the window of that root.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ META_SUFFIX = ".meta"
 _SEMANTIC_MASK = 0xFFFF
 _ORIGIN_BIT = 1 << 16
 _VALID_BIT = 1 << 17
+READ_CACHE_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -218,10 +219,10 @@ class ManifestSource:
     frame decode once even when two threads miss it at the same time.
     """
 
-    def __init__(self, manifest: SequenceManifest, cache_frames: int = 128):
+    def __init__(self, manifest: SequenceManifest):
         self._manifest = manifest
         self._by_id = {s.sequence_id: s for s in manifest.sequences}
-        self._cached_read = lru_cache(maxsize=cache_frames)(self._read_frame)
+        self._cached_read = lru_cache(maxsize=READ_CACHE_FRAMES)(self._read_frame)
         self._lock = threading.Lock()
 
     def _info(self, seq: str, frame: int):
@@ -291,36 +292,21 @@ def _run_jobs(jobs, workers: int):
         return [f.result() for f in futures]
 
 
-def run_naive(source, split: dict, cfg: PleConfig, workers: int = 1) -> dict:
-    """Estimate labels for every unlabeled frame with a ground-truth frame in window.
+def schedule_naive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> list:
+    """One-round plan for one sequence, shaped like ``schedule_progressive``.
 
-    Returns {(sequence_id, frame_id): PseudoLabelMap}. Frames with no
-    in-window ground-truth reference are left out.
+    The round holds (target, references) pairs for every unlabeled frame
+    with a ground-truth frame in its window; references are ground truth
+    only. Empty when no frame qualifies.
     """
-    if cfg.progressive:
-        raise ConfigError("run_naive requires cfg.progressive = False")
-    results: dict = {}
-    for seq in source.sequence_ids():
-        labeled = set(split.get(seq, ()))
-        if not labeled:
+    entries = []
+    for f in range(length):
+        if f in labeled:
             continue
-        freq = source.frequency(seq)
-        plan = []
-        for f in range(source.frame_count(seq)):
-            if f in labeled:
-                continue
-            refs = select_references(labeled, f, cfg, freq)
-            if refs:
-                plan.append((f, refs))
-        jobs = [
-            (lambda f=f, refs=refs: _estimate_for(
-                source, seq, f, refs, lambda g: source.gt_labels(seq, g), cfg
-            ))
-            for f, refs in plan
-        ]
-        for (f, _), pmap in zip(plan, _run_jobs(jobs, workers)):
-            results[(seq, f)] = pmap
-    return results
+        refs = select_references(labeled, f, cfg, frequency)
+        if refs:
+            entries.append((f, tuple(refs)))
+    return [entries] if entries else []
 
 
 def chain_root(labeled: set, target: int) -> int:
@@ -360,6 +346,45 @@ def schedule_progressive(labeled: set, length: int, cfg: PleConfig, frequency: f
     return rounds
 
 
+def _run_rounds(source, split: dict, cfg: PleConfig, workers: int, schedule) -> dict:
+    """Run each sequence's plan round by round.
+
+    A reference is read from this run's results when an earlier round
+    estimated it, else from ground truth; results are stored only after the
+    round ends, so they are independent of worker count.
+    """
+    results: dict = {}
+    for seq in source.sequence_ids():
+        labeled = set(split.get(seq, ()))
+        if not labeled:
+            continue
+        rounds = schedule(labeled, source.frame_count(seq), cfg, source.frequency(seq))
+
+        def labels_of(g, seq=seq):
+            pmap = results.get((seq, g))
+            return pmap if pmap is not None else source.gt_labels(seq, g)
+
+        for entries in rounds:
+            jobs = [
+                (lambda f=f, refs=refs: _estimate_for(source, seq, f, refs, labels_of, cfg))
+                for f, refs in entries
+            ]
+            for (f, _), pmap in zip(entries, _run_jobs(jobs, workers)):
+                results[(seq, f)] = pmap
+    return results
+
+
+def run_naive(source, split: dict, cfg: PleConfig, workers: int = 1) -> dict:
+    """Estimate labels for every unlabeled frame with a ground-truth frame in window.
+
+    Returns {(sequence_id, frame_id): PseudoLabelMap}. Frames with no
+    in-window ground-truth reference are left out.
+    """
+    if cfg.progressive:
+        raise ConfigError("run_naive requires cfg.progressive = False")
+    return _run_rounds(source, split, cfg, workers, schedule_naive)
+
+
 def run_progressive(source, split: dict, cfg: PleConfig, workers: int = 1) -> dict:
     """Estimate labels outward from the ground-truth frames, round by round.
 
@@ -368,30 +393,7 @@ def run_progressive(source, split: dict, cfg: PleConfig, workers: int = 1) -> di
     """
     if not cfg.progressive:
         raise ConfigError("run_progressive requires cfg.progressive = True")
-    results: dict = {}
-    for seq in source.sequence_ids():
-        labeled = set(split.get(seq, ()))
-        if not labeled:
-            continue
-        freq = source.frequency(seq)
-        plan = schedule_progressive(labeled, source.frame_count(seq), cfg, freq)
-        store: dict = {}
-
-        def labels_of(g, seq=seq, store=store):
-            if g in store:
-                return store[g]
-            return source.gt_labels(seq, g)
-
-        for entries in plan:
-            jobs = [
-                (lambda f=f, refs=refs: _estimate_for(source, seq, f, refs, labels_of, cfg))
-                for f, refs in entries
-            ]
-            outputs = _run_jobs(jobs, workers)
-            for (f, _), pmap in zip(entries, outputs):
-                store[f] = pmap
-                results[(seq, f)] = pmap
-    return results
+    return _run_rounds(source, split, cfg, workers, schedule_progressive)
 
 
 def write_ple(pmap: PseudoLabelMap, path) -> None:

@@ -77,20 +77,14 @@ class KdTree:
             raise DataError("points contain non-finite coordinates")
         if leaf_size < 1:
             raise ShapeError(f"leaf_size must be positive, got {leaf_size}")
-        self._points = np.ascontiguousarray(pts)
-        self._points.setflags(write=False)
         self._leaf_size = int(leaf_size)
-        self._build()
+        self._build(pts)
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._perm)
 
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
-    def _build(self) -> None:
-        n = len(self._points)
+    def _build(self, pts: np.ndarray) -> None:
+        n = len(pts)
         perm = np.arange(n, dtype=np.int64)
         # Flat node arrays; children index into them, leaves store perm ranges.
         axis, split = [], []
@@ -104,7 +98,6 @@ class KdTree:
             return len(axis) - 1
 
         stack = [(new_node(), 0, n)]
-        pts = self._points
         while stack:
             node, lo, hi = stack.pop()
             if hi - lo <= self._leaf_size:

@@ -40,6 +40,8 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2", "wc", "bc", "wn", "bn")
 MODEL_MAGIC = "dualheadnet 1"
 HISTORY_COLUMNS = ("step", "ce_clean", "lovasz", "ce_pseudo", "consistency",
                    "pseudo_label_accuracy")
+CHECKPOINT_EVERY = 100
+VOXEL_SIZE = 1.0
 
 
 @dataclass(eq=False)
@@ -88,8 +90,6 @@ class SSLConfig:
     batch_size: int = 256
     hidden: int = 32
     seed: int = 0
-    pseudo_lovasz: bool = False
-    checkpoint_every: int = 100
 
     def __post_init__(self):
         if self.lambda_mt < 0:
@@ -102,8 +102,6 @@ class SSLConfig:
             raise ConfigError("learning_rate must be positive")
         if self.steps < 0 or self.batch_size < 1 or self.hidden < 1:
             raise ConfigError("steps >= 0, batch_size >= 1, hidden >= 1 required")
-        if self.checkpoint_every < 1:
-            raise ConfigError("checkpoint_every must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,12 +342,6 @@ def loss_terms(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
     head_probs = c_probs if single_branch else n_probs
     pseudo_val, _ = cross_entropy(head_probs[taken], taken_labels)
     dz_pseudo = _ce_logit_grad(head_probs, taken, taken_labels)
-    if cfg.pseudo_lovasz:
-        extra, dprob_sub = _lovasz_with_grad(head_probs[taken], taken_labels)
-        pseudo_val += extra
-        dprobs = np.zeros_like(head_probs)
-        dprobs[taken] = dprob_sub
-        dz_pseudo = dz_pseudo + _softmax_backward(head_probs, dprobs)
     losses["ce_pseudo"] = pseudo_val
     if single_branch:
         grads["ce_pseudo"] = _backward(student, cache, dz_pseudo, zeros)
@@ -453,7 +445,7 @@ def pseudo_label_accuracy(teacher: DualHeadNet, data: TrainData, tau: float) -> 
 def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):
     """Run cfg.steps training steps; returns (student, teacher, history).
 
-    History rows follow HISTORY_COLUMNS, recorded every cfg.checkpoint_every
+    History rows follow HISTORY_COLUMNS, recorded every CHECKPOINT_EVERY
     steps and at the final step. With single_branch the n-head never receives
     gradients and pseudo-label cross-entropy flows through the c-head.
     """
@@ -468,7 +460,7 @@ def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):
         idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
         batch = TrainBatch(data.features[idx], data.labels[idx], data.label_kind[idx])
         student, teacher, losses = train_step(student, teacher, batch, cfg, single_branch)
-        if step % cfg.checkpoint_every == 0 or step == cfg.steps:
+        if step % CHECKPOINT_EVERY == 0 or step == cfg.steps:
             acc = pseudo_label_accuracy(teacher, data, cfg.tau)
             history.append(
                 (step, losses["ce_clean"], losses["lovasz"], losses["ce_pseudo"],
@@ -548,9 +540,10 @@ def load_model(path) -> DualHeadNet:
     return DualHeadNet(params)
 
 
-def build_features(points: np.ndarray, voxel_size: float = 1.0) -> np.ndarray:
+def build_features(points: np.ndarray) -> np.ndarray:
     """Per-point feature rows: x, y, z, range, height above the cloud's
-    minimum, and normalized voxel occupancy; standardized per column."""
+    minimum, and normalized occupancy of VOXEL_SIZE voxels; standardized per
+    column."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
     if n == 0:
@@ -559,7 +552,7 @@ def build_features(points: np.ndarray, voxel_size: float = 1.0) -> np.ndarray:
     feats[:, :3] = pts
     feats[:, 3] = np.linalg.norm(pts, axis=1)
     feats[:, 4] = pts[:, 2] - pts[:, 2].min()
-    keys = np.floor(pts / voxel_size).astype(np.int64)
+    keys = np.floor(pts / VOXEL_SIZE).astype(np.int64)
     _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     feats[:, 5] = counts[inverse] / counts.max()
     mean = feats.mean(axis=0)
@@ -578,30 +571,19 @@ def assemble_training_data(source, split: dict, ple_maps: dict | None = None,
     provide the oracle; ignore-class points are dropped.
     """
     ple_maps = ple_maps or {}
-    class_ids: set = set()
-    for seq in source.sequence_ids():
-        for f in range(source.frame_count(seq)):
-            class_ids.update(int(c) for c in np.unique(source.gt_labels(seq, f).semantic))
-    class_ids.discard(0)
-    classes = sorted(class_ids)
-    if len(classes) < 2:
-        raise DataError("dataset holds fewer than two classes")
-    index_of = {c: i for i, c in enumerate(classes)}
-
-    feats_parts, label_parts, kind_parts, oracle_parts = [], [], [], []
+    feats_parts, id_parts, kind_parts, oracle_parts = [], [], [], []
     for seq in source.sequence_ids():
         labeled = set(split.get(seq, ()))
         for f in range(source.frame_count(seq)):
             cloud = source.cloud(seq, f)
             gt = source.gt_labels(seq, f)
             keep = gt.semantic != 0
-            feats = build_features(cloud.points)[keep]
-            oracle = np.array([index_of[c] for c in gt.semantic[keep]], dtype=np.int64)
-            n = len(oracle)
-            labels = np.full(n, IGNORE_LABEL, dtype=np.int64)
-            kind = np.full(n, KIND_NONE, dtype=np.int8)
+            oracle = gt.semantic[keep]
+            # Raw class ids for now; 0 marks a point without a trusted label.
+            ids = np.zeros(len(oracle), dtype=np.int32)
+            kind = np.full(len(oracle), KIND_NONE, dtype=np.int8)
             if f in labeled:
-                labels = oracle.copy()
+                ids = oracle
                 kind[:] = KIND_GROUND_TRUTH
             elif (seq, f) in ple_maps:
                 pmap = ple_maps[(seq, f)]
@@ -609,23 +591,29 @@ def assemble_training_data(source, split: dict, ple_maps: dict | None = None,
                     raise DataError(f"frame {seq}/{f}: estimate and scan sizes differ")
                 sem = pmap.semantic[keep]
                 usable = pmap.valid[keep] & (sem != 0)
-                for c in np.unique(sem[usable]):
-                    if int(c) not in index_of:
-                        raise DataError(f"frame {seq}/{f}: unknown class {int(c)}")
-                labels[usable] = [index_of[int(c)] for c in sem[usable]]
+                ids[usable] = sem[usable]
                 kind[usable] = KIND_PLE
-            feats_parts.append(feats)
-            label_parts.append(labels)
+            feats_parts.append(build_features(cloud.points)[keep])
+            id_parts.append(ids)
             kind_parts.append(kind)
             oracle_parts.append(oracle)
-    features = np.concatenate(feats_parts, axis=0)
-    labels = np.concatenate(label_parts)
+    oracle_ids = np.concatenate(oracle_parts) if oracle_parts else np.zeros(0, np.int32)
+    classes = np.unique(oracle_ids)
+    if len(classes) < 2:
+        raise DataError("dataset holds fewer than two classes")
+    label_ids = np.concatenate(id_parts)
     kind = np.concatenate(kind_parts)
-    oracle = np.concatenate(oracle_parts)
-    if max_points is not None and len(labels) > max_points:
+    unknown = (kind != KIND_NONE) & ~np.isin(label_ids, classes)
+    if unknown.any():
+        raise DataError(f"estimates hold class {int(label_ids[unknown][0])}, "
+                        "which no ground-truth frame has")
+    features = np.concatenate(feats_parts, axis=0)
+    if max_points is not None and len(kind) > max_points:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-        pick = np.sort(rng.choice(len(labels), size=max_points, replace=False))
-        features, labels, kind, oracle = (
-            features[pick], labels[pick], kind[pick], oracle[pick]
+        pick = np.sort(rng.choice(len(kind), size=max_points, replace=False))
+        features, label_ids, kind, oracle_ids = (
+            features[pick], label_ids[pick], kind[pick], oracle_ids[pick]
         )
+    labels = np.where(kind == KIND_NONE, IGNORE_LABEL, np.searchsorted(classes, label_ids))
+    oracle = np.searchsorted(classes, oracle_ids)
     return TrainData(features, labels, kind, oracle, len(classes))

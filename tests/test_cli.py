@@ -5,9 +5,10 @@ from __future__ import annotations
 import filecmp
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from plelidar import cli, synth
+from plelidar import cli, lidar_io, ple, split as split_mod, synth
 from plelidar.ssl_mini import read_history
 
 from conftest import corridor_config, one_box_config
@@ -253,6 +254,31 @@ def test_eval_estimate_outside_dataset_exits_data(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad_split", [{"99": (0,)}, {"00": (999,)}], ids=["unknown-sequence", "frame-past-end"]
+)
+def test_eval_split_outside_dataset_exits_data(workspace, tmp_path, capsys, bad_split):
+    est = tmp_path / "est"
+    data = str(workspace["data"])
+    assert cli.main(["ple", "--root", data, "--split", str(workspace["split"]),
+                     "--out", str(est)]) == 0
+    split_path = tmp_path / "bad.split"
+    split_mod.write_split(bad_split, split_path)
+    code = cli.main(
+        [
+            "eval",
+            "--root", data,
+            "--ple-dir", str(est),
+            "--group-by-offset",
+            "--split", str(split_path),
+            "--out", str(tmp_path / "r"),
+        ]
+    )
+    assert code == 3
+    assert "split references" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "curve.csv").exists()
+
+
 def test_eval_offset_grouping_needs_split(workspace, tmp_path):
     code = cli.main(
         [
@@ -286,6 +312,33 @@ def test_train_writes_models_and_history(workspace, tmp_path, capsys):
         assert (out / name).is_file()
     history = read_history(out / "history.csv")
     assert [row[0] for row in history] == [12]
+
+
+def test_train_unknown_estimate_class_exits_data(workspace, tmp_path, capsys):
+    labeled = split_mod.read_split(workspace["split"])["00"]
+    (seq,) = lidar_io.build_manifest(workspace["data"]).sequences
+    frame = next(f for f in range(seq.frame_count) if f not in labeled)
+    n = len(lidar_io.read_scan(seq.scan_paths[frame]))
+    est = tmp_path / "est" / "00"
+    est.mkdir(parents=True)
+    bogus = ple.PseudoLabelMap(
+        semantic=np.full(n, 77), source_frame=np.zeros(n), source_distance=np.zeros(n),
+        valid=np.ones(n, dtype=bool), origin_kind=np.zeros(n), frame_id=frame,
+        sequence_id="00",
+    )
+    ple.write_ple(bogus, est / f"{frame:06d}{ple.PLE_SUFFIX}")
+    code = cli.main(
+        [
+            "train",
+            "--root", str(workspace["data"]),
+            "--split", str(workspace["split"]),
+            "--ple-dir", str(tmp_path / "est"),
+            "--steps", "1",
+            "--out", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 3
+    assert "class 77" in capsys.readouterr().err
 
 
 def test_train_zero_steps(workspace, tmp_path):

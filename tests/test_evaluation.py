@@ -126,23 +126,22 @@ def test_merge_and_order_invariance():
     whole = ev.ConfusionMatrix([1, 2])
     for gt, pred in frames:
         ev.accumulate(whole, gt, pred)
-    parts = []
-    for gt, pred in frames:
-        cm = ev.ConfusionMatrix([1, 2])
-        parts.append(ev.accumulate(cm, gt, pred))
-    merged = parts[3].merge(parts[1]).merge(parts[0]).merge(parts[2])
-    assert np.array_equal(merged.counts, whole.counts)
+    shuffled = ev.ConfusionMatrix([1, 2])
+    for i in (3, 1, 0, 2):
+        ev.accumulate(shuffled, *frames[i])
+    assert np.array_equal(shuffled.counts, whole.counts)
 
 
-def test_merge_requires_same_classes():
-    with pytest.raises(DataError):
-        ev.ConfusionMatrix([1]).merge(ev.ConfusionMatrix([1, 2]))
+def _transposed(cm):
+    out = ev.ConfusionMatrix(cm.class_ids, cm.ignore_class)
+    out.counts[:] = cm.counts.T
+    return out
 
 
 def test_transpose_swaps_precision_and_recall():
     cm = ev.ConfusionMatrix([1, 2])
     cm.counts[:] = [[8, 2], [4, 6]]
-    flipped = ev.metrics(cm.transposed())
+    flipped = ev.metrics(_transposed(cm))
     # recall of class 1 in the original = 8/10
     assert flipped.per_class_precision[1] == pytest.approx(8 / 10)
     assert flipped.per_class_precision[2] == pytest.approx(6 / 10)
@@ -218,7 +217,7 @@ def test_iou_never_exceeds_precision_or_recall(counts):
     cm = ev.ConfusionMatrix([1, 2, 3])
     cm.counts[:] = counts
     report = ev.metrics(cm)
-    recall_view = ev.metrics(cm.transposed()).per_class_precision
+    recall_view = ev.metrics(_transposed(cm)).per_class_precision
     for c, iou in report.per_class_iou.items():
         assert 0.0 <= iou <= 1.0
         if c in report.per_class_precision:

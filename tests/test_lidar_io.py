@@ -188,15 +188,11 @@ def test_build_manifest(tmp_path):
     _make_sequence(tmp_path, "01", frames=2, with_labels=False)
     manifest = lidar_io.build_manifest(tmp_path, scan_frequency_hz=10.0)
     assert [s.sequence_id for s in manifest.sequences] == ["00", "01"]
-    assert manifest.total_frames() == 5
-    seq0 = manifest.sequence("00")
-    assert seq0.frame_count == 3
+    seq0, seq1 = manifest.sequences
+    assert [seq0.frame_count, seq1.frame_count] == [3, 2]
     assert seq0.label_paths is not None and len(seq0.label_paths) == 3
     assert seq0.scan_frequency == 10.0
-    assert manifest.sequence("01").label_paths is None
-    assert list(manifest.frames()) == [
-        ("00", 0), ("00", 1), ("00", 2), ("01", 0), ("01", 1)
-    ]
+    assert seq1.label_paths is None
     assert np.abs(seq0.poses[2].translation - np.array([2.0, 0.0, 0.0])).max() < 1e-9
 
 
@@ -204,7 +200,7 @@ def test_build_manifest_lexicographic_order_is_frame_order(tmp_path):
     seq_dir = _make_sequence(tmp_path, "00", frames=5)
     files = sorted((seq_dir / "velodyne").glob("*.bin"))
     manifest = lidar_io.build_manifest(tmp_path)
-    assert list(manifest.sequence("00").scan_paths) == files
+    assert list(manifest.sequences[0].scan_paths) == files
 
 
 def test_build_manifest_missing_poses(tmp_path):
@@ -239,14 +235,6 @@ def test_build_manifest_gap_in_frames(tmp_path):
 def test_build_manifest_missing_root(tmp_path):
     with pytest.raises(MissingDataError):
         lidar_io.build_manifest(tmp_path / "nope")
-
-
-def test_with_points_keeps_metadata():
-    cloud = PointCloud(np.zeros((4, 3)), np.arange(4.0), frame_id=7, sequence_id="02")
-    moved = cloud.with_points(np.ones((4, 3)))
-    assert moved.frame_id == 7 and moved.sequence_id == "02"
-    assert np.array_equal(moved.intensities, cloud.intensities)
-    assert np.array_equal(moved.points, np.ones((4, 3)))
 
 
 @settings(max_examples=30, deadline=None)

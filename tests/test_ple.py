@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plelidar import geometry, lidar_io, ple, synth
 from plelidar.errors import ConfigError, DataError, EmptyIndexError, FormatError
@@ -210,6 +212,76 @@ class TestChainsAndSchedule:
         rounds = ple.schedule_progressive({0}, 30, cfg, 10.0)
         targets = {f for entries in rounds for f, _ in entries}
         assert targets == set(range(1, 11))
+
+    def test_naive_schedule_is_one_round(self):
+        cfg = PleConfig(window_seconds=0.2, max_references=1)
+        assert ple.schedule_naive({3, 9}, 12, cfg, 10.0) == [
+            [(1, (3,)), (2, (3,)), (4, (3,)), (5, (3,)), (7, (9,)), (8, (9,)),
+             (10, (9,)), (11, (9,))]
+        ]
+        assert ple.schedule_naive({0}, 30, cfg, 1.0) == []
+
+
+@st.composite
+def _schedule_case(draw):
+    length = draw(st.integers(1, 40))
+    labeled = draw(st.sets(st.integers(0, length - 1), max_size=6))
+    window_seconds = draw(st.sampled_from([0.05, 0.1, 0.25, 0.4, 1.0]))
+    max_references = draw(st.integers(1, 5))
+    frequency = draw(st.sampled_from([5.0, 10.0]))
+    return labeled, length, window_seconds, max_references, frequency
+
+
+def _targets(rounds) -> list:
+    return sorted(f for entries in rounds for f, _ in entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedule_case())
+def test_schedules_target_the_same_frames(case):
+    labeled, length, window_seconds, max_references, frequency = case
+    naive = ple.schedule_naive(
+        labeled, length, PleConfig(window_seconds, max_references), frequency
+    )
+    prog = ple.schedule_progressive(
+        labeled, length, PleConfig(window_seconds, max_references, progressive=True), frequency
+    )
+    assert len(naive) <= 1
+    assert _targets(naive) == _targets(prog)
+    assert len(set(_targets(prog))) == len(_targets(prog))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedule_case())
+def test_progressive_references_stay_in_root_window_and_precede_round(case):
+    labeled, length, window_seconds, max_references, frequency = case
+    cfg = PleConfig(window_seconds, max_references, progressive=True)
+    window = cfg.window_frames(frequency)
+    known = set(labeled)
+    for entries in ple.schedule_progressive(labeled, length, cfg, frequency):
+        for f, refs in entries:
+            root = ple.chain_root(labeled, f)
+            assert 1 <= len(refs) <= max_references
+            for g in refs:
+                assert g in known
+                assert abs(g - root) <= window
+                assert 0 < abs(g - f) <= window
+        known.update(f for f, _ in entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedule_case())
+def test_naive_references_are_ground_truth_in_window(case):
+    labeled, length, window_seconds, max_references, frequency = case
+    cfg = PleConfig(window_seconds, max_references)
+    window = cfg.window_frames(frequency)
+    for entries in ple.schedule_naive(labeled, length, cfg, frequency):
+        for f, refs in entries:
+            assert f not in labeled
+            assert 1 <= len(refs) <= max_references
+            for g in refs:
+                assert g in labeled
+                assert 0 < abs(g - f) <= window
 
 
 @pytest.fixture(scope="module")

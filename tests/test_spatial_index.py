@@ -144,10 +144,18 @@ def test_empty_query_set():
     assert idx.shape == (0,) and dist.shape == (0,)
 
 
-def test_points_property_readonly():
-    tree = KdTree(np.arange(30, dtype=np.float64).reshape(10, 3))
-    with pytest.raises(ValueError):
-        tree.points[0, 0] = 5.0
+def test_caller_array_stays_writable():
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-5.0, 5.0, (500, 3))
+    queries = rng.uniform(-5.0, 5.0, (50, 3))
+    tree = KdTree(points, leaf_size=16)
+    idx, dist = tree.nearest(queries)
+    assert points.flags.writeable
+    points[:] = 0.0
+    again_idx, again_dist = tree.nearest(queries)
+    assert np.array_equal(again_idx, idx)
+    assert np.array_equal(again_dist, dist)
+    assert len(tree) == 500
 
 
 @settings(max_examples=60, deadline=None)

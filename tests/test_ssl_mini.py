@@ -279,9 +279,9 @@ class TestTrainLoop:
 
     def test_history_cadence(self):
         data = self._data()
-        cfg = SSLConfig(steps=25, checkpoint_every=10, batch_size=16, hidden=8)
+        cfg = SSLConfig(steps=250, batch_size=16, hidden=8)
         _, _, history = ssl.train_loop(data, cfg)
-        assert [row[0] for row in history] == [10, 20, 25]
+        assert [row[0] for row in history] == [100, 200, 250]
 
     def test_loop_is_deterministic(self):
         data = self._data()
@@ -428,6 +428,17 @@ class TestAssemble:
         assert np.array_equal(a.labels, b.labels)
         c = ssl.assemble_training_data(source, {"00": (1,)}, max_points=100, seed=4)
         assert not np.array_equal(a.features, c.features)
+
+    def test_estimate_class_missing_from_ground_truth_rejected(self, source):
+        from plelidar.ple import PseudoLabelMap
+
+        n = len(source.cloud("00", 0))
+        bogus = PseudoLabelMap(
+            semantic=np.full(n, 77), source_frame=np.zeros(n), source_distance=np.zeros(n),
+            valid=np.ones(n, dtype=bool), origin_kind=np.zeros(n), frame_id=0,
+        )
+        with pytest.raises(DataError, match="class 77"):
+            ssl.assemble_training_data(source, {"00": (1,)}, {("00", 0): bogus})
 
     def test_single_class_scene_rejected(self):
         from plelidar import synth

@@ -157,7 +157,8 @@ def test_box_has_no_bottom_face():
 def test_export_round_trip(tmp_path, one_box_dataset):
     synth.export(one_box_dataset, tmp_path)
     manifest = lidar_io.build_manifest(tmp_path, scan_frequency_hz=10.0)
-    seq = manifest.sequence("00")
+    (seq,) = manifest.sequences
+    assert seq.sequence_id == "00"
     assert seq.frame_count == len(one_box_dataset)
     for t in (0, 3, 20):
         cloud = lidar_io.read_scan(seq.scan_paths[t], t, "00")
