@@ -82,10 +82,16 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
         if action.dest not in values:
             continue
         raw = values[action.dest]
-        if raw in ("true", "false") and isinstance(action.default, bool):
+        if isinstance(action.default, bool):
+            if raw not in ("true", "false"):
+                raise ConfigError(f"{config_path}: {action.dest} = {raw!r} is not true or false")
             converted[action.dest] = raw == "true"
         elif action.type is not None:
-            converted[action.dest] = action.type(raw)
+            try:
+                converted[action.dest] = action.type(raw)
+            except ValueError:
+                raise ConfigError(f"{config_path}: {action.dest} = {raw!r} is not a valid "
+                                  f"{action.type.__name__}") from None
         else:
             converted[action.dest] = raw
         # a value from the file satisfies an otherwise mandatory flag
@@ -150,7 +156,7 @@ def cmd_ple(args) -> int:
         progressive=args.progressive,
     )
     runner = ple.run_progressive if args.progressive else ple.run_naive
-    results = runner(source, labeled, cfg, workers=args.workers)
+    results = runner(source, labeled, cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -279,6 +285,12 @@ def _read_ple_dir(ple_dir) -> dict:
     return maps
 
 
+def _warn_if_unscored(scored: int, tau: float) -> None:
+    if not scored:
+        log.warning("no unlabeled point cleared tau=%g (or none exists): "
+                    "pseudo-label accuracy 0 scores nothing", tau)
+
+
 def cmd_train(args) -> int:
     manifest = lidar_io.build_manifest(args.root, args.frequency)
     source = ple.ManifestSource(manifest)
@@ -329,7 +341,8 @@ def cmd_train(args) -> int:
                 batch_size=cfg.batch_size, hidden=cfg.hidden, seed=cfg.seed,
             )
             _, teacher, _ = ssl_mini.train_loop(data, sweep_cfg, args.single_branch)
-            acc = ssl_mini.pseudo_label_accuracy(teacher, data, tau)
+            acc, scored = ssl_mini.pseudo_label_score(teacher, data, tau)
+            _warn_if_unscored(scored, tau)
             rows.append((tau, acc))
             log.info("sweep tau=%.2f accuracy=%.4f", tau, acc)
         lines = ["tau,pseudo_label_accuracy"]
@@ -342,6 +355,8 @@ def cmd_train(args) -> int:
     ssl_mini.save_model(student, out / "student.model")
     ssl_mini.save_model(teacher, out / "teacher.model")
     final_acc = history[-1][-1] if history else 0.0
+    if history:
+        _warn_if_unscored(ssl_mini.pseudo_label_score(teacher, data, cfg.tau)[1], cfg.tau)
     print(f"steps={cfg.steps} final_pseudo_label_accuracy={final_acc:.6f} out={out}")
     return EXIT_OK
 
@@ -383,7 +398,7 @@ def build_parser():
     p.add_argument("--max-refs", type=int, default=4)
     p.add_argument("--max-distance", type=float, default=float("inf"),
                    help="meters; inf leaves every match valid")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="ignored; ple is single-threaded")
     p.add_argument("--frequency", type=float, default=10.0)
     p.set_defaults(func=cmd_ple)
 

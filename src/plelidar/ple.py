@@ -16,8 +16,6 @@ and its references always stay within the window of that root.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -213,17 +211,12 @@ class DatasetSource:
 
 
 class ManifestSource:
-    """Frame access over an on-disk dataset, with a small read cache.
-
-    The cache is shared by worker threads; a lock around it makes every
-    frame decode once even when two threads miss it at the same time.
-    """
+    """Frame access over an on-disk dataset, with a small read cache."""
 
     def __init__(self, manifest: SequenceManifest):
         self._manifest = manifest
         self._by_id = {s.sequence_id: s for s in manifest.sequences}
-        self._cached_read = lru_cache(maxsize=READ_CACHE_FRAMES)(self._read_frame)
-        self._lock = threading.Lock()
+        self._read = lru_cache(maxsize=READ_CACHE_FRAMES)(self._read_frame)
 
     def _info(self, seq: str, frame: int):
         """The sequence's manifest entry, checked to hold `frame`."""
@@ -235,10 +228,6 @@ class ManifestSource:
                 f"sequence {seq}: frame {frame} is outside 0..{info.frame_count - 1}"
             )
         return info
-
-    def _read(self, seq: str, frame: int):
-        with self._lock:
-            return self._cached_read(seq, frame)
 
     def _read_frame(self, seq: str, frame: int):
         info = self._info(seq, frame)
@@ -281,15 +270,6 @@ def _estimate_for(source, seq: str, target: int, refs, labels_of, cfg: PleConfig
         for g in refs
     ]
     return estimate_labels(source.cloud(seq, target), references, cfg)
-
-
-def _run_jobs(jobs, workers: int):
-    """Evaluate callables preserving order; thread count never affects output."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
 
 
 def schedule_naive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> list:
@@ -346,12 +326,13 @@ def schedule_progressive(labeled: set, length: int, cfg: PleConfig, frequency: f
     return rounds
 
 
-def _run_rounds(source, split: dict, cfg: PleConfig, workers: int, schedule) -> dict:
-    """Run each sequence's plan round by round.
+def _run_rounds(source, split: dict, cfg: PleConfig, schedule) -> dict:
+    """Run each sequence's plan round by round, one target at a time.
 
     A reference is read from this run's results when an earlier round
-    estimated it, else from ground truth; results are stored only after the
-    round ends, so they are independent of worker count.
+    estimated it, else from ground truth. Each estimate is stored as soon as
+    it is made; no schedule references a target of its own round, so the
+    order within a round never changes a result.
     """
     results: dict = {}
     for seq in source.sequence_ids():
@@ -365,12 +346,8 @@ def _run_rounds(source, split: dict, cfg: PleConfig, workers: int, schedule) -> 
             return pmap if pmap is not None else source.gt_labels(seq, g)
 
         for entries in rounds:
-            jobs = [
-                (lambda f=f, refs=refs: _estimate_for(source, seq, f, refs, labels_of, cfg))
-                for f, refs in entries
-            ]
-            for (f, _), pmap in zip(entries, _run_jobs(jobs, workers)):
-                results[(seq, f)] = pmap
+            for f, refs in entries:
+                results[(seq, f)] = _estimate_for(source, seq, f, refs, labels_of, cfg)
     return results
 
 
@@ -378,22 +355,23 @@ def run_naive(source, split: dict, cfg: PleConfig, workers: int = 1) -> dict:
     """Estimate labels for every unlabeled frame with a ground-truth frame in window.
 
     Returns {(sequence_id, frame_id): PseudoLabelMap}. Frames with no
-    in-window ground-truth reference are left out.
+    in-window ground-truth reference are left out. `workers` is accepted
+    and ignored: the run is single-threaded.
     """
     if cfg.progressive:
         raise ConfigError("run_naive requires cfg.progressive = False")
-    return _run_rounds(source, split, cfg, workers, schedule_naive)
+    return _run_rounds(source, split, cfg, schedule_naive)
 
 
 def run_progressive(source, split: dict, cfg: PleConfig, workers: int = 1) -> dict:
     """Estimate labels outward from the ground-truth frames, round by round.
 
-    Covers exactly the frames run_naive covers; within each round the
-    reference store is frozen, so results are independent of worker count.
+    Covers exactly the frames run_naive covers. `workers` is accepted and
+    ignored: the run is single-threaded.
     """
     if not cfg.progressive:
         raise ConfigError("run_progressive requires cfg.progressive = True")
-    return _run_rounds(source, split, cfg, workers, schedule_progressive)
+    return _run_rounds(source, split, cfg, schedule_progressive)
 
 
 def write_ple(pmap: PseudoLabelMap, path) -> None:

@@ -429,17 +429,23 @@ class TrainData:
         return len(self.labels)
 
 
-def pseudo_label_accuracy(teacher: DualHeadNet, data: TrainData, tau: float) -> float:
-    """Fraction of confident teacher pseudo-labels that match the oracle,
-    over unlabeled points. 0.0 when nothing clears the threshold."""
+def pseudo_label_score(teacher: DualHeadNet, data: TrainData, tau: float) -> tuple:
+    """(accuracy, scored): the fraction of confident teacher pseudo-labels
+    that match the oracle over unlabeled points, and how many points were
+    confident. Accuracy is 0.0 when nothing clears the threshold."""
     rows = np.flatnonzero(data.label_kind == KIND_NONE)
     if len(rows) == 0:
-        return 0.0
+        return 0.0, 0
     probs = softmax(forward(teacher, data.features[rows])[0])
     labels, mask = pseudo_label(probs, tau)
     if not mask.any():
-        return 0.0
-    return float(np.mean(labels[mask] == data.oracle[rows][mask]))
+        return 0.0, 0
+    return float(np.mean(labels[mask] == data.oracle[rows][mask])), int(mask.sum())
+
+
+def pseudo_label_accuracy(teacher: DualHeadNet, data: TrainData, tau: float) -> float:
+    """The accuracy half of pseudo_label_score."""
+    return pseudo_label_score(teacher, data, tau)[0]
 
 
 def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):

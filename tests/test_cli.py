@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import filecmp
+import logging
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +158,50 @@ def test_ple_worker_count_keeps_bytes_identical(workspace, tmp_path):
         assert code == 0
         outs.append(_tree_bytes(est, skip_names=("ple.config",)))
     assert outs[0] == outs[1]
+
+
+def test_ple_starts_no_thread(workspace, tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("ple started a thread")
+
+    # a middle root gives every round two targets, one on each side
+    middle = tmp_path / "middle.split"
+    split_mod.write_split({"00": (5,)}, middle)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code = cli.main(
+        [
+            "ple",
+            "--root", str(workspace["data"]),
+            "--split", str(middle),
+            "--workers", "8",
+            "--progressive",
+            "--out", str(tmp_path / "e"),
+        ]
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("progressive = False", "progressive = 'False' is not true or false"),
+     ("workers = two", "workers = 'two' is not a valid int")],
+)
+def test_ple_config_file_bad_value_exits_config(workspace, tmp_path, capsys, line, message):
+    config = tmp_path / "ple.config"
+    config.write_text(line + "\n")
+    code = cli.main(
+        [
+            "ple",
+            "--root", str(workspace["data"]),
+            "--split", str(workspace["split"]),
+            "--config", str(config),
+            "--out", str(tmp_path / "e"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and message in err
+    assert not (tmp_path / "e").exists()
 
 
 def test_ple_rerun_from_echoed_config(workspace, tmp_path):
@@ -377,6 +423,28 @@ def test_train_threshold_sweep(workspace, tmp_path, capsys):
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "tau,pseudo_label_accuracy"
     assert len(rows) == 1 + len(cli.TAU_SWEEP)
+
+
+def test_train_warns_when_no_pseudo_label_clears_tau(workspace, tmp_path, monkeypatch, caplog):
+    monkeypatch.delenv("PLE_LOG", raising=False)
+    out = tmp_path / "strict"
+    code = cli.main(
+        [
+            "train",
+            "--root", str(workspace["data"]),
+            "--split", str(workspace["split"]),
+            "--tau", "1.0",
+            "--steps", "4",
+            "--batch-size", "32",
+            "--hidden", "4",
+            "--max-points", "800",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "tau=1" in warnings[0].getMessage()
+    assert read_history(out / "history.csv")[-1][-1] == 0.0
 
 
 def test_config_echo_round_trips_through_read_flat(workspace, tmp_path):

@@ -311,6 +311,7 @@ class TestTrainLoop:
         oracle = rng.integers(0, 3, 10)
         all_labeled = TrainData(feats, oracle.copy(), np.full(10, KIND_GROUND_TRUTH), oracle, 3)
         assert ssl.pseudo_label_accuracy(_net(), all_labeled, 0.5) == 0.0
+        assert ssl.pseudo_label_score(_net(), all_labeled, 0.5) == (0.0, 0)
         some = TrainData(
             feats,
             np.full(10, ssl.IGNORE_LABEL),
@@ -320,7 +321,11 @@ class TestTrainLoop:
         )
         # nothing clears an impossible threshold
         assert ssl.pseudo_label_accuracy(_net(), some, 1.0) == 0.0
+        assert ssl.pseudo_label_score(_net(), some, 1.0) == (0.0, 0)
         assert 0.0 <= ssl.pseudo_label_accuracy(_net(), some, 0.0) <= 1.0
+        # a zero threshold scores every unlabeled point
+        acc, scored = ssl.pseudo_label_score(_net(), some, 0.0)
+        assert scored == 10 and acc == ssl.pseudo_label_accuracy(_net(), some, 0.0)
 
 
 class TestPersistence:
