@@ -11,6 +11,7 @@ warning/error) sets log verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -19,17 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, lidar_io, ple, split as split_mod, ssl_mini, synth
-from .errors import (
-    ConfigError,
-    DataError,
-    EmptyIndexError,
-    EmptyResultError,
-    FormatError,
-    IoError,
-    MissingDataError,
-    PlelidarError,
-    ShapeError,
-)
+from .errors import ConfigError, DataError, EmptyResultError, MissingDataError, PlelidarError
 
 log = logging.getLogger("plelidar")
 
@@ -51,6 +42,16 @@ def write_flat(path, pairs: dict) -> None:
             value = f"{value:.17g}"
         lines.append(f"{key} = {value}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# argparse plumbing that is not a setting of the run
+_NOT_SETTINGS = ("command", "func", "config", "needs_config")
+
+
+def _write_run_config(path, args) -> None:
+    """Echo every parsed setting of a command; None is written as ''."""
+    write_flat(path, {key: "" if value is None else value
+                      for key, value in vars(args).items() if key not in _NOT_SETTINGS})
 
 
 def read_flat(path) -> dict:
@@ -79,7 +80,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
     values = read_flat(config_path)
     converted = {}
     for action in parser._actions:
-        if action.dest not in values:
+        if action.dest not in values or action.default is argparse.SUPPRESS:
             continue
         raw = values[action.dest]
         if isinstance(action.default, bool):
@@ -94,6 +95,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
                                   f"{action.type.__name__}") from None
         else:
             converted[action.dest] = raw
+        if action.choices is not None and converted[action.dest] not in action.choices:
+            raise ConfigError(f"{config_path}: {action.dest} = {raw!r} is not one of "
+                              f"{', '.join(map(str, action.choices))}")
         # a value from the file satisfies an otherwise mandatory flag
         action.required = False
     parser.set_defaults(**converted)
@@ -115,25 +119,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
-    ratio = split_mod.parse_ratio(args.ratio)
+    args.ratio = split_mod.parse_ratio(args.ratio)
     manifest = lidar_io.build_manifest(args.root, args.frequency)
     lengths = _manifest_lengths(manifest)
     if not lengths:
         raise DataError(f"no sequences found under {args.root}")
-    result = split_mod.sample_labeled(lengths, ratio, args.mode)
+    result = split_mod.sample_labeled(lengths, args.ratio, args.mode)
     split_mod.write_split(result, args.out)
     labeled = split_mod.labeled_total(result)
     total = sum(lengths.values())
-    write_flat(
-        str(args.out) + ".config",
-        {
-            "root": args.root,
-            "ratio": ratio,
-            "mode": args.mode,
-            "frequency": args.frequency,
-            "out": args.out,
-        },
-    )
+    _write_run_config(str(args.out) + ".config", args)
     print(f"labeled={labeled} unlabeled={total - labeled} total={total}")
     return EXIT_OK
 
@@ -160,20 +155,7 @@ def cmd_ple(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_flat(
-        out / "ple.config",
-        {
-            "root": args.root,
-            "split": args.split,
-            "out": args.out,
-            "window_seconds": args.window_seconds,
-            "max_refs": args.max_refs,
-            "max_distance": args.max_distance,
-            "progressive": args.progressive,
-            "workers": args.workers,
-            "frequency": args.frequency,
-        },
-    )
+    _write_run_config(out / "ple.config", args)
     total_unlabeled = sum(
         source.frame_count(s) - len(labeled.get(s, ()))
         for s in source.sequence_ids()
@@ -252,28 +234,13 @@ def cmd_eval(args) -> int:
     report = evaluation.metrics(cm)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    formats = ("csv", "json") if args.format == "both" else (args.format,)
-    for fmt in formats:
+    curve = evaluation.interval_curve(per_frame) if args.group_by_offset else None
+    for fmt in ("csv", "json") if args.format == "both" else (args.format,):
         suffix = "csv" if fmt == "csv" else "jsonl"
         evaluation.write_report(report, out / f"report.{suffix}", fmt)
-    if args.group_by_offset:
-        curve = evaluation.interval_curve(per_frame)
-        for fmt in formats:
-            suffix = "csv" if fmt == "csv" else "jsonl"
+        if curve is not None:
             evaluation.write_curve(curve, out / f"curve.{suffix}", fmt)
-    write_flat(
-        out / "eval.config",
-        {
-            "root": args.root,
-            "ple_dir": args.ple_dir,
-            "out": args.out,
-            "format": args.format,
-            "group_by_offset": args.group_by_offset,
-            "split": args.split or "",
-            "ignore_class": args.ignore_class,
-            "frequency": args.frequency,
-        },
-    )
+    _write_run_config(out / "eval.config", args)
     print(f"miou={report.miou:.6f} mprecision={report.mprecision:.6f} frames={len(frames)}")
     return EXIT_OK
 
@@ -311,36 +278,12 @@ def cmd_train(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_flat(
-        out / "train.config",
-        {
-            "root": args.root,
-            "split": args.split,
-            "ple_dir": args.ple_dir or "",
-            "out": args.out,
-            "lambda_mt": cfg.lambda_mt,
-            "tau": cfg.tau,
-            "alpha_ema": cfg.alpha_ema,
-            "lr": cfg.learning_rate,
-            "steps": cfg.steps,
-            "batch_size": cfg.batch_size,
-            "hidden": cfg.hidden,
-            "seed": cfg.seed,
-            "single_branch": args.single_branch,
-            "threshold_sweep": args.threshold_sweep,
-            "max_points": args.max_points,
-            "frequency": args.frequency,
-        },
-    )
+    _write_run_config(out / "train.config", args)
     if args.threshold_sweep:
         rows = []
         for tau in TAU_SWEEP:
-            sweep_cfg = ssl_mini.SSLConfig(
-                lambda_mt=cfg.lambda_mt, tau=tau, alpha_ema=cfg.alpha_ema,
-                learning_rate=cfg.learning_rate, steps=cfg.steps,
-                batch_size=cfg.batch_size, hidden=cfg.hidden, seed=cfg.seed,
-            )
-            _, teacher, _ = ssl_mini.train_loop(data, sweep_cfg, args.single_branch)
+            _, teacher, _ = ssl_mini.train_loop(data, dataclasses.replace(cfg, tau=tau),
+                                                args.single_branch)
             acc, scored = ssl_mini.pseudo_label_score(teacher, data, tau)
             _warn_if_unscored(scored, tau)
             rows.append((tau, acc))
@@ -461,25 +404,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (PlelidarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EmptyResultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except (
-        DataError,
-        FormatError,
-        MissingDataError,
-        IoError,
-        EmptyIndexError,
-        ShapeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        if isinstance(exc, ConfigError):
+            return EXIT_CONFIG
+        return EXIT_EMPTY if isinstance(exc, EmptyResultError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -157,55 +157,59 @@ def write_report(report: EvalReport, path, format: str = "csv") -> None:
         raise DataError(f"unknown report format {format!r}")
 
 
+def _read_rows(path, format: str, what: str, columns: tuple, parse) -> list:
+    """Parse each data row of a csv or json-lines table with parse.
+
+    parse receives the row as a dict: a json object, or the csv cells keyed by
+    column with empty cells left out. A row parse rejects raises FormatError
+    naming the path and the line.
+    """
+    lines = Path(path).read_text().splitlines()
+    numbered = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
+    if format == "csv":
+        if not numbered or numbered[0][1] != ",".join(columns):
+            raise FormatError(f"{path}: missing {what} header")
+        numbered = numbered[1:]
+    elif format != "json":
+        raise DataError(f"unknown {what} format {format!r}")
+    rows = []
+    for lineno, line in numbered:
+        try:
+            if format == "json":
+                row = json.loads(line)
+            else:
+                cells = line.split(",")
+                if len(cells) != len(columns):
+                    raise FormatError(f"{path}:{lineno}: expected {len(columns)} columns")
+                row = {k: v for k, v in zip(columns, cells) if v}
+            rows.append(parse(row))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: bad JSON ({exc})") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed {what} row ({exc!r})") from None
+    return rows
+
+
+def _report_row(row: dict) -> tuple:
+    c = str(row["class"])
+    iou, prec = (None if row.get(k) is None else float(row[k]) for k in ("iou", "precision"))
+    return ("mean" if c == "mean" else int(c), iou, prec, int(row["count"]))
+
+
 def read_report(path, format: str = "csv") -> EvalReport:
-    text = Path(path).read_text()
+    rows = _read_rows(path, format, "report", ("class", "iou", "precision", "count"), _report_row)
     per_iou, per_prec, per_count = {}, {}, {}
     miou = mprec = 0.0
-    rows: list = []
-    if format == "csv":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != "class,iou,precision,count":
-            raise FormatError(f"{path}: missing report header")
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 columns")
-            rows.append(
-                {
-                    "class": parts[0],
-                    "iou": float(parts[1]) if parts[1] else None,
-                    "precision": float(parts[2]) if parts[2] else None,
-                    "count": int(parts[3]),
-                }
-            )
-    elif format == "json":
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: bad JSON ({exc})") from None
-            row = {
-                "class": str(row["class"]),
-                "iou": row.get("iou"),
-                "precision": row.get("precision"),
-                "count": row["count"],
-            }
-            rows.append(row)
-    else:
-        raise DataError(f"unknown report format {format!r}")
-    for row in rows:
-        if row["class"] == "mean":
-            miou = row["iou"] if row["iou"] is not None else 0.0
-            mprec = row["precision"] if row["precision"] is not None else 0.0
+    for c, iou, prec, count in rows:
+        if c == "mean":
+            miou = iou if iou is not None else 0.0
+            mprec = prec if prec is not None else 0.0
             continue
-        c = int(row["class"])
-        per_count[c] = row["count"]
-        if row["iou"] is not None:
-            per_iou[c] = row["iou"]
-        if row["precision"] is not None:
-            per_prec[c] = row["precision"]
+        per_count[c] = count
+        if iou is not None:
+            per_iou[c] = iou
+        if prec is not None:
+            per_prec[c] = prec
     return EvalReport(per_iou, miou, per_prec, mprec, per_count)
 
 
@@ -227,22 +231,5 @@ def write_curve(curve, path, format: str = "csv") -> None:
 
 
 def read_curve(path, format: str = "csv") -> list:
-    text = Path(path).read_text()
-    out = []
-    if format == "csv":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != "offset,accuracy":
-            raise FormatError(f"{path}: missing curve header")
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 columns")
-            out.append((int(parts[0]), float(parts[1])))
-    elif format == "json":
-        for line in text.splitlines():
-            if line.strip():
-                row = json.loads(line)
-                out.append((int(row["offset"]), float(row["accuracy"])))
-    else:
-        raise DataError(f"unknown curve format {format!r}")
-    return out
+    return _read_rows(path, format, "curve", ("offset", "accuracy"),
+                      lambda row: (int(row["offset"]), float(row["accuracy"])))

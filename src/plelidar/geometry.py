@@ -55,11 +55,6 @@ class RigidTransform:
         m[:3, 3] = self.translation
         return m
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "RigidTransform":
-        m = np.asarray(matrix, dtype=np.float64)
-        return cls(m[:3, :3], m[:3, 3])
-
 
 def identity() -> RigidTransform:
     return RigidTransform(np.eye(3), np.zeros(3))

@@ -88,7 +88,6 @@ class SequenceInfo:
     scan_paths: tuple
     label_paths: tuple | None
     poses: tuple
-    calibration: RigidTransform | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +237,6 @@ def build_manifest(dataset_root, scan_frequency_hz: float = 10.0) -> SequenceMan
         if not pose_path.is_file():
             raise MissingDataError(f"sequence {seq_id}: missing {pose_path}")
         calib_path = seq_dir / "calib.txt"
-        calibration = read_calibration(calib_path) if calib_path.is_file() else None
         poses = read_poses(pose_path, calib_path if calib_path.is_file() else None)
         if len(poses) != len(scan_paths):
             raise DataError(
@@ -260,7 +258,6 @@ def build_manifest(dataset_root, scan_frequency_hz: float = 10.0) -> SequenceMan
                 scan_paths=scan_paths,
                 label_paths=label_paths,
                 poses=tuple(poses),
-                calibration=calibration,
             )
         )
     return SequenceManifest(tuple(sequences))

@@ -75,16 +75,26 @@ def test_synth_is_reproducible(tmp_path):
     assert _tree_bytes(a) == _tree_bytes(b)
 
 
+@pytest.fixture(scope="module")
+def estimates(workspace):
+    """Naive estimates over the shared workspace, read by the eval tests."""
+    est = workspace["root"] / "est"
+    assert cli.main(["ple", "--root", str(workspace["data"]), "--split",
+                     str(workspace["split"]), "--out", str(est)]) == 0
+    return est
+
+
 def test_split_counts_and_files(workspace, capsys):
     out = workspace["root"] / "fresh.split"
     code = cli.main(
-        ["split", "--root", str(workspace["data"]), "--ratio", "0.25", "--out", str(out)]
+        ["split", "--root", str(workspace["data"]), "--ratio", "25%", "--out", str(out)]
     )
     assert code == 0
     assert "labeled=3 unlabeled=9 total=12" in capsys.readouterr().out
     text = out.read_text()
     assert text.startswith("[labeled]\n")
-    assert (workspace["root"] / "fresh.split.config").is_file()
+    # the echo holds the parsed ratio, not the text given on the command line
+    assert cli.read_flat(workspace["root"] / "fresh.split.config")["ratio"] == "0.25"
 
 
 def test_split_bad_ratio_exits_config(workspace, capsys):
@@ -204,24 +214,73 @@ def test_ple_config_file_bad_value_exits_config(workspace, tmp_path, capsys, lin
     assert not (tmp_path / "e").exists()
 
 
-def test_ple_rerun_from_echoed_config(workspace, tmp_path):
-    first = tmp_path / "first"
-    args = [
-        "ple",
-        "--root", str(workspace["data"]),
-        "--split", str(workspace["split"]),
-        "--window-seconds", "0.5",
-        "--out", str(first),
-    ]
-    assert cli.main(args) == 0
-    again = tmp_path / "again"
-    code = cli.main(
-        ["ple", "--config", str(first / "ple.config"), "--out", str(again)]
-    )
+@pytest.mark.parametrize(
+    "command, line, message",
+    [("eval", "format = xml", "format = 'xml' is not one of csv, json, both"),
+     ("split", "mode = sideways", "mode = 'sideways' is not one of global-floor, per-sequence")],
+    ids=["eval-format", "split-mode"],
+)
+def test_config_file_value_outside_choices_exits_config(
+    workspace, estimates, tmp_path, capsys, command, line, message
+):
+    config = tmp_path / f"{command}.config"
+    config.write_text(line + "\n")
+    flags = {"eval": ["--ple-dir", str(estimates)], "split": ["--ratio", "10%"]}[command]
+    out = tmp_path / "r"
+    code = cli.main([command, "--root", str(workspace["data"]), *flags,
+                     "--config", str(config), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and message in err
+    assert not out.exists()
+
+
+def test_config_file_help_key_is_ignored(workspace, tmp_path):
+    config = tmp_path / "ple.config"
+    config.write_text("help = yes\nmax_refs = 3\n")
+    out = tmp_path / "e"
+    code = cli.main(["ple", "--root", str(workspace["data"]), "--split", str(workspace["split"]),
+                     "--config", str(config), "--out", str(out)])
     assert code == 0
-    assert _tree_bytes(first, skip_names=("ple.config",)) == _tree_bytes(
-        again, skip_names=("ple.config",)
-    )
+    echoed = cli.read_flat(out / "ple.config")
+    assert "help" not in echoed and echoed["max_refs"] == "3"
+
+
+def _replay_flags(command, workspace, estimates) -> list:
+    data, split = str(workspace["data"]), str(workspace["split"])
+    return {
+        "split": ["--root", data, "--ratio", "25%", "--mode", "per-sequence",
+                  "--frequency", "5"],
+        "ple": ["--root", data, "--split", split, "--progressive", "--window-seconds", "0.5",
+                "--max-refs", "2", "--max-distance", "0.75"],
+        "eval": ["--root", data, "--ple-dir", str(estimates), "--split", split,
+                 "--group-by-offset", "--format", "both", "--ignore-class", "255"],
+        "train": ["--root", data, "--split", split, "--steps", "4", "--batch-size", "32",
+                  "--hidden", "4", "--max-points", "800", "--tau", "0.5", "--single-branch"],
+    }[command]
+
+
+def _run_outputs(command, out: Path) -> dict:
+    """Every file a run wrote; the echo's own out path becomes a placeholder."""
+    if command == "split":
+        files = {"split": out.read_bytes(), "split.config": Path(f"{out}.config").read_bytes()}
+    else:
+        files = _tree_bytes(out)
+    return {name: data.replace(str(out).encode(), b"<out>") if name.endswith(".config") else data
+            for name, data in files.items()}
+
+
+@pytest.mark.parametrize("command", ["split", "ple", "eval", "train"])
+def test_every_command_replays_from_its_echo(workspace, estimates, tmp_path, command):
+    first, again = tmp_path / "first", tmp_path / "again"
+    flags = _replay_flags(command, workspace, estimates)
+    assert cli.main([command, *flags, "--out", str(first)]) == 0
+    echo = Path(f"{first}.config") if command == "split" else first / f"{command}.config"
+    _, commands = cli.build_parser()
+    dests = {action.dest for action in commands[command]._actions} - {"help", "config"}
+    assert set(cli.read_flat(echo)) == dests
+    assert cli.main([command, "--config", str(echo), "--out", str(again)]) == 0
+    assert _run_outputs(command, again) == _run_outputs(command, first)
 
 
 def test_ple_fully_labeled_notice(workspace, tmp_path, capsys):

@@ -198,11 +198,52 @@ def test_curve_round_trip(tmp_path, fmt):
     assert ev.read_curve(path, format=fmt) == curve
 
 
-def test_read_report_rejects_garbage(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("not,a,report\n")
-    with pytest.raises(FormatError):
-        ev.read_report(path)
+_REPORT_HEADER = "class,iou,precision,count\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, text, lineno",
+    [
+        ("csv", "not,a,report\n", None),
+        ("csv", _REPORT_HEADER + "1,abc,0.5,3\n", 2),
+        ("csv", _REPORT_HEADER + "1,0.5,0.5,3\n\nx,0.5,0.5,3\n", 4),
+        ("csv", _REPORT_HEADER + "1,0.5,0.5,\n", 2),
+        ("json", '{"class": 1, "count": 3}\n{"class": 2, "iou": 0.5}\n', 2),
+        ("json", "{not json\n", 1),
+        ("json", "[1, 2]\n", 1),
+    ],
+    ids=["header", "non-numeric-cell", "non-numeric-class", "empty-count",
+         "json-without-count", "bad-json", "json-not-object"],
+)
+def test_read_report_rejects_garbage(tmp_path, fmt, text, lineno):
+    path = tmp_path / f"report.{fmt}"
+    path.write_text(text)
+    with pytest.raises(FormatError) as excinfo:
+        ev.read_report(path, format=fmt)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: " if lineno is None else f"{path}:{lineno}: ")
+
+
+@pytest.mark.parametrize(
+    "fmt, text, lineno",
+    [
+        ("csv", "offset,acc\n1,0.5\n", None),
+        ("csv", "offset,accuracy\n1,high\n", 2),
+        ("csv", "offset,accuracy\n1,0.5,7\n", 2),
+        ("json", '{"offset": 1}\n', 1),
+        ("json", '{"offset": 1, "accuracy": 0.5}\n\n{oops\n', 3),
+        ("json", '{"offset": "one", "accuracy": 0.5}\n', 1),
+    ],
+    ids=["header", "non-numeric-cell", "extra-column", "json-without-accuracy",
+         "bad-json", "json-non-numeric"],
+)
+def test_read_curve_rejects_garbage(tmp_path, fmt, text, lineno):
+    path = tmp_path / f"curve.{fmt}"
+    path.write_text(text)
+    with pytest.raises(FormatError) as excinfo:
+        ev.read_curve(path, format=fmt)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: " if lineno is None else f"{path}:{lineno}: ")
 
 
 @settings(max_examples=40, deadline=None)

