@@ -2,7 +2,9 @@
 
 Conventions: matrix rows are ground truth, columns are predictions. Points
 whose ground truth is the ignore class, or whose prediction is flagged
-invalid, are never tallied. mIoU averages over classes with at least one
+invalid, are never tallied. A valid prediction of the ignore class on a
+labelled point is a miss: a false negative of its ground-truth class, as in
+the SemanticKITTI devkit. mIoU averages over classes with at least one
 ground-truth point; mPrecision averages over classes with at least one
 prediction. Fractions throughout; rendering as percent is up to the caller.
 """
@@ -21,7 +23,9 @@ IGNORE_CLASS = 0
 
 
 class ConfusionMatrix:
-    """Integer tally of (ground truth, prediction) pairs over a fixed class set."""
+    """Integer tally of (ground truth, prediction) pairs over a fixed class set,
+    plus ``missed``: per ground-truth class, the points predicted as the
+    ignore class."""
 
     def __init__(self, class_ids, ignore_class: int = IGNORE_CLASS):
         ids = sorted(set(int(c) for c in class_ids))
@@ -32,6 +36,7 @@ class ConfusionMatrix:
         self.class_ids = tuple(ids)
         self.ignore_class = ignore_class
         self.counts = np.zeros((len(ids), len(ids)), dtype=np.int64)
+        self.missed = np.zeros(len(ids), dtype=np.int64)
 
 
 def accumulate(cm: ConfusionMatrix, gt, pred) -> ConfusionMatrix:
@@ -50,13 +55,15 @@ def accumulate(cm: ConfusionMatrix, gt, pred) -> ConfusionMatrix:
         mask &= valid
     g = gt_sem[mask]
     p = pred_sem[mask]
+    miss = p == cm.ignore_class
+    p = p[~miss]
     for arr, name in ((g, "ground truth"), (p, "prediction")):
-        unknown = set(np.unique(arr)) - set(cm.class_ids)
+        unknown = set(np.unique(arr).tolist()) - set(cm.class_ids)
         if unknown:
             raise DataError(f"{name} contains classes outside the matrix: {sorted(unknown)}")
     gi = np.searchsorted(cm.class_ids, g)
-    pi = np.searchsorted(cm.class_ids, p)
-    np.add.at(cm.counts, (gi, pi), 1)
+    np.add.at(cm.missed, gi[miss], 1)
+    np.add.at(cm.counts, (gi[~miss], np.searchsorted(cm.class_ids, p)), 1)
     return cm
 
 
@@ -76,13 +83,14 @@ class EvalReport:
 def metrics(cm: ConfusionMatrix) -> EvalReport:
     """Per-class IoU and precision plus their unweighted means.
 
-    IoU_c = TP/(TP+FP+FN), reported when the denominator is nonzero; mIoU
-    averages classes with >= 1 ground-truth point. Precision_c = TP/(TP+FP),
+    IoU_c = TP/(TP+FP+FN), reported when the denominator is nonzero; FN and
+    the class's point count include its misses. mIoU averages classes with
+    >= 1 ground-truth point. Precision_c = TP/(TP+FP),
     reported when anything was predicted as c; mPrecision averages those.
     """
     counts = cm.counts
     tp = np.diag(counts).astype(np.float64)
-    gt_totals = counts.sum(axis=1).astype(np.float64)
+    gt_totals = (counts.sum(axis=1) + cm.missed).astype(np.float64)
     pred_totals = counts.sum(axis=0).astype(np.float64)
     iou_denom = gt_totals + pred_totals - tp
     per_iou, per_prec, per_count = {}, {}, {}

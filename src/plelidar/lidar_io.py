@@ -94,6 +94,9 @@ class SequenceInfo:
 class SequenceManifest:
     sequences: tuple
 
+    def __iter__(self):
+        return iter(self.sequences)
+
 
 def read_scan(path, frame_id: int = 0, sequence_id: str = "") -> PointCloud:
     """Decode a .bin scan file: consecutive little-endian float32 (x, y, z, i)."""

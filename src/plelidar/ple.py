@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry, lidar_io
 from .errors import ConfigError, DataError, EmptyIndexError, FormatError, MissingDataError
-from .lidar_io import LabelMap, PointCloud, SequenceManifest
+from .lidar_io import LabelMap, PointCloud, SequenceInfo, SequenceManifest
 from .spatial_index import KdTree
 from .split import round_half_up
 
@@ -65,49 +65,40 @@ class PseudoLabelMap:
 
     ``origin_kind`` records whether each label was copied from a ground-truth
     reference (0) or from an earlier estimate (1). Points with valid=False
-    exceeded ``max_distance`` and carry the ignore class.
+    exceeded ``max_distance`` and carry the ignore class. ``mean_distance``
+    is the mean match distance over the valid points (0.0 when none is).
     """
 
     semantic: np.ndarray
-    source_frame: np.ndarray
-    source_distance: np.ndarray
     valid: np.ndarray
     origin_kind: np.ndarray
     frame_id: int = 0
     sequence_id: str = ""
     references: tuple = ()
+    mean_distance: float = 0.0
 
     def __post_init__(self):
         sem = np.asarray(self.semantic, dtype=np.int32).reshape(-1)
-        src = np.asarray(self.source_frame, dtype=np.int32).reshape(-1)
-        dist = np.asarray(self.source_distance, dtype=np.float64).reshape(-1)
         valid = np.asarray(self.valid, dtype=bool).reshape(-1)
         origin = np.asarray(self.origin_kind, dtype=np.uint8).reshape(-1)
         n = len(sem)
-        for name, arr in (("source_frame", src), ("source_distance", dist),
-                          ("valid", valid), ("origin_kind", origin)):
+        for name, arr in (("valid", valid), ("origin_kind", origin)):
             if len(arr) != n:
                 raise DataError(f"{name} length {len(arr)} does not match {n} points")
         if (sem[~valid] != IGNORE_CLASS).any():
             raise DataError("invalid points must carry the ignore class")
-        if len(dist) and valid.any() and dist[valid].min() < 0:
-            raise DataError("negative source distance")
-        for arr in (sem, src, dist, valid, origin):
+        if not self.mean_distance >= 0:
+            raise DataError(f"mean distance must not be negative, got {self.mean_distance}")
+        for arr in (sem, valid, origin):
             arr.setflags(write=False)
         object.__setattr__(self, "semantic", sem)
-        object.__setattr__(self, "source_frame", src)
-        object.__setattr__(self, "source_distance", dist)
         object.__setattr__(self, "valid", valid)
         object.__setattr__(self, "origin_kind", origin)
         object.__setattr__(self, "references", tuple(int(r) for r in self.references))
+        object.__setattr__(self, "mean_distance", float(self.mean_distance))
 
     def __len__(self) -> int:
         return len(self.semantic)
-
-    def mean_distance(self) -> float:
-        if not self.valid.any():
-            return 0.0
-        return float(self.source_distance[self.valid].mean())
 
 
 def select_references(labeled: set, target: int, cfg: PleConfig, frequency: float) -> list:
@@ -123,7 +114,7 @@ def select_references(labeled: set, target: int, cfg: PleConfig, frequency: floa
 
 
 def _reference_pool(references):
-    points, semantics, frames, origins = [], [], [], []
+    points, semantics, origins = [], [], []
     for cloud, labels, transform in references:
         if len(cloud) != len(labels):
             raise DataError(
@@ -143,16 +134,10 @@ def _reference_pool(references):
             continue
         points.append(geometry.apply_points(transform, pts))
         semantics.append(sem)
-        frames.append(np.full(len(pts), labels.frame_id, dtype=np.int32))
         origins.append(np.full(len(pts), origin, dtype=np.uint8))
     if not points:
         raise EmptyIndexError("no labeled points available in any reference")
-    return (
-        np.concatenate(points, axis=0),
-        np.concatenate(semantics),
-        np.concatenate(frames),
-        np.concatenate(origins),
-    )
+    return np.concatenate(points, axis=0), np.concatenate(semantics), np.concatenate(origins)
 
 
 def estimate_labels(target_cloud: PointCloud, references, cfg: PleConfig) -> PseudoLabelMap:
@@ -165,7 +150,7 @@ def estimate_labels(target_cloud: PointCloud, references, cfg: PleConfig) -> Pse
     """
     if not references:
         raise EmptyIndexError("no reference frames given")
-    pool_pts, pool_sem, pool_frame, pool_origin = _reference_pool(references)
+    pool_pts, pool_sem, pool_origin = _reference_pool(references)
     tree = KdTree(pool_pts)
     idx, dist = tree.nearest(target_cloud.points)
     semantic = pool_sem[idx].astype(np.int32)
@@ -175,13 +160,12 @@ def estimate_labels(target_cloud: PointCloud, references, cfg: PleConfig) -> Pse
         semantic = np.where(valid, semantic, IGNORE_CLASS).astype(np.int32)
     return PseudoLabelMap(
         semantic=semantic,
-        source_frame=pool_frame[idx],
-        source_distance=dist,
         valid=valid,
         origin_kind=pool_origin[idx],
         frame_id=target_cloud.frame_id,
         sequence_id=target_cloud.sequence_id,
         references=tuple(labels.frame_id for _, labels, _ in references),
+        mean_distance=float(dist[valid].mean()) if valid.any() else 0.0,
     )
 
 
@@ -211,11 +195,12 @@ class DatasetSource:
 
 
 class ManifestSource:
-    """Frame access over an on-disk dataset, with a small read cache."""
+    """Frame access over an on-disk dataset, or one of its sequences, with a
+    small read cache."""
 
-    def __init__(self, manifest: SequenceManifest):
-        self._manifest = manifest
-        self._by_id = {s.sequence_id: s for s in manifest.sequences}
+    def __init__(self, manifest: SequenceManifest | SequenceInfo):
+        sequences = (manifest,) if isinstance(manifest, SequenceInfo) else manifest
+        self._by_id = {s.sequence_id: s for s in sequences}
         self._read = lru_cache(maxsize=READ_CACHE_FRAMES)(self._read_frame)
 
     def _info(self, seq: str, frame: int):
@@ -238,7 +223,7 @@ class ManifestSource:
         return cloud, labels
 
     def sequence_ids(self) -> tuple:
-        return tuple(s.sequence_id for s in self._manifest.sequences)
+        return tuple(self._by_id)
 
     def frame_count(self, seq: str) -> int:
         return self._by_id[seq].frame_count
@@ -378,9 +363,8 @@ def write_ple(pmap: PseudoLabelMap, path) -> None:
     """Persist a label estimate as packed words plus a text sidecar.
 
     Word layout per point: class id in bits 0..15, origin kind in bit 16,
-    validity in bit 17. The sidecar (same name, .meta) records the reference
-    frames and the mean source distance; per-point distances and source
-    frames are not persisted.
+    validity in bit 17. The sidecar (same name, .meta) records the sequence,
+    the frame, the reference frames and the mean match distance.
     """
     words = (
         pmap.semantic.astype(np.uint32)
@@ -393,35 +377,30 @@ def write_ple(pmap: PseudoLabelMap, path) -> None:
         f"sequence = {pmap.sequence_id}",
         f"frame = {pmap.frame_id}",
         "references = " + ", ".join(str(r) for r in pmap.references),
-        f"mean_distance = {pmap.mean_distance():.17g}",
+        f"mean_distance = {pmap.mean_distance:.17g}",
     ]
     path.with_suffix(META_SUFFIX).write_text("\n".join(meta) + "\n")
 
 
 def read_ple(path, frame_id: int = 0, sequence_id: str = "") -> PseudoLabelMap:
-    """Load a persisted estimate. Source frames and distances are not stored;
-    they come back as -1 and 0.0."""
+    """Load a persisted estimate. The ids, references and mean distance come
+    from its .meta; without one, the given ids, () and 0.0."""
     raw = Path(path).read_bytes()
     if len(raw) % 4 != 0:
         raise FormatError(f"{path}: length {len(raw)} is not a multiple of 4")
     words = np.frombuffer(raw, dtype="<u4")
-    valid = (words & _VALID_BIT) != 0
     meta_path = Path(path).with_suffix(META_SUFFIX)
-    references: tuple = ()
+    meta = {"sequence": sequence_id, "frame": frame_id, "references": (), "mean_distance": 0.0}
     if meta_path.is_file():
         meta = read_meta(meta_path)
-        references = meta["references"]
-        frame_id = meta["frame"]
-        sequence_id = meta["sequence"]
     return PseudoLabelMap(
         semantic=(words & _SEMANTIC_MASK).astype(np.int32),
-        source_frame=np.full(len(words), -1, dtype=np.int32),
-        source_distance=np.zeros(len(words)),
-        valid=valid,
+        valid=(words & _VALID_BIT) != 0,
         origin_kind=((words & _ORIGIN_BIT) != 0).astype(np.uint8),
-        frame_id=frame_id,
-        sequence_id=sequence_id,
-        references=references,
+        frame_id=meta["frame"],
+        sequence_id=meta["sequence"],
+        references=meta["references"],
+        mean_distance=meta["mean_distance"],
     )
 
 

@@ -269,10 +269,6 @@ def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     return probs * (dprobs - inner)
 
 
-def _zero_grads(net: DualHeadNet) -> dict:
-    return {k: np.zeros_like(v) for k, v in net.params.items()}
-
-
 def _backward(net: DualHeadNet, cache: dict, dzc: np.ndarray, dzn: np.ndarray) -> dict:
     p = net.params
     grads = {

@@ -406,16 +406,10 @@ def _fmt(v: float) -> str:
 def config_to_text(cfg: SynthConfig) -> str:
     """Serialize a config with every field materialized; parse round-trips."""
     lines = [
-        f"seed = {cfg.seed}",
-        f"frames = {cfg.frames}",
-        f"frequency = {_fmt(cfg.frequency)}",
-        f"sensor_range = {_fmt(cfg.sensor_range)}",
-        f"points_per_surface = {_fmt(cfg.points_per_surface)}",
-        f"sampling = {cfg.sampling}",
-        f"pose_noise_translation = {_fmt(cfg.pose_noise_translation)}",
-        f"pose_noise_rotation = {_fmt(cfg.pose_noise_rotation)}",
-        "path = [" + ", ".join(_fmt(v) for wp in cfg.path for v in wp) + "]",
+        f"{key} = {(_fmt if caster is float else str)(getattr(cfg, key))}"
+        for key, caster in _SCALAR_KEYS.items()
     ]
+    lines.append("path = [" + ", ".join(_fmt(v) for wp in cfg.path for v in wp) + "]")
     if cfg.headings:
         lines.append("headings = [" + ", ".join(_fmt(h) for h in cfg.headings) + "]")
     for body in cfg.bodies:

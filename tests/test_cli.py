@@ -323,6 +323,38 @@ def test_ple_unreachable_frames_exit_empty(workspace, tmp_path, capsys):
     assert code == 4
 
 
+def test_eval_scores_ignore_class_prediction_as_miss(workspace, estimates, tmp_path, capsys):
+    ignore = 1
+    tally: dict = {}
+    source = ple.ManifestSource(lidar_io.build_manifest(workspace["data"]))
+    for path in sorted((estimates / "00").glob("*.ple")):
+        gt = source.gt_labels("00", int(path.stem)).semantic
+        pred = ple.read_ple(path)
+        keep = (gt != ignore) & pred.valid
+        for g, p in zip(gt[keep].tolist(), pred.semantic[keep].tolist()):
+            tally[(g, p)] = tally.get((g, p), 0) + 1
+    assert sum(n for (_, p), n in tally.items() if p == ignore) > 0
+    classes = sorted({g for g, _ in tally})
+    ious = []
+    for c in classes:
+        tp = tally.get((c, c), 0)
+        fp = sum(n for (g, p), n in tally.items() if p == c and g != c)
+        fn = sum(n for (g, p), n in tally.items() if g == c and p != c)
+        ious.append(tp / (tp + fp + fn))
+
+    code = cli.main(
+        [
+            "eval",
+            "--root", str(workspace["data"]),
+            "--ple-dir", str(estimates),
+            "--ignore-class", str(ignore),
+            "--out", str(tmp_path / "r"),
+        ]
+    )
+    assert code == 0
+    assert f"miou={np.mean(ious):.6f} " in capsys.readouterr().out
+
+
 def test_eval_without_estimates_exits_empty(workspace, tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -427,9 +459,8 @@ def test_train_unknown_estimate_class_exits_data(workspace, tmp_path, capsys):
     est = tmp_path / "est" / "00"
     est.mkdir(parents=True)
     bogus = ple.PseudoLabelMap(
-        semantic=np.full(n, 77), source_frame=np.zeros(n), source_distance=np.zeros(n),
-        valid=np.ones(n, dtype=bool), origin_kind=np.zeros(n), frame_id=frame,
-        sequence_id="00",
+        semantic=np.full(n, 77), valid=np.ones(n, dtype=bool), origin_kind=np.zeros(n),
+        frame_id=frame, sequence_id="00",
     )
     ple.write_ple(bogus, est / f"{frame:06d}{ple.PLE_SUFFIX}")
     code = cli.main(

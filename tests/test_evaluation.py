@@ -58,6 +58,30 @@ def test_unknown_class_rejected():
         ev.accumulate(cm, _gt([1, 3]), Pred([1, 1]))
 
 
+def test_unknown_prediction_class_listed_as_plain_ints():
+    cm = ev.ConfusionMatrix([1, 2])
+    with pytest.raises(DataError, match=r"prediction contains classes outside the matrix: \[3\]$"):
+        ev.accumulate(cm, _gt([1, 2]), Pred([3, 2]))
+
+
+def test_ignore_class_prediction_is_a_miss():
+    cm = ev.ConfusionMatrix([0, 1, 2])
+    ev.accumulate(
+        cm,
+        _gt([1, 1, 1, 2, 2, 0, 1]),
+        Pred([1, 0, 0, 2, 1, 0, 0], valid=[True, True, True, True, True, True, False]),
+    )
+    # the ignore-class ground-truth point and the invalid prediction stay out
+    assert cm.counts.tolist() == [[1, 0], [1, 1]]
+    assert cm.missed.tolist() == [2, 0]
+    report = ev.metrics(cm)
+    # class 1: TP 1, FP 1, FN 2 misses; class 2: TP 1, FN 1
+    assert report.per_class_iou == {1: 1 / 4, 2: 1 / 2}
+    assert report.miou == (1 / 4 + 1 / 2) / 2
+    assert report.per_class_precision == {1: 1 / 2, 2: 1.0}
+    assert report.point_counts == {1: 3, 2: 2}
+
+
 def test_no_classes_rejected():
     with pytest.raises(DataError):
         ev.ConfusionMatrix([0])

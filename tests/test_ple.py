@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plelidar import geometry, lidar_io, ple, synth
+from plelidar import split as split_mod
 from plelidar.errors import ConfigError, DataError, EmptyIndexError, FormatError
 from plelidar.geometry import RigidTransform
 from plelidar.lidar_io import LabelMap, PointCloud
@@ -69,8 +71,7 @@ class TestEstimateLabels:
         cfg = PleConfig()
         out = ple.estimate_labels(target, [far, near], cfg)
         assert out.semantic.tolist() == [9]
-        assert out.source_frame.tolist() == [2]
-        assert out.source_distance[0] == pytest.approx(0.1)
+        assert out.mean_distance == pytest.approx(0.1)
         assert out.references == (3, 2)
 
     def test_self_reference_is_identity(self):
@@ -81,14 +82,14 @@ class TestEstimateLabels:
         ref = (target, LabelMap(sem, np.zeros(80, dtype=int), 4), _identity())
         out = ple.estimate_labels(target, [ref], PleConfig())
         assert np.array_equal(out.semantic, sem)
-        assert np.all(out.source_distance == 0.0)
+        assert out.mean_distance == 0.0
         assert np.all(out.valid)
 
     def test_matches_pooled_brute_force(self):
         rng = np.random.default_rng(11)
         target = _cloud(rng.uniform(-10, 10, (60, 3)), frame_id=5)
         refs = []
-        pool_pts, pool_sem, pool_frame = [], [], []
+        pool_pts, pool_sem, pool_origin = [], [], []
         for frame, count in ((2, 40), (8, 30)):
             pts = rng.uniform(-10, 10, (count, 3))
             sem = rng.integers(1, 12, count)
@@ -99,13 +100,13 @@ class TestEstimateLabels:
             refs.append((_cloud(pts, frame), LabelMap(sem, np.zeros(count, dtype=int), frame), t))
             pool_pts.append(geometry.apply_points(t, pts))
             pool_sem.append(sem)
-            pool_frame.append(np.full(count, frame))
+            pool_origin.append(np.full(count, ple.ORIGIN_GROUND_TRUTH))
         pool = np.concatenate(pool_pts)
         idx, dist = nearest_brute(pool, target.points)
         out = ple.estimate_labels(target, refs, PleConfig())
         assert np.array_equal(out.semantic, np.concatenate(pool_sem)[idx])
-        assert np.array_equal(out.source_frame, np.concatenate(pool_frame)[idx])
-        assert np.array_equal(out.source_distance, dist)
+        assert np.array_equal(out.origin_kind, np.concatenate(pool_origin)[idx])
+        assert out.mean_distance == dist.mean()
 
     def test_max_distance_invalidates(self):
         target = _cloud([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
@@ -118,8 +119,6 @@ class TestEstimateLabels:
         target = _cloud([[0.0, 0.0, 0.0]], frame_id=2)
         pseudo = PseudoLabelMap(
             semantic=np.array([0, 9], dtype=np.int32),
-            source_frame=np.array([3, 3], dtype=np.int32),
-            source_distance=np.array([0.0, 0.0]),
             valid=np.array([False, True]),
             origin_kind=np.array([1, 1], dtype=np.uint8),
             frame_id=1,
@@ -143,8 +142,6 @@ class TestEstimateLabels:
     def test_all_invalid_reference_raises(self):
         empty = PseudoLabelMap(
             semantic=np.zeros(1, dtype=np.int32),
-            source_frame=np.zeros(1, dtype=np.int32),
-            source_distance=np.zeros(1),
             valid=np.zeros(1, dtype=bool),
             origin_kind=np.ones(1, dtype=np.uint8),
         )
@@ -163,21 +160,23 @@ class TestPseudoLabelMap:
         with pytest.raises(DataError):
             PseudoLabelMap(
                 semantic=np.array([9], dtype=np.int32),
-                source_frame=np.array([0], dtype=np.int32),
-                source_distance=np.array([0.0]),
                 valid=np.array([False]),
                 origin_kind=np.array([1], dtype=np.uint8),
             )
 
     def test_mean_distance_over_valid_only(self):
-        pmap = PseudoLabelMap(
-            semantic=np.array([5, 0], dtype=np.int32),
-            source_frame=np.array([1, 1], dtype=np.int32),
-            source_distance=np.array([2.0, 100.0]),
-            valid=np.array([True, False]),
-            origin_kind=np.array([0, 0], dtype=np.uint8),
-        )
-        assert pmap.mean_distance() == 2.0
+        target = _cloud([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
+        ref = (_cloud([[0.0, 0.0, 0.5]], 1), LabelMap([9], [0], 1), _identity())
+        out = ple.estimate_labels(target, [ref], PleConfig(max_distance=3.0))
+        assert out.valid.tolist() == [True, True, False]
+        assert out.mean_distance == np.mean([0.5, np.hypot(2.0, 0.5)])
+
+    def test_mean_distance_without_valid_points_is_zero(self):
+        target = _cloud([[5.0, 0.0, 0.0]])
+        ref = (_cloud([[0.0, 0.0, 0.0]], 1), LabelMap([9], [0], 1), _identity())
+        out = ple.estimate_labels(target, [ref], PleConfig(max_distance=1.0))
+        assert not out.valid.any()
+        assert out.mean_distance == 0.0
 
 
 class TestChainsAndSchedule:
@@ -310,7 +309,7 @@ class TestRunners:
         for f in (3, 5):
             a, b = naive[("00", f)], prog[("00", f)]
             assert np.array_equal(a.semantic, b.semantic)
-            assert np.array_equal(a.source_distance, b.source_distance)
+            assert a.mean_distance == b.mean_distance
 
     def test_progressive_decodes_each_frame_once(self, corridor_short, tmp_path, monkeypatch):
         synth.export(corridor_short, tmp_path)
@@ -326,6 +325,28 @@ class TestRunners:
         cfg = PleConfig(progressive=True)
         ple.run_progressive(ple.ManifestSource(manifest), {"00": (0, 4)}, cfg)
         assert Counter(reads) == {("00", f): 1 for f in range(len(corridor_short))}
+
+    def test_real_dataset_loop_runs_on_export(self, corridor_short, tmp_path):
+        # test_acceptance::test_11's code path, on a synthetic export
+        synth.export(corridor_short, tmp_path)
+        manifest_by_seq = {
+            m.sequence_id: m for m in lidar_io.build_manifest(tmp_path) if m.label_paths
+        }
+        lengths = {seq: len(m.scan_paths) for seq, m in manifest_by_seq.items()}
+        labeled = split_mod.sample_labeled(lengths, 0.01)
+        assert labeled == {"00": (0,)}
+        covered = []
+        for seq, manifest in sorted(manifest_by_seq.items()):
+            source = ple.ManifestSource(manifest)
+            assert source.sequence_ids() == (seq,)
+            outputs = ple.run_progressive(
+                source, {seq: labeled[seq]}, PleConfig(progressive=True), workers=8
+            )
+            for (s, frame), pred in sorted(outputs.items()):
+                gt = source.gt_labels(s, frame).semantic
+                assert len(gt) == len(pred)
+                covered.append(frame)
+        assert covered == list(range(1, len(corridor_short)))
 
     def test_runner_mode_guards(self, corridor_short):
         source = DatasetSource(corridor_short)
@@ -343,13 +364,12 @@ class TestFileFormat:
     def _sample_map(self):
         return PseudoLabelMap(
             semantic=np.array([9, 0, 40], dtype=np.int32),
-            source_frame=np.array([2, 2, 3], dtype=np.int32),
-            source_distance=np.array([0.5, 1.0, 0.25]),
             valid=np.array([True, False, True]),
             origin_kind=np.array([0, 1, 1], dtype=np.uint8),
             frame_id=7,
             sequence_id="04",
             references=(2, 3),
+            mean_distance=0.375,
         )
 
     def test_round_trip(self, tmp_path):
@@ -363,9 +383,41 @@ class TestFileFormat:
         assert again.frame_id == 7
         assert again.sequence_id == "04"
         assert again.references == (2, 3)
-        # per-point provenance is not persisted
-        assert np.all(again.source_frame == -1)
-        assert np.all(again.source_distance == 0.0)
+        assert again.mean_distance == 0.375
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(st.integers(0, 0xFFFF), st.booleans(), st.integers(0, 1)), max_size=40
+        ),
+        frame_id=st.integers(0, 999_999),
+        sequence_id=st.sampled_from(["00", "04", "21"]),
+        references=st.lists(st.integers(0, 999_999), max_size=6),
+        mean_distance=st.floats(0.0, 1e6, allow_nan=False),
+    )
+    def test_read_after_write_equals_input(
+        self, tmp_path_factory, data, frame_id, sequence_id, references, mean_distance
+    ):
+        valid = np.array([v for _, v, _ in data], dtype=bool)
+        pmap = PseudoLabelMap(
+            semantic=np.array([c if v else 0 for c, v, _ in data], dtype=np.int32),
+            valid=valid,
+            origin_kind=np.array([o for _, _, o in data], dtype=np.uint8),
+            frame_id=frame_id,
+            sequence_id=sequence_id,
+            references=tuple(references),
+            mean_distance=mean_distance,
+        )
+        path = tmp_path_factory.mktemp("rt") / "x.ple"
+        ple.write_ple(pmap, path)
+        again = ple.read_ple(path)
+        for field in dataclasses.fields(PseudoLabelMap):
+            a, b = getattr(again, field.name), getattr(pmap, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+        assert again.mean_distance == mean_distance
 
     def test_word_packing(self, tmp_path):
         pmap = self._sample_map()
@@ -384,7 +436,7 @@ class TestFileFormat:
         assert meta["sequence"] == "04"
         assert meta["frame"] == 7
         assert meta["references"] == (2, 3)
-        assert meta["mean_distance"] == pytest.approx(0.375)
+        assert meta["mean_distance"] == 0.375
 
     def test_read_without_sidecar(self, tmp_path):
         pmap = self._sample_map()
@@ -393,7 +445,17 @@ class TestFileFormat:
         path.with_suffix(".meta").unlink()
         again = ple.read_ple(path, frame_id=7, sequence_id="04")
         assert again.frame_id == 7
+        assert again.sequence_id == "04"
         assert again.references == ()
+        assert again.mean_distance == 0.0
+
+    def test_read_rejects_negative_mean_distance(self, tmp_path):
+        path = tmp_path / "n.ple"
+        ple.write_ple(self._sample_map(), path)
+        meta = path.with_suffix(".meta")
+        meta.write_text(meta.read_text().replace("0.375", "-0.375"))
+        with pytest.raises(DataError, match="negative"):
+            ple.read_ple(path)
 
     def test_read_rejects_ragged_file(self, tmp_path):
         path = tmp_path / "r.ple"

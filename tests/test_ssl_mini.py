@@ -439,8 +439,8 @@ class TestAssemble:
 
         n = len(source.cloud("00", 0))
         bogus = PseudoLabelMap(
-            semantic=np.full(n, 77), source_frame=np.zeros(n), source_distance=np.zeros(n),
-            valid=np.ones(n, dtype=bool), origin_kind=np.zeros(n), frame_id=0,
+            semantic=np.full(n, 77), valid=np.ones(n, dtype=bool), origin_kind=np.zeros(n),
+            frame_id=0,
         )
         with pytest.raises(DataError, match="class 77"):
             ssl.assemble_training_data(source, {"00": (1,)}, {("00", 0): bogus})
