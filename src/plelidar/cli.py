@@ -120,7 +120,7 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     args.ratio = split_mod.parse_ratio(args.ratio)
-    manifest = lidar_io.build_manifest(args.root, args.frequency)
+    manifest = lidar_io.build_manifest(args.root)
     lengths = _manifest_lengths(manifest)
     if not lengths:
         raise DataError(f"no sequences found under {args.root}")
@@ -193,7 +193,7 @@ def _nearest_labeled_offset(split: dict, seq: str, frame: int) -> int | None:
 def cmd_eval(args) -> int:
     if args.group_by_offset and args.split is None:
         raise ConfigError("--group-by-offset needs --split to locate labeled frames")
-    manifest = lidar_io.build_manifest(args.root, args.frequency)
+    manifest = lidar_io.build_manifest(args.root)
     source = ple.ManifestSource(manifest)
     split = _load_split_for(manifest, args.split) if args.split else None
     ple_dir = Path(args.ple_dir)
@@ -203,7 +203,8 @@ def cmd_eval(args) -> int:
     if not frames:
         raise EmptyResultError(f"no {ple.PLE_SUFFIX} files under {ple_dir}")
 
-    class_ids: set = set()
+    cm = None
+    per_frame = []
     for seq, frame, path in frames:
         gt = source.gt_labels(seq, frame)
         pred = ple.read_ple(path, frame, seq)
@@ -211,25 +212,20 @@ def cmd_eval(args) -> int:
             raise DataError(
                 f"frame {seq}/{frame}: {len(gt)} labeled points vs {len(pred)} estimates"
             )
-        class_ids.update(int(c) for c in np.unique(gt.semantic))
-        class_ids.update(int(c) for c in np.unique(pred.semantic[pred.valid]))
-    class_ids.discard(args.ignore_class)
-    if not class_ids:
+        classes = set(np.unique(gt.semantic).tolist())
+        classes.update(np.unique(pred.semantic[pred.valid]).tolist())
+        classes.discard(args.ignore_class)
+        if classes:
+            frame_cm = evaluation.accumulate(
+                evaluation.ConfusionMatrix(classes, args.ignore_class), gt, pred)
+            cm = frame_cm if cm is None else evaluation.merged(cm, frame_cm)
+        offset = _nearest_labeled_offset(split, seq, frame) if args.group_by_offset else None
+        if offset:
+            # a frame with nothing outside the ignore class scores 0
+            per_frame.append((offset, evaluation.metrics(frame_cm) if classes
+                              else evaluation.EvalReport({}, 0.0, {}, 0.0)))
+    if cm is None:
         raise EmptyResultError("nothing to evaluate outside the ignore class")
-
-    cm = evaluation.ConfusionMatrix(class_ids, args.ignore_class)
-    per_frame = []
-    for seq, frame, path in frames:
-        gt = source.gt_labels(seq, frame)
-        pred = ple.read_ple(path, frame, seq)
-        evaluation.accumulate(cm, gt, pred)
-        if args.group_by_offset:
-            offset = _nearest_labeled_offset(split, seq, frame)
-            if offset is None or offset == 0:
-                continue
-            frame_cm = evaluation.ConfusionMatrix(class_ids, args.ignore_class)
-            evaluation.accumulate(frame_cm, gt, pred)
-            per_frame.append((offset, evaluation.metrics(frame_cm)))
 
     report = evaluation.metrics(cm)
     out = Path(args.out)
@@ -259,7 +255,7 @@ def _warn_if_unscored(scored: int, tau: float) -> None:
 
 
 def cmd_train(args) -> int:
-    manifest = lidar_io.build_manifest(args.root, args.frequency)
+    manifest = lidar_io.build_manifest(args.root)
     source = ple.ManifestSource(manifest)
     labeled = _load_split_for(manifest, args.split)
     ple_maps = _read_ple_dir(args.ple_dir) if args.ple_dir else None
@@ -328,7 +324,6 @@ def build_parser():
     p.add_argument("--ratio", required=True, help="labeled fraction, e.g. 0.005 or 0.5%%")
     p.add_argument("--out", required=True, help="split file to write")
     p.add_argument("--mode", default="global-floor", choices=split_mod.MODES)
-    p.add_argument("--frequency", type=float, default=10.0, help="scan rate in Hz")
     p.set_defaults(func=cmd_split)
 
     p = commands["ple"] = sub.add_parser("ple", help="propagate labels to unlabeled frames")
@@ -342,7 +337,8 @@ def build_parser():
     p.add_argument("--max-distance", type=float, default=float("inf"),
                    help="meters; inf leaves every match valid")
     p.add_argument("--workers", type=int, default=1, help="ignored; ple is single-threaded")
-    p.add_argument("--frequency", type=float, default=10.0)
+    p.add_argument("--frequency", type=float, default=10.0,
+                   help="scan rate in Hz; turns --window-seconds into frames")
     p.set_defaults(func=cmd_ple)
 
     p = commands["eval"] = sub.add_parser("eval", help="score estimates against ground truth")
@@ -354,7 +350,6 @@ def build_parser():
     p.add_argument("--group-by-offset", action="store_true", default=False)
     p.add_argument("--split", default=None)
     p.add_argument("--ignore-class", type=int, default=0)
-    p.add_argument("--frequency", type=float, default=10.0)
     p.set_defaults(func=cmd_eval)
 
     p = commands["train"] = sub.add_parser("train", help="train the dual-head classifier")
@@ -374,7 +369,6 @@ def build_parser():
     p.add_argument("--single-branch", action="store_true", default=False)
     p.add_argument("--threshold-sweep", action="store_true", default=False)
     p.add_argument("--max-points", type=int, default=20000)
-    p.add_argument("--frequency", type=float, default=10.0)
     p.set_defaults(func=cmd_train)
 
     return parser, commands

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DataError, FormatError, IoError
 
 IGNORE_CLASS = 0
+REPORT_COLUMNS = ("class", "iou", "precision", "count")
+CURVE_COLUMNS = ("offset", "accuracy")
 
 
 class ConfusionMatrix:
@@ -65,6 +67,17 @@ def accumulate(cm: ConfusionMatrix, gt, pred) -> ConfusionMatrix:
     np.add.at(cm.missed, gi[miss], 1)
     np.add.at(cm.counts, (gi[~miss], np.searchsorted(cm.class_ids, p)), 1)
     return cm
+
+
+def merged(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:
+    """A matrix over the union of both class sets holding both tallies; both
+    inputs share one ignore class."""
+    out = ConfusionMatrix(a.class_ids + b.class_ids, a.ignore_class)
+    for cm in (a, b):
+        idx = np.searchsorted(out.class_ids, cm.class_ids)
+        out.counts[np.ix_(idx, idx)] += cm.counts
+        out.missed[idx] += cm.missed
+    return out
 
 
 @dataclass(frozen=True)
@@ -117,52 +130,34 @@ def interval_curve(per_frame_reports) -> list:
     return [(k, float(np.mean(groups[k]))) for k in sorted(groups)]
 
 
-_FMT = "{:.17g}"
+def _write_rows(path, format: str, what: str, columns: tuple, rows) -> None:
+    """Write rows, tuples in column order, as a csv or json-lines table.
 
-
-def _write_text(path, text: str) -> None:
+    csv: a header line, None as an empty cell, floats as ``.17g``. json: one
+    object per row with sorted keys, None-valued keys left out; no rows write
+    an empty file.
+    """
+    if format == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                           for v in row) for row in rows]
+    elif format == "json":
+        lines = [json.dumps({k: v for k, v in zip(columns, row) if v is not None}, sort_keys=True)
+                 for row in rows]
+    else:
+        raise DataError(f"unknown {what} format {format!r}")
     try:
-        Path(path).write_text(text)
+        Path(path).write_text("\n".join(lines) + "\n" if lines else "")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def write_report(report: EvalReport, path, format: str = "csv") -> None:
     """One row per class plus a `mean` summary row; columns class,iou,precision,count."""
-    if format == "csv":
-        lines = ["class,iou,precision,count"]
-        for c in report.classes():
-            iou = _FMT.format(report.per_class_iou[c]) if c in report.per_class_iou else ""
-            prec = (
-                _FMT.format(report.per_class_precision[c])
-                if c in report.per_class_precision
-                else ""
-            )
-            lines.append(f"{c},{iou},{prec},{report.point_counts.get(c, 0)}")
-        total = sum(report.point_counts.values())
-        lines.append(
-            f"mean,{_FMT.format(report.miou)},{_FMT.format(report.mprecision)},{total}"
-        )
-        _write_text(path, "\n".join(lines) + "\n")
-    elif format == "json":
-        lines = []
-        for c in report.classes():
-            row = {"class": c, "count": report.point_counts.get(c, 0)}
-            if c in report.per_class_iou:
-                row["iou"] = report.per_class_iou[c]
-            if c in report.per_class_precision:
-                row["precision"] = report.per_class_precision[c]
-            lines.append(json.dumps(row, sort_keys=True))
-        summary = {
-            "class": "mean",
-            "iou": report.miou,
-            "precision": report.mprecision,
-            "count": sum(report.point_counts.values()),
-        }
-        lines.append(json.dumps(summary, sort_keys=True))
-        _write_text(path, "\n".join(lines) + "\n")
-    else:
-        raise DataError(f"unknown report format {format!r}")
+    rows = [(c, report.per_class_iou.get(c), report.per_class_precision.get(c),
+             report.point_counts.get(c, 0)) for c in report.classes()]
+    rows.append(("mean", report.miou, report.mprecision, sum(report.point_counts.values())))
+    _write_rows(path, format, "report", REPORT_COLUMNS, rows)
 
 
 def _read_rows(path, format: str, what: str, columns: tuple, parse) -> list:
@@ -205,7 +200,7 @@ def _report_row(row: dict) -> tuple:
 
 
 def read_report(path, format: str = "csv") -> EvalReport:
-    rows = _read_rows(path, format, "report", ("class", "iou", "precision", "count"), _report_row)
+    rows = _read_rows(path, format, "report", REPORT_COLUMNS, _report_row)
     per_iou, per_prec, per_count = {}, {}, {}
     miou = mprec = 0.0
     for c, iou, prec, count in rows:
@@ -223,21 +218,9 @@ def read_report(path, format: str = "csv") -> EvalReport:
 
 def write_curve(curve, path, format: str = "csv") -> None:
     """Persist an interval curve as (offset, accuracy) rows."""
-    if format == "csv":
-        lines = ["offset,accuracy"]
-        for offset, value in curve:
-            lines.append(f"{offset},{_FMT.format(value)}")
-        _write_text(path, "\n".join(lines) + "\n")
-    elif format == "json":
-        lines = [
-            json.dumps({"offset": int(o), "accuracy": v}, sort_keys=True)
-            for o, v in curve
-        ]
-        _write_text(path, "\n".join(lines) + "\n" if lines else "")
-    else:
-        raise DataError(f"unknown curve format {format!r}")
+    _write_rows(path, format, "curve", CURVE_COLUMNS, [(int(o), v) for o, v in curve])
 
 
 def read_curve(path, format: str = "csv") -> list:
-    return _read_rows(path, format, "curve", ("offset", "accuracy"),
+    return _read_rows(path, format, "curve", CURVE_COLUMNS,
                       lambda row: (int(row["offset"]), float(row["accuracy"])))

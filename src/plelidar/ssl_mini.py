@@ -197,11 +197,6 @@ def _lovasz_weights(fg_sorted: np.ndarray) -> np.ndarray:
     return weights
 
 
-def lovasz_softmax(probs: np.ndarray, labels: np.ndarray, ignore: int = IGNORE_LABEL) -> float:
-    loss, _ = _lovasz_with_grad(probs, labels, ignore)
-    return loss
-
-
 def _lovasz_with_grad(probs: np.ndarray, labels: np.ndarray, ignore: int = IGNORE_LABEL):
     """Lovasz-softmax loss and its gradient with respect to `probs`.
 
@@ -353,12 +348,6 @@ def loss_terms(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
         + cfg.lambda_mt * losses["consistency"]
     )
     return losses, grads
-
-
-def total_loss(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
-               cfg: SSLConfig, single_branch: bool = False) -> float:
-    losses, _ = loss_terms(student, teacher, batch, cfg, single_branch)
-    return losses["total"]
 
 
 def total_gradient(grads: dict, cfg: SSLConfig) -> dict:

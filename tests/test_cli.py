@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import filecmp
 import logging
+import shutil
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plelidar import cli, lidar_io, ple, split as split_mod, synth
+from plelidar import cli, evaluation, lidar_io, ple, split as split_mod, synth
 from plelidar.ssl_mini import read_history
 
 from conftest import corridor_config, one_box_config
@@ -249,8 +250,7 @@ def test_config_file_help_key_is_ignored(workspace, tmp_path):
 def _replay_flags(command, workspace, estimates) -> list:
     data, split = str(workspace["data"]), str(workspace["split"])
     return {
-        "split": ["--root", data, "--ratio", "25%", "--mode", "per-sequence",
-                  "--frequency", "5"],
+        "split": ["--root", data, "--ratio", "25%", "--mode", "per-sequence"],
         "ple": ["--root", data, "--split", split, "--progressive", "--window-seconds", "0.5",
                 "--max-refs", "2", "--max-distance", "0.75"],
         "eval": ["--root", data, "--ple-dir", str(estimates), "--split", split,
@@ -281,6 +281,19 @@ def test_every_command_replays_from_its_echo(workspace, estimates, tmp_path, com
     assert set(cli.read_flat(echo)) == dests
     assert cli.main([command, "--config", str(echo), "--out", str(again)]) == 0
     assert _run_outputs(command, again) == _run_outputs(command, first)
+
+
+@pytest.mark.parametrize("command", ["split", "eval", "train"])
+def test_old_echo_with_frequency_still_replays(workspace, estimates, tmp_path, command):
+    # only ple takes --frequency; echoes written before the other commands
+    # dropped it still hold the key, which is ignored
+    config = tmp_path / "old.config"
+    config.write_text("frequency = 5\n")
+    out = tmp_path / "r"
+    flags = _replay_flags(command, workspace, estimates)
+    assert cli.main([command, *flags, "--config", str(config), "--out", str(out)]) == 0
+    echo = Path(f"{out}.config") if command == "split" else out / f"{command}.config"
+    assert "frequency" not in cli.read_flat(echo)
 
 
 def test_ple_fully_labeled_notice(workspace, tmp_path, capsys):
@@ -353,6 +366,65 @@ def test_eval_scores_ignore_class_prediction_as_miss(workspace, estimates, tmp_p
     )
     assert code == 0
     assert f"miou={np.mean(ious):.6f} " in capsys.readouterr().out
+
+
+def test_eval_reads_and_tallies_each_frame_once(workspace, estimates, tmp_path, monkeypatch):
+    calls: dict = {}
+    counted = ((ple, "read_ple"), (lidar_io, "read_scan"), (lidar_io, "read_labels"),
+               (evaluation, "accumulate"))
+    for module, name in counted:
+        def count(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+    code = cli.main(["eval", "--root", str(workspace["data"]), "--ple-dir", str(estimates),
+                     "--split", str(workspace["split"]), "--group-by-offset",
+                     "--out", str(tmp_path / "r")])
+    assert code == 0
+    scored = len(list((estimates / "00").glob(f"*{ple.PLE_SUFFIX}")))
+    assert calls == {name: scored for _, name in counted}
+
+
+def test_eval_estimate_one_word_short_exits_data(workspace, estimates, tmp_path, capsys):
+    est = tmp_path / "est"
+    shutil.copytree(estimates, est)
+    short = sorted((est / "00").glob(f"*{ple.PLE_SUFFIX}"))[-1]
+    short.write_bytes(short.read_bytes()[:-4])
+    code = cli.main(["eval", "--root", str(workspace["data"]), "--ple-dir", str(est),
+                     "--out", str(tmp_path / "r")])
+    assert code == 3
+    assert f"frame 00/{int(short.stem)}:" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_frame_with_nothing_to_score_enters_curve_at_zero(workspace, estimates, tmp_path):
+    data, est = tmp_path / "data", tmp_path / "est" / "00"
+    shutil.copytree(workspace["data"], data)
+    est.mkdir(parents=True)
+    labeled = split_mod.read_split(workspace["split"])["00"]
+    by_offset: dict = {}
+    for path in sorted((estimates / "00").glob(f"*{ple.PLE_SUFFIX}")):
+        by_offset.setdefault(min(abs(int(path.stem) - g) for g in labeled), path)
+    (offset_empty, empty), (offset_kept, kept) = sorted(by_offset.items())[:2]
+    for path in (empty, kept):
+        shutil.copy(path, est / path.name)
+        shutil.copy(path.with_suffix(".meta"), est / path.with_suffix(".meta").name)
+    # every ground-truth point of one frame becomes the ignore class, and
+    # every estimate of that frame a valid estimate of it
+    frame = int(empty.stem)
+    label_path = data / "sequences" / "00" / "labels" / f"{frame:06d}.label"
+    label_path.write_bytes(bytes(label_path.stat().st_size))
+    n = label_path.stat().st_size // 4
+    ple.write_ple(ple.PseudoLabelMap(
+        semantic=np.zeros(n), valid=np.ones(n, dtype=bool), origin_kind=np.zeros(n),
+        frame_id=frame, sequence_id="00"), est / empty.name)
+    out = tmp_path / "r"
+    code = cli.main(["eval", "--root", str(data), "--ple-dir", str(tmp_path / "est"),
+                     "--split", str(workspace["split"]), "--group-by-offset", "--out", str(out)])
+    assert code == 0
+    curve = dict(evaluation.read_curve(out / "curve.csv"))
+    assert set(curve) == {offset_empty, offset_kept}
+    assert curve[offset_empty] == 0.0 and curve[offset_kept] > 0.0
 
 
 def test_eval_without_estimates_exits_empty(workspace, tmp_path):

@@ -156,6 +156,54 @@ def test_merge_and_order_invariance():
     assert np.array_equal(shuffled.counts, whole.counts)
 
 
+def test_merged_holds_both_tallies_over_the_union():
+    a = ev.accumulate(ev.ConfusionMatrix([1, 2]), _gt([1, 2, 2]), Pred([1, 1, 0]))
+    b = ev.accumulate(ev.ConfusionMatrix([2, 5]), _gt([5, 2]), Pred([2, 5]))
+    both = ev.merged(a, b)
+    assert both.class_ids == (1, 2, 5)
+    assert both.counts.tolist() == [[1, 0, 0], [1, 0, 1], [0, 1, 0]]
+    assert both.missed.tolist() == [0, 1, 0]
+    # the inputs are left as they were
+    assert a.counts.tolist() == [[1, 0], [1, 0]] and b.class_ids == (2, 5)
+
+
+_frame = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 5), min_size=n, max_size=n),
+    st.lists(st.integers(0, 5), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=st.lists(_frame, min_size=1, max_size=6), ignore=st.sampled_from([0, 3]))
+def test_per_frame_matrices_fold_to_the_union_matrix(frames, ignore):
+    frames = [(_gt(g), Pred(p, valid=v)) for g, p, v in frames]
+    folded, own = None, []
+    for gt, pred in frames:
+        classes = (set(gt.semantic.tolist()) | set(pred.semantic[pred.valid].tolist())) - {ignore}
+        if classes:
+            frame_cm = ev.accumulate(ev.ConfusionMatrix(classes, ignore), gt, pred)
+            folded = frame_cm if folded is None else ev.merged(folded, frame_cm)
+        own.append(ev.metrics(frame_cm) if classes else None)
+    union = {c for gt, pred in frames for c in gt.semantic.tolist()
+             + pred.semantic[pred.valid].tolist()} - {ignore}
+    if not union:
+        assert folded is None
+        return
+    whole = ev.ConfusionMatrix(union, ignore)
+    for gt, pred in frames:
+        ev.accumulate(whole, gt, pred)
+    assert folded.class_ids == whole.class_ids
+    assert np.array_equal(folded.counts, whole.counts)
+    assert np.array_equal(folded.missed, whole.missed)
+    for (gt, pred), report in zip(frames, own):
+        over_union = ev.metrics(ev.accumulate(ev.ConfusionMatrix(union, ignore), gt, pred))
+        assert (report.miou if report else 0.0) == over_union.miou
+        if report:
+            assert report.per_class_iou == over_union.per_class_iou
+            assert report.mprecision == over_union.mprecision
+
+
 def _transposed(cm):
     out = ev.ConfusionMatrix(cm.class_ids, cm.ignore_class)
     out.counts[:] = cm.counts.T
@@ -220,6 +268,41 @@ def test_curve_round_trip(tmp_path, fmt):
     path = tmp_path / f"curve.{fmt}"
     ev.write_curve(curve, path, format=fmt)
     assert ev.read_curve(path, format=fmt) == curve
+
+
+def test_report_and_curve_bytes(tmp_path):
+    report = ev.EvalReport({1: 0.5, 9: 1 / 3}, (0.5 + 1 / 3) / 2, {1: 0.25}, 0.25,
+                           {1: 4, 9: 2, 30: 0})
+    path = tmp_path / "out"
+    ev.write_report(report, path, format="csv")
+    assert path.read_text() == ("class,iou,precision,count\n1,0.5,0.25,4\n"
+                                "9,0.33333333333333331,,2\n30,,,0\n"
+                                "mean,0.41666666666666663,0.25,6\n")
+    ev.write_report(report, path, format="json")
+    assert path.read_text() == (
+        '{"class": 1, "count": 4, "iou": 0.5, "precision": 0.25}\n'
+        '{"class": 9, "count": 2, "iou": 0.3333333333333333}\n'
+        '{"class": 30, "count": 0}\n'
+        '{"class": "mean", "count": 6, "iou": 0.41666666666666663, "precision": 0.25}\n')
+    ev.write_curve([(1, 0.875), (3, 1 / 3)], path, format="csv")
+    assert path.read_text() == "offset,accuracy\n1,0.875\n3,0.33333333333333331\n"
+    ev.write_curve([(1, 0.875), (3, 1 / 3)], path, format="json")
+    assert path.read_text() == ('{"accuracy": 0.875, "offset": 1}\n'
+                                '{"accuracy": 0.3333333333333333, "offset": 3}\n')
+    ev.write_curve([], path, format="csv")
+    assert path.read_text() == "offset,accuracy\n"
+    ev.write_curve([], path, format="json")
+    assert path.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "write, table", [(ev.write_report, ev.EvalReport({}, 0.0, {}, 0.0)), (ev.write_curve, [])],
+    ids=["report", "curve"],
+)
+def test_unknown_write_format_rejected(tmp_path, write, table):
+    with pytest.raises(DataError, match="unknown (report|curve) format 'xml'"):
+        write(table, tmp_path / "x", format="xml")
+    assert not (tmp_path / "x").exists()
 
 
 _REPORT_HEADER = "class,iou,precision,count\n"
