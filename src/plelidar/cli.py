@@ -15,6 +15,7 @@ import dataclasses
 import logging
 import os
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -241,11 +242,25 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _read_ple_dir(ple_dir) -> dict:
-    maps = {}
-    for seq, frame, path in _eval_frames(Path(ple_dir)):
-        maps[(seq, frame)] = ple.read_ple(path, frame, seq)
-    return maps
+class _EstimateDir(Mapping):
+    """The estimates of a --ple-dir tree by (sequence, frame); each lookup
+    reads its file, so no estimate is held longer than its caller holds it."""
+
+    def __init__(self, ple_dir):
+        self._paths = {(seq, frame): path for seq, frame, path in _eval_frames(Path(ple_dir))}
+
+    def __getitem__(self, key):
+        seq, frame = key
+        return ple.read_ple(self._paths[key], frame, seq)
+
+    def __contains__(self, key) -> bool:
+        return key in self._paths
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
 
 
 def _warn_if_unscored(scored: int, tau: float) -> None:
@@ -258,10 +273,6 @@ def cmd_train(args) -> int:
     manifest = lidar_io.build_manifest(args.root)
     source = ple.ManifestSource(manifest)
     labeled = _load_split_for(manifest, args.split)
-    ple_maps = _read_ple_dir(args.ple_dir) if args.ple_dir else None
-    data = ssl_mini.assemble_training_data(
-        source, labeled, ple_maps, max_points=args.max_points, seed=args.seed
-    )
     cfg = ssl_mini.SSLConfig(
         lambda_mt=args.lambda_mt,
         tau=args.tau,
@@ -271,6 +282,10 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         hidden=args.hidden,
         seed=args.seed,
+    )
+    ple_maps = _EstimateDir(args.ple_dir) if args.ple_dir else None
+    data = ssl_mini.assemble_training_data(
+        source, labeled, ple_maps, max_points=args.max_points, seed=args.seed
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,13 +15,14 @@ every pose handed out is world-from-LiDAR.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry
-from .errors import DataError, FormatError, MissingDataError
+from .errors import ConfigError, DataError, FormatError, MissingDataError
 from .geometry import RigidTransform
 
 SCAN_SUFFIX = ".bin"
@@ -98,11 +99,22 @@ class SequenceManifest:
         return iter(self.sequences)
 
 
+def _check_scan_size(path, size: int) -> None:
+    if size % 16 != 0:
+        raise FormatError(f"{path}: length {size} is not a multiple of 16 bytes")
+
+
+def scan_point_count(path) -> int:
+    """Points in a .bin scan file, from its size alone; the file is not read."""
+    size = Path(path).stat().st_size
+    _check_scan_size(path, size)
+    return size // 16
+
+
 def read_scan(path, frame_id: int = 0, sequence_id: str = "") -> PointCloud:
     """Decode a .bin scan file: consecutive little-endian float32 (x, y, z, i)."""
     raw = Path(path).read_bytes()
-    if len(raw) % 16 != 0:
-        raise FormatError(f"{path}: length {len(raw)} is not a multiple of 16 bytes")
+    _check_scan_size(path, len(raw))
     data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).astype(np.float64)
     bad = ~np.isfinite(data[:, :3]).all(axis=1)
     if bad.any():
@@ -229,6 +241,8 @@ def _frame_files(directory: Path, suffix: str, seq_id: str) -> tuple:
 
 def build_manifest(dataset_root, scan_frequency_hz: float = 10.0) -> SequenceManifest:
     """Enumerate every sequence and frame under a dataset root, with validation."""
+    if not 0 < scan_frequency_hz < math.inf:
+        raise ConfigError(f"scan frequency must be positive and finite, got {scan_frequency_hz}")
     root = Path(dataset_root)
     if not root.is_dir():
         raise MissingDataError(f"dataset root {root} does not exist")

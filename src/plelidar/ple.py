@@ -16,6 +16,7 @@ and its references always stay within the window of that root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -48,15 +49,21 @@ class PleConfig:
     progressive: bool = False
 
     def __post_init__(self):
-        if self.window_seconds <= 0:
-            raise ConfigError(f"window_seconds must be positive, got {self.window_seconds}")
+        # written so that NaN fails every check
+        if not 0 < self.window_seconds < math.inf:
+            raise ConfigError(
+                f"window_seconds must be positive and finite, got {self.window_seconds}")
         if self.max_references < 1:
             raise ConfigError(f"max_references must be >= 1, got {self.max_references}")
-        if self.max_distance is not None and self.max_distance <= 0:
+        if self.max_distance is not None and not self.max_distance > 0:
             raise ConfigError(f"max_distance must be positive, got {self.max_distance}")
 
     def window_frames(self, frequency: float) -> int:
-        return round_half_up(self.window_seconds * frequency)
+        frames = self.window_seconds * frequency
+        if not 0 < frames < math.inf:
+            raise ConfigError(f"a window of {self.window_seconds} s at {frequency} Hz "
+                              "is not a positive, finite number of frames")
+        return round_half_up(frames)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,13 +202,15 @@ class DatasetSource:
 
 
 class ManifestSource:
-    """Frame access over an on-disk dataset, or one of its sequences, with a
-    small read cache."""
+    """Frame access over an on-disk dataset, or one of its sequences.
+
+    Nothing is cached: each call reads the one file it needs. A caller that
+    reads a frame twice keeps its own cache, as the round loop does.
+    """
 
     def __init__(self, manifest: SequenceManifest | SequenceInfo):
         sequences = (manifest,) if isinstance(manifest, SequenceInfo) else manifest
         self._by_id = {s.sequence_id: s for s in sequences}
-        self._read = lru_cache(maxsize=READ_CACHE_FRAMES)(self._read_frame)
 
     def _info(self, seq: str, frame: int):
         """The sequence's manifest entry, checked to hold `frame`."""
@@ -214,14 +223,6 @@ class ManifestSource:
             )
         return info
 
-    def _read_frame(self, seq: str, frame: int):
-        info = self._info(seq, frame)
-        cloud = lidar_io.read_scan(info.scan_paths[frame], frame, seq)
-        labels = None
-        if info.label_paths is not None:
-            labels = lidar_io.read_labels(info.label_paths[frame], len(cloud), frame, seq)
-        return cloud, labels
-
     def sequence_ids(self) -> tuple:
         return tuple(self._by_id)
 
@@ -232,29 +233,34 @@ class ManifestSource:
         return self._by_id[seq].scan_frequency
 
     def cloud(self, seq: str, frame: int) -> PointCloud:
-        return self._read(seq, frame)[0]
+        info = self._info(seq, frame)
+        return lidar_io.read_scan(info.scan_paths[frame], frame, seq)
 
     def gt_labels(self, seq: str, frame: int) -> LabelMap:
-        labels = self._read(seq, frame)[1]
-        if labels is None:
+        """The frame's labels, checked against its scan's size; the scan
+        itself is not decoded."""
+        info = self._info(seq, frame)
+        points = lidar_io.scan_point_count(info.scan_paths[frame])
+        if info.label_paths is None:
             raise DataError(f"sequence {seq} has no label files")
-        return labels
+        return lidar_io.read_labels(info.label_paths[frame], points, frame, seq)
 
     def pose(self, seq: str, frame: int) -> geometry.RigidTransform:
         return self._info(seq, frame).poses[frame]
 
 
-def _estimate_for(source, seq: str, target: int, refs, labels_of, cfg: PleConfig) -> PseudoLabelMap:
+def _estimate_for(source, cloud, seq: str, target: int, refs, labels_of,
+                  cfg: PleConfig) -> PseudoLabelMap:
     target_pose = source.pose(seq, target)
     references = [
         (
-            source.cloud(seq, g),
+            cloud(seq, g),
             labels_of(g),
             geometry.relative_transform(source.pose(seq, g), target_pose),
         )
         for g in refs
     ]
-    return estimate_labels(source.cloud(seq, target), references, cfg)
+    return estimate_labels(cloud(seq, target), references, cfg)
 
 
 def schedule_naive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> list:
@@ -317,8 +323,12 @@ def _run_rounds(source, split: dict, cfg: PleConfig, schedule) -> dict:
     A reference is read from this run's results when an earlier round
     estimated it, else from ground truth. Each estimate is stored as soon as
     it is made; no schedule references a target of its own round, so the
-    order within a round never changes a result.
+    order within a round never changes a result. Scans and ground-truth
+    labels go through a cache of READ_CACHE_FRAMES frames each, since a
+    reference serves several targets; a target's label file is never read.
     """
+    cloud = lru_cache(maxsize=READ_CACHE_FRAMES)(source.cloud)
+    gt_labels = lru_cache(maxsize=READ_CACHE_FRAMES)(source.gt_labels)
     results: dict = {}
     for seq in source.sequence_ids():
         labeled = set(split.get(seq, ()))
@@ -328,11 +338,11 @@ def _run_rounds(source, split: dict, cfg: PleConfig, schedule) -> dict:
 
         def labels_of(g, seq=seq):
             pmap = results.get((seq, g))
-            return pmap if pmap is not None else source.gt_labels(seq, g)
+            return pmap if pmap is not None else gt_labels(seq, g)
 
         for entries in rounds:
             for f, refs in entries:
-                results[(seq, f)] = _estimate_for(source, seq, f, refs, labels_of, cfg)
+                results[(seq, f)] = _estimate_for(source, cloud, seq, f, refs, labels_of, cfg)
     return results
 
 

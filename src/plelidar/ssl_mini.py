@@ -24,6 +24,7 @@ Losses per step over one batch:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,14 +93,15 @@ class SSLConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_mt < 0:
-            raise ConfigError("lambda_mt cannot be negative")
+        # written so that NaN fails every check
+        if not 0.0 <= self.lambda_mt < math.inf:
+            raise ConfigError("lambda_mt must be finite and not negative")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("tau must lie in [0, 1]")
         if not 0.0 <= self.alpha_ema < 1.0:
             raise ConfigError("alpha_ema must lie in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if self.steps < 0 or self.batch_size < 1 or self.hidden < 1:
             raise ConfigError("steps >= 0, batch_size >= 1, hidden >= 1 required")
 
@@ -531,6 +533,22 @@ def load_model(path) -> DualHeadNet:
     return DualHeadNet(params)
 
 
+def _voxel_keys(points: np.ndarray) -> np.ndarray:
+    """One int64 per point naming its VOXEL_SIZE voxel: the per-axis voxel
+    offsets from the cloud's lowest voxel, packed into one number. Two
+    points share a key exactly when they share a voxel."""
+    voxels = np.floor(points / VOXEL_SIZE)
+    lo, hi = voxels.min(axis=0), voxels.max(axis=0)
+    if not ((lo >= -2.0**63).all() and (hi < 2.0**63).all()):  # NaN fails too
+        raise DataError(f"voxel indices {lo} to {hi} do not fit in 64 bits")
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        raise DataError(f"cloud spans {' x '.join(map(str, spans))} voxels, "
+                        "too many to number in 64 bits")
+    offsets = voxels.astype(np.int64) - lo.astype(np.int64)
+    return (offsets[:, 0] * spans[1] + offsets[:, 1]) * spans[2] + offsets[:, 2]
+
+
 def build_features(points: np.ndarray) -> np.ndarray:
     """Per-point feature rows: x, y, z, range, height above the cloud's
     minimum, and normalized occupancy of VOXEL_SIZE voxels; standardized per
@@ -543,8 +561,7 @@ def build_features(points: np.ndarray) -> np.ndarray:
     feats[:, :3] = pts
     feats[:, 3] = np.linalg.norm(pts, axis=1)
     feats[:, 4] = pts[:, 2] - pts[:, 2].min()
-    keys = np.floor(pts / VOXEL_SIZE).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(_voxel_keys(pts), return_inverse=True, return_counts=True)
     feats[:, 5] = counts[inverse] / counts.max()
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
@@ -552,59 +569,88 @@ def build_features(points: np.ndarray) -> np.ndarray:
     return (feats - mean) / std
 
 
-def assemble_training_data(source, split: dict, ple_maps: dict | None = None,
+def _frame_rows(source, seq: str, f: int, labeled: set, ple_maps):
+    """(kept, raw ids, kind, oracle) of one frame's points without the
+    ignore class; ids hold 0 where no trusted label exists."""
+    gt = source.gt_labels(seq, f)
+    keep = gt.semantic != 0
+    oracle = gt.semantic[keep]
+    ids = np.zeros(len(oracle), dtype=np.int32)
+    kind = np.full(len(oracle), KIND_NONE, dtype=np.int8)
+    if f in labeled:
+        ids = oracle
+        kind[:] = KIND_GROUND_TRUTH
+    elif (seq, f) in ple_maps:
+        pmap = ple_maps[(seq, f)]
+        if len(pmap) != len(gt):
+            raise DataError(f"frame {seq}/{f}: estimate and scan sizes differ")
+        sem = pmap.semantic[keep]
+        usable = pmap.valid[keep] & (sem != 0)
+        ids[usable] = sem[usable]
+        kind[usable] = KIND_PLE
+    return keep, ids, kind, oracle
+
+
+def assemble_training_data(source, split: dict, ple_maps=None,
                            max_points: int | None = None, seed: int = 0) -> TrainData:
     """Flatten a dataset into TrainData.
 
     Points of split-labeled frames become ground-truth kind; points of frames
-    with an estimate in `ple_maps` take its valid labels as ple kind; all
-    other points are unlabeled. Ground truth is required on every frame to
-    provide the oracle; ignore-class points are dropped.
+    with an estimate in `ple_maps` (any mapping from (sequence, frame)) take
+    its valid labels as ple kind; all other points are unlabeled. Ground
+    truth is required on every frame to provide the oracle; ignore-class
+    points are dropped. With `max_points`, a seeded sample of that many
+    points is kept, in dataset order.
+
+    Two passes keep memory to the sample plus one frame. The first reads
+    labels and estimates only, and keeps per frame its point count and class
+    sets; the sample is drawn from the total. The second builds features for
+    the frames that hold sampled points and writes those rows in place.
     """
+    if max_points is not None and max_points < 1:
+        raise ConfigError(f"max_points must be >= 1, got {max_points}")
     ple_maps = ple_maps or {}
-    feats_parts, id_parts, kind_parts, oracle_parts = [], [], [], []
+    frames = []  # (seq, frame, labeled frames of seq, kept points)
+    gt_classes, estimate_classes = [], []  # per frame
     for seq in source.sequence_ids():
         labeled = set(split.get(seq, ()))
         for f in range(source.frame_count(seq)):
-            cloud = source.cloud(seq, f)
-            gt = source.gt_labels(seq, f)
-            keep = gt.semantic != 0
-            oracle = gt.semantic[keep]
-            # Raw class ids for now; 0 marks a point without a trusted label.
-            ids = np.zeros(len(oracle), dtype=np.int32)
-            kind = np.full(len(oracle), KIND_NONE, dtype=np.int8)
-            if f in labeled:
-                ids = oracle
-                kind[:] = KIND_GROUND_TRUTH
-            elif (seq, f) in ple_maps:
-                pmap = ple_maps[(seq, f)]
-                if len(pmap) != len(gt):
-                    raise DataError(f"frame {seq}/{f}: estimate and scan sizes differ")
-                sem = pmap.semantic[keep]
-                usable = pmap.valid[keep] & (sem != 0)
-                ids[usable] = sem[usable]
-                kind[usable] = KIND_PLE
-            feats_parts.append(build_features(cloud.points)[keep])
-            id_parts.append(ids)
-            kind_parts.append(kind)
-            oracle_parts.append(oracle)
-    oracle_ids = np.concatenate(oracle_parts) if oracle_parts else np.zeros(0, np.int32)
-    classes = np.unique(oracle_ids)
+            _, ids, kind, oracle = _frame_rows(source, seq, f, labeled, ple_maps)
+            frames.append((seq, f, labeled, len(oracle)))
+            gt_classes.append(np.unique(oracle))
+            # in point order, so that an error names the first unknown class
+            distinct, first = np.unique(ids[kind == KIND_PLE], return_index=True)
+            estimate_classes.append(distinct[np.argsort(first)])
+    classes = np.unique(np.concatenate(gt_classes)) if frames else np.zeros(0, np.int32)
     if len(classes) < 2:
         raise DataError("dataset holds fewer than two classes")
-    label_ids = np.concatenate(id_parts)
-    kind = np.concatenate(kind_parts)
-    unknown = (kind != KIND_NONE) & ~np.isin(label_ids, classes)
-    if unknown.any():
-        raise DataError(f"estimates hold class {int(label_ids[unknown][0])}, "
-                        "which no ground-truth frame has")
-    features = np.concatenate(feats_parts, axis=0)
-    if max_points is not None and len(kind) > max_points:
+    for ids in estimate_classes:
+        unknown = ids[~np.isin(ids, classes)]
+        if len(unknown):
+            raise DataError(f"estimates hold class {int(unknown[0])}, "
+                            "which no ground-truth frame has")
+
+    total = sum(n for *_, n in frames)
+    if max_points is not None and total > max_points:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-        pick = np.sort(rng.choice(len(kind), size=max_points, replace=False))
-        features, label_ids, kind, oracle_ids = (
-            features[pick], label_ids[pick], kind[pick], oracle_ids[pick]
-        )
-    labels = np.where(kind == KIND_NONE, IGNORE_LABEL, np.searchsorted(classes, label_ids))
-    oracle = np.searchsorted(classes, oracle_ids)
+        pick = np.sort(rng.choice(total, size=max_points, replace=False))
+    else:
+        pick = np.arange(total)
+    features = np.empty((len(pick), 6))
+    labels = np.empty(len(pick), dtype=np.int64)
+    kind = np.empty(len(pick), dtype=np.int8)
+    oracle = np.empty(len(pick), dtype=np.int64)
+    start = 0
+    for seq, f, labeled, n in frames:
+        lo, hi = np.searchsorted(pick, (start, start + n))
+        if hi > lo:
+            rows = pick[lo:hi] - start
+            keep, f_ids, f_kind, f_oracle = _frame_rows(source, seq, f, labeled, ple_maps)
+            cloud = source.cloud(seq, f)
+            features[lo:hi] = build_features(cloud.points)[np.flatnonzero(keep)[rows]]
+            kind[lo:hi] = f_kind[rows]
+            labels[lo:hi] = np.where(f_kind[rows] == KIND_NONE, IGNORE_LABEL,
+                                     np.searchsorted(classes, f_ids[rows]))
+            oracle[lo:hi] = np.searchsorted(classes, f_oracle[rows])
+        start += n
     return TrainData(features, labels, kind, oracle, len(classes))

@@ -6,6 +6,7 @@ import filecmp
 import logging
 import shutil
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -382,7 +383,8 @@ def test_eval_reads_and_tallies_each_frame_once(workspace, estimates, tmp_path, 
                      "--out", str(tmp_path / "r")])
     assert code == 0
     scored = len(list((estimates / "00").glob(f"*{ple.PLE_SUFFIX}")))
-    assert calls == {name: scored for _, name in counted}
+    # no scan is decoded: a label file is checked against its scan's size
+    assert calls == {"read_ple": scored, "read_labels": scored, "accumulate": scored}
 
 
 def test_eval_estimate_one_word_short_exits_data(workspace, estimates, tmp_path, capsys):
@@ -547,6 +549,50 @@ def test_train_unknown_estimate_class_exits_data(workspace, tmp_path, capsys):
     )
     assert code == 3
     assert "class 77" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("ple", ["--window-seconds", "nan"]),
+    ("ple", ["--window-seconds", "inf"]),
+    ("ple", ["--frequency", "nan"]),
+    ("ple", ["--frequency", "0"]),
+    ("ple", ["--frequency", "-10"]),
+    ("ple", ["--max-distance", "nan"]),
+    ("train", ["--max-points", "-5"]),
+    ("train", ["--max-points", "0"]),
+    ("train", ["--lr", "nan"]),
+    ("train", ["--lambda-mt", "nan"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_unusable_numeric_setting_exits_config(workspace, tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    code = cli.main([command, "--root", str(workspace["data"]), "--split",
+                     str(workspace["split"]), "--out", str(out), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_train_decodes_each_scan_at_most_once(workspace, estimates, tmp_path, monkeypatch):
+    reads = {"read_scan": Counter(), "read_ple": Counter()}
+    for module, name in ((lidar_io, "read_scan"), (ple, "read_ple")):
+        def count(path, *args, _real=getattr(module, name), _reads=reads[name], **kwargs):
+            _reads[Path(path).name] += 1
+            return _real(path, *args, **kwargs)
+        monkeypatch.setattr(module, name, count)
+    estimated = len(list((estimates / "00").glob(f"*{ple.PLE_SUFFIX}")))
+    for max_points in ("300", "100000000"):
+        for counter in reads.values():
+            counter.clear()
+        code = cli.main(["train", "--root", str(workspace["data"]), "--split",
+                         str(workspace["split"]), "--ple-dir", str(estimates), "--steps", "1",
+                         "--max-points", max_points, "--out", str(tmp_path / max_points)])
+        assert code == 0
+        assert reads["read_scan"] and set(reads["read_scan"].values()) == {1}
+        # once when the first pass reaches the frame, once more if it holds sampled rows
+        assert len(reads["read_ple"]) == estimated
+        assert set(reads["read_ple"].values()) <= {1, 2}
+    # every point kept: every frame holds sampled rows and is decoded once
+    assert len(reads["read_scan"]) == 12
 
 
 def test_train_zero_steps(workspace, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plelidar import geometry, lidar_io
-from plelidar.errors import DataError, FormatError, MissingDataError
+from plelidar.errors import ConfigError, DataError, FormatError, MissingDataError
 from plelidar.geometry import RigidTransform
 from plelidar.lidar_io import LabelMap, PointCloud
 
@@ -235,6 +235,22 @@ def test_build_manifest_gap_in_frames(tmp_path):
 def test_build_manifest_missing_root(tmp_path):
     with pytest.raises(MissingDataError):
         lidar_io.build_manifest(tmp_path / "nope")
+
+
+@pytest.mark.parametrize("hz", [0.0, -10.0, float("nan"), float("inf")])
+def test_build_manifest_rejects_bad_frequency(tmp_path, hz):
+    _make_sequence(tmp_path)
+    with pytest.raises(ConfigError, match="frequency"):
+        lidar_io.build_manifest(tmp_path, scan_frequency_hz=hz)
+
+
+def test_scan_point_count_from_size(tmp_path):
+    path = tmp_path / "s.bin"
+    lidar_io.write_scan(PointCloud(np.ones((7, 3)), np.zeros(7)), path)
+    assert lidar_io.scan_point_count(path) == 7
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(FormatError, match="not a multiple of 16"):
+        lidar_io.scan_point_count(path)
 
 
 @settings(max_examples=30, deadline=None)

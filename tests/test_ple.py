@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ class TestConfig:
             PleConfig(max_references=0)
         with pytest.raises(ConfigError):
             PleConfig(max_distance=-1.0)
+
+    @pytest.mark.parametrize("field", ["window_seconds", "max_distance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_rejects_nan_and_negative_infinity(self, field, value):
+        with pytest.raises(ConfigError):
+            PleConfig(**{field: value})
+
+    def test_rejects_infinite_window(self):
+        with pytest.raises(ConfigError, match="window_seconds"):
+            PleConfig(window_seconds=float("inf"))
+
+    @pytest.mark.parametrize("frequency", [0.0, -10.0, float("nan"), float("inf"), 1e308])
+    def test_window_frames_rejects_unusable_frequency(self, frequency):
+        with pytest.raises(ConfigError, match="frames"):
+            PleConfig(window_seconds=10.0).window_frames(frequency)
 
 
 class TestSelectReferences:
@@ -325,6 +341,36 @@ class TestRunners:
         cfg = PleConfig(progressive=True)
         ple.run_progressive(ple.ManifestSource(manifest), {"00": (0, 4)}, cfg)
         assert Counter(reads) == {("00", f): 1 for f in range(len(corridor_short))}
+
+    def test_naive_reads_labels_of_ground_truth_references_only(
+        self, corridor_short, tmp_path, monkeypatch
+    ):
+        synth.export(corridor_short, tmp_path)
+        manifest = lidar_io.build_manifest(tmp_path)
+        counted = {"read_scan": Counter(), "read_labels": Counter()}
+        for name, reads in counted.items():
+            def count(path, *args, _real=getattr(lidar_io, name), _reads=reads, **kwargs):
+                _reads[int(Path(path).stem)] += 1
+                return _real(path, *args, **kwargs)
+            monkeypatch.setattr(lidar_io, name, count)
+        # frame 7 is out of every window, so nothing reads it
+        split = {"00": (0, 4)}
+        out = ple.run_naive(ple.ManifestSource(manifest), split, PleConfig(window_seconds=0.2))
+        assert sorted(f for _, f in out) == [1, 2, 3, 5, 6]
+        assert counted["read_labels"] == {0: 1, 4: 1}
+        assert counted["read_scan"] == {f: 1 for f in range(7)}
+
+    def test_gt_labels_checks_scan_size_without_decoding(self, corridor_short, tmp_path,
+                                                         monkeypatch):
+        synth.export(corridor_short, tmp_path)
+        source = ple.ManifestSource(lidar_io.build_manifest(tmp_path))
+        scan = tmp_path / "sequences" / "00" / "velodyne" / "000002.bin"
+        expected = len(lidar_io.read_scan(scan))
+        monkeypatch.setattr(lidar_io, "read_scan", None)
+        assert len(source.gt_labels("00", 2)) == expected
+        scan.write_bytes(scan.read_bytes()[:-4])
+        with pytest.raises(FormatError, match="not a multiple of 16 bytes"):
+            source.gt_labels("00", 2)
 
     def test_real_dataset_loop_runs_on_export(self, corridor_short, tmp_path):
         # test_acceptance::test_11's code path, on a synthetic export

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plelidar import ssl_mini as ssl
 from plelidar.errors import ConfigError, DataError, FormatError, ShapeError
+from plelidar.ple import PseudoLabelMap
 from plelidar.ssl_mini import (
     KIND_GROUND_TRUTH,
     KIND_NONE,
@@ -374,6 +378,27 @@ class TestFeatureAssembly:
         pts = np.random.default_rng(3).uniform(-5, 5, (50, 3))
         assert np.array_equal(ssl.build_features(pts), ssl.build_features(pts))
 
+    @pytest.mark.parametrize("scale, shift", [
+        ((3.0, 3.0, 3.0), (-2.5, -7.0, -0.5)),   # negative voxels, many shared
+        ((2.0, 60.0, 1.0), (0.0, 0.0, 0.0)),     # axes of unequal span
+        ((40.0, 5.0, 90.0), (-1e6, 5e5, -3e3)),  # far from the origin
+        ((1e5, 1e5, 1e5), (0.0, 0.0, 0.0)),      # spans of 1e5 voxels per axis
+        ((1e6, 1e6, 1e6), (-3e12, 0.0, 1e12)),   # 2e6 voxels per axis: keys near 2**63
+    ])
+    def test_voxel_counts_equal_row_unique(self, scale, shift):
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-1.0, 1.0, (400, 3)) * scale + shift
+        pts[200:] = pts[:200] + rng.uniform(0, 0.3, (200, 3))  # neighbours in a voxel
+        assert np.array_equal(ssl.build_features(pts), _row_unique_build_features(pts))
+
+    def test_voxel_keys_that_cannot_be_numbered_rejected(self):
+        # 2**22 voxels per axis: 2**66 distinct keys would not fit
+        pts = np.array([[0.0, 0.0, 0.0], [2.0**22, 2.0**22, 2.0**22]])
+        with pytest.raises(DataError, match="64 bits"):
+            ssl.build_features(pts)
+        with pytest.raises(DataError, match="64 bits"):
+            ssl.build_features(np.array([[0.0, 0.0, 0.0], [1e19, 0.0, 0.0]]))
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SSLConfig(tau=1.5)
@@ -383,6 +408,15 @@ class TestFeatureAssembly:
             SSLConfig(steps=-1)
         with pytest.raises(ConfigError):
             SSLConfig(batch_size=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_mt", math.nan), ("lambda_mt", math.inf), ("learning_rate", math.nan),
+        ("learning_rate", math.inf), ("learning_rate", 0.0), ("tau", math.nan),
+        ("alpha_ema", math.nan),
+    ])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError):
+            SSLConfig(**{field: value})
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +479,11 @@ class TestAssemble:
         with pytest.raises(DataError, match="class 77"):
             ssl.assemble_training_data(source, {"00": (1,)}, {("00", 0): bogus})
 
+    @pytest.mark.parametrize("max_points", [0, -5])
+    def test_max_points_below_one_rejected(self, source, max_points):
+        with pytest.raises(ConfigError, match="max_points"):
+            ssl.assemble_training_data(source, {"00": (1,)}, max_points=max_points)
+
     def test_single_class_scene_rejected(self):
         from plelidar import synth
         from plelidar.ple import DatasetSource
@@ -454,3 +493,163 @@ class TestAssemble:
         src = DatasetSource(synth.generate(cfg))
         with pytest.raises(DataError):
             ssl.assemble_training_data(src, {"00": (0,)})
+
+
+def _row_unique_build_features(points):
+    """Reference build_features: voxels counted by a row-wise np.unique over
+    the voxel index triples."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    feats = np.empty((len(pts), 6))
+    feats[:, :3] = pts
+    feats[:, 3] = np.linalg.norm(pts, axis=1)
+    feats[:, 4] = pts[:, 2] - pts[:, 2].min()
+    keys = np.floor(pts / ssl.VOXEL_SIZE).astype(np.int64)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    feats[:, 5] = counts[inverse.reshape(-1)] / counts.max()
+    std = feats.std(axis=0)
+    std[std == 0.0] = 1.0
+    return (feats - feats.mean(axis=0)) / std
+
+
+def _one_pass_assemble(source, split, ple_maps=None, max_points=None, seed=0):
+    """Reference assembly in one pass: features for every point, then the
+    sample. The oracle for the two-pass assemble_training_data."""
+    ple_maps = ple_maps or {}
+    feats_parts, id_parts, kind_parts, oracle_parts = [], [], [], []
+    for seq in source.sequence_ids():
+        labeled = set(split.get(seq, ()))
+        for f in range(source.frame_count(seq)):
+            cloud = source.cloud(seq, f)
+            gt = source.gt_labels(seq, f)
+            keep = gt.semantic != 0
+            oracle = gt.semantic[keep]
+            ids = np.zeros(len(oracle), dtype=np.int32)
+            kind = np.full(len(oracle), KIND_NONE, dtype=np.int8)
+            if f in labeled:
+                ids = oracle
+                kind[:] = KIND_GROUND_TRUTH
+            elif (seq, f) in ple_maps:
+                pmap = ple_maps[(seq, f)]
+                if len(pmap) != len(gt):
+                    raise DataError(f"frame {seq}/{f}: estimate and scan sizes differ")
+                sem = pmap.semantic[keep]
+                usable = pmap.valid[keep] & (sem != 0)
+                ids[usable] = sem[usable]
+                kind[usable] = KIND_PLE
+            feats_parts.append(_row_unique_build_features(cloud.points)[keep])
+            id_parts.append(ids)
+            kind_parts.append(kind)
+            oracle_parts.append(oracle)
+    oracle_ids = np.concatenate(oracle_parts) if oracle_parts else np.zeros(0, np.int32)
+    classes = np.unique(oracle_ids)
+    if len(classes) < 2:
+        raise DataError("dataset holds fewer than two classes")
+    label_ids = np.concatenate(id_parts)
+    kind = np.concatenate(kind_parts)
+    unknown = (kind != KIND_NONE) & ~np.isin(label_ids, classes)
+    if unknown.any():
+        raise DataError(f"estimates hold class {int(label_ids[unknown][0])}, "
+                        "which no ground-truth frame has")
+    features = np.concatenate(feats_parts, axis=0)
+    if max_points is not None and len(kind) > max_points:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
+        pick = np.sort(rng.choice(len(kind), size=max_points, replace=False))
+        features, label_ids, kind, oracle_ids = (
+            features[pick], label_ids[pick], kind[pick], oracle_ids[pick]
+        )
+    labels = np.where(kind == KIND_NONE, ssl.IGNORE_LABEL, np.searchsorted(classes, label_ids))
+    oracle = np.searchsorted(classes, oracle_ids)
+    return TrainData(features, labels, kind, oracle, len(classes))
+
+
+@pytest.fixture(scope="module")
+def box_source():
+    """Six frames of the one-box scene, with every 7th ground-truth point
+    relabelled as the ignore class so that assembly has points to drop."""
+    import dataclasses
+
+    from plelidar import synth
+    from plelidar.lidar_io import LabelMap
+    from plelidar.ple import DatasetSource
+    from conftest import one_box_config
+
+    data = synth.generate(one_box_config(frames=6, points_per_surface=1.0))
+    labels = []
+    for gt in data.labels:
+        sem = gt.semantic.copy()
+        sem[::7] = 0
+        labels.append(LabelMap(sem, gt.instance, gt.frame_id, gt.sequence_id))
+    return DatasetSource(dataclasses.replace(data, labels=tuple(labels)))
+
+
+def _random_estimates(source, labeled, rng, unknown_classes):
+    """Estimates on a random subset of the unlabeled frames: ground truth
+    with random flips among the scene's classes, the ignore class and
+    invalid points; each of `unknown_classes` lands on a few random points."""
+    maps = {}
+    for f in range(source.frame_count("00")):
+        if f in labeled or rng.random() < 0.3:
+            continue
+        gt = source.gt_labels("00", f).semantic
+        sem = gt.copy()
+        flip = rng.random(len(sem)) < 0.2
+        sem[flip] = rng.choice([0, 1, 9, 10], size=int(flip.sum()))
+        valid = rng.random(len(sem)) >= 0.1
+        for c in unknown_classes:
+            sem[rng.integers(len(sem), size=3)] = c
+        sem[~valid] = 0
+        maps[("00", f)] = PseudoLabelMap(sem, valid, np.zeros(len(sem)), frame_id=f)
+    return maps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    labeled=st.sets(st.integers(0, 5), max_size=3),
+    with_estimates=st.booleans(),
+    unknown_classes=st.sampled_from([(), (), (), (77,), (77, 55)]),
+    budget=st.sampled_from(["none", "below", "equal", "above"]),
+    below=st.floats(0.0, 1.0),
+)
+def test_two_pass_assembly_equals_one_pass(box_source, seed, labeled, with_estimates,
+                                           unknown_classes, budget, below):
+    rng = np.random.default_rng(seed)
+    split = {"00": tuple(sorted(labeled))}
+    maps = _random_estimates(box_source, labeled, rng, unknown_classes) if with_estimates else None
+    total = sum(int((box_source.gt_labels("00", f).semantic != 0).sum()) for f in range(6))
+    max_points = {"none": None, "below": 1 + int(below * (total - 2)), "equal": total,
+                  "above": total + 1 + int(below * 100)}[budget]
+    args = (box_source, split, maps, max_points, seed % 1000)
+    try:
+        want = _one_pass_assemble(*args)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            ssl.assemble_training_data(*args)
+        assert str(got.value) == str(exc)
+        return
+    got = ssl.assemble_training_data(*args)
+    assert got.num_classes == want.num_classes
+    for field in ("features", "labels", "label_kind", "oracle"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b), field
+
+
+def test_assembly_memory_does_not_grow_with_frames():
+    from plelidar import synth
+    from plelidar.ple import DatasetSource
+    from conftest import corridor_config
+
+    sources = {n: DatasetSource(synth.generate(corridor_config(frames=n))) for n in (8, 32)}
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            ssl.assemble_training_data(sources[n], {"00": (0,)}, max_points=500)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # first-call allocations are not the assembly's
+    # a one-pass assembly holds every frame's features: 3.75x from 8 to 32 frames
+    assert peak(32) <= 1.5 * peak(8)
