@@ -110,12 +110,10 @@ def _manifest_lengths(manifest: lidar_io.SequenceManifest) -> dict:
 
 def cmd_synth(args) -> int:
     cfg = synth.parse_config(Path(args.config).read_text())
-    dataset = synth.generate(cfg)
     out = Path(args.out)
-    synth.export(dataset, out)
+    frames, points = synth.export(synth.frames(cfg), synth.reported_poses(cfg), out)
     (out / "synth.config").write_text(synth.config_to_text(cfg))
-    total_points = sum(len(c) for c in dataset.clouds)
-    print(f"frames={len(dataset)} points={total_points} out={out}")
+    print(f"frames={frames} points={points} out={out}")
     return EXIT_OK
 
 
@@ -152,27 +150,31 @@ def cmd_ple(args) -> int:
         progressive=args.progressive,
     )
     runner = ple.run_progressive if args.progressive else ple.run_naive
-    results = runner(source, labeled, cfg)
-
     out = Path(args.out)
+    frames = points = 0
+
+    def write(key, pmap) -> None:
+        nonlocal frames, points
+        seq, frame = key
+        seq_dir = out / seq
+        seq_dir.mkdir(parents=True, exist_ok=True)
+        ple.write_ple(pmap, seq_dir / f"{frame:06d}{ple.PLE_SUFFIX}")
+        frames, points = frames + 1, points + len(pmap)
+
+    runner(source, labeled, cfg, emit=write)
+
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out / "ple.config", args)
     total_unlabeled = sum(
         source.frame_count(s) - len(labeled.get(s, ()))
         for s in source.sequence_ids()
     )
-    if not results:
+    if not frames:
         if total_unlabeled == 0:
             print("frames=0 points=0 (every frame already labeled)")
             return EXIT_OK
         raise EmptyResultError("no unlabeled frame has a labeled frame in its window")
-    points = 0
-    for (seq, frame), pmap in sorted(results.items()):
-        seq_dir = out / seq
-        seq_dir.mkdir(parents=True, exist_ok=True)
-        ple.write_ple(pmap, seq_dir / f"{frame:06d}{ple.PLE_SUFFIX}")
-        points += len(pmap)
-    print(f"frames={len(results)} points={points} out={out}")
+    print(f"frames={frames} points={points} out={out}")
     return EXIT_OK
 
 
@@ -180,7 +182,10 @@ def _eval_frames(ple_dir: Path) -> list:
     frames = []
     for seq_dir in sorted(p for p in ple_dir.iterdir() if p.is_dir()):
         for f in sorted(seq_dir.glob(f"*{ple.PLE_SUFFIX}")):
-            frames.append((seq_dir.name, int(f.stem), f))
+            try:
+                frames.append((seq_dir.name, int(f.stem), f))
+            except ValueError:
+                raise DataError(f"{f}: an estimate file is named by its frame number") from None
     return frames
 
 

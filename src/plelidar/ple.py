@@ -5,26 +5,32 @@ labeled points are transformed into the target's sensor frame with the pose
 difference, pooled into one KD-tree, and every target point takes the class
 of its globally nearest pooled point.
 
-Two drivers share one round loop. ``run_naive`` is a single round that
+Two drivers share one run loop. ``run_naive`` is a single round that
 references ground-truth frames only, within a temporal window around each
 unlabeled frame. ``run_progressive`` moves outward from the labeled frames in
 rounds of growing temporal offset, letting earlier-round outputs serve as
 references for later rounds; every frame belongs to exactly one chain, rooted
 at its temporally nearest ground-truth frame (ties to the earlier frame id),
-and its references always stay within the window of that root.
+and its references always stay within the window of that root. The loop
+runs the targets in an order that follows their references, not round by
+round, so it can hand each estimate on as soon as it is made.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry, lidar_io
-from .errors import ConfigError, DataError, EmptyIndexError, FormatError, MissingDataError
+from .errors import (
+    ConfigError, DataError, EmptyIndexError, FormatError, MissingDataError, PlelidarError,
+)
 from .lidar_io import LabelMap, PointCloud, SequenceInfo, SequenceManifest
 from .spatial_index import KdTree
 from .split import round_half_up
@@ -38,7 +44,6 @@ META_SUFFIX = ".meta"
 _SEMANTIC_MASK = 0xFFFF
 _ORIGIN_BIT = 1 << 16
 _VALID_BIT = 1 << 17
-READ_CACHE_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,7 @@ class ManifestSource:
     """Frame access over an on-disk dataset, or one of its sequences.
 
     Nothing is cached: each call reads the one file it needs. A caller that
-    reads a frame twice keeps its own cache, as the round loop does.
+    reads a frame twice keeps it itself, as the run loop does.
     """
 
     def __init__(self, manifest: SequenceManifest | SequenceInfo):
@@ -249,18 +254,18 @@ class ManifestSource:
         return self._info(seq, frame).poses[frame]
 
 
-def _estimate_for(source, cloud, seq: str, target: int, refs, labels_of,
+def _estimate_for(source, seq: str, target: int, refs, scans, labels,
                   cfg: PleConfig) -> PseudoLabelMap:
     target_pose = source.pose(seq, target)
     references = [
         (
-            cloud(seq, g),
-            labels_of(g),
+            scans.take(g),
+            labels.take(g),
             geometry.relative_transform(source.pose(seq, g), target_pose),
         )
         for g in refs
     ]
-    return estimate_labels(cloud(seq, target), references, cfg)
+    return estimate_labels(scans.take(target), references, cfg)
 
 
 def schedule_naive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> list:
@@ -317,56 +322,107 @@ def schedule_progressive(labeled: set, length: int, cfg: PleConfig, frequency: f
     return rounds
 
 
-def _run_rounds(source, split: dict, cfg: PleConfig, schedule) -> dict:
-    """Run each sequence's plan round by round, one target at a time.
+class _UseCounted:
+    """Frames read on first use and dropped after their last.
 
-    A reference is read from this run's results when an earlier round
-    estimated it, else from ground truth. Each estimate is stored as soon as
-    it is made; no schedule references a target of its own round, so the
-    order within a round never changes a result. Scans and ground-truth
-    labels go through a cache of READ_CACHE_FRAMES frames each, since a
-    reference serves several targets; a target's label file is never read.
+    `uses` counts, per frame, the uses the plan will make; a frame put in
+    with `keep` (an estimate) is never read.
     """
-    cloud = lru_cache(maxsize=READ_CACHE_FRAMES)(source.cloud)
-    gt_labels = lru_cache(maxsize=READ_CACHE_FRAMES)(source.gt_labels)
-    results: dict = {}
+
+    def __init__(self, read, uses: Counter):
+        self._read = read
+        self._uses = uses
+        self._held: dict = {}
+
+    def keep(self, frame: int, item) -> None:
+        if self._uses[frame]:
+            self._held[frame] = item
+
+    def take(self, frame: int):
+        item = self._held.pop(frame) if frame in self._held else self._read(frame)
+        self._uses[frame] -= 1
+        self.keep(frame, item)
+        return item
+
+
+def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit) -> None:
+    """Run each sequence's plan in dependency order, handing every estimate
+    to emit((sequence, frame), estimate) as soon as it is made.
+
+    An estimate depends only on its references' labels, and no schedule
+    references a target of its own round, so any order that makes every
+    estimated reference before its targets writes the same bytes as the
+    plan's round order. Of the targets whose references are all done, the
+    smallest frame id runs next, so the run advances through the sequence.
+    A scan, a ground-truth label map or an estimate is read (or made) once,
+    kept while a later target still needs it, and dropped after its last
+    use; a target's label file is never read.
+    """
     for seq in source.sequence_ids():
         labeled = set(split.get(seq, ()))
         if not labeled:
             continue
         rounds = schedule(labeled, source.frame_count(seq), cfg, source.frequency(seq))
+        refs_of = {f: refs for entries in rounds for f, refs in entries}
+        waiting = dict.fromkeys(refs_of, 0)
+        dependents: dict = {}
+        scan_uses = Counter(refs_of.keys())  # each target reads its own scan once
+        label_uses = Counter()
+        for f, refs in refs_of.items():
+            scan_uses.update(refs)
+            label_uses.update(refs)
+            for g in refs:
+                if g in refs_of:
+                    waiting[f] += 1
+                    dependents.setdefault(g, []).append(f)
+        scans = _UseCounted(partial(source.cloud, seq), scan_uses)
+        labels = _UseCounted(partial(source.gt_labels, seq), label_uses)
+        ready = [f for f, n in waiting.items() if n == 0]
+        heapq.heapify(ready)
+        while ready:
+            f = heapq.heappop(ready)
+            try:
+                pmap = _estimate_for(source, seq, f, refs_of[f], scans, labels, cfg)
+            except PlelidarError as exc:
+                raise type(exc)(f"sequence {seq}, frame {f}: {exc}") from exc
+            labels.keep(f, pmap)
+            emit((seq, f), pmap)
+            del pmap  # not held while the next target runs
+            for d in dependents.pop(f, ()):
+                waiting[d] -= 1
+                if not waiting[d]:
+                    heapq.heappush(ready, d)
 
-        def labels_of(g, seq=seq):
-            pmap = results.get((seq, g))
-            return pmap if pmap is not None else gt_labels(seq, g)
 
-        for entries in rounds:
-            for f, refs in entries:
-                results[(seq, f)] = _estimate_for(source, cloud, seq, f, refs, labels_of, cfg)
-    return results
-
-
-def run_naive(source, split: dict, cfg: PleConfig, workers: int = 1) -> dict:
+def run_naive(source, split: dict, cfg: PleConfig, workers: int = 1, *, emit=None) -> dict:
     """Estimate labels for every unlabeled frame with a ground-truth frame in window.
 
     Returns {(sequence_id, frame_id): PseudoLabelMap}. Frames with no
-    in-window ground-truth reference are left out. `workers` is accepted
-    and ignored: the run is single-threaded.
+    in-window ground-truth reference are left out. Given `emit`, each
+    estimate is instead handed to emit((sequence_id, frame_id), estimate)
+    as soon as it is made, and the returned dict is empty. `workers` is
+    accepted and ignored: the run is single-threaded.
     """
     if cfg.progressive:
         raise ConfigError("run_naive requires cfg.progressive = False")
-    return _run_rounds(source, split, cfg, schedule_naive)
+    results: dict = {}
+    _run_plan(source, split, cfg, schedule_naive, emit or results.__setitem__)
+    return results
 
 
-def run_progressive(source, split: dict, cfg: PleConfig, workers: int = 1) -> dict:
+def run_progressive(source, split: dict, cfg: PleConfig, workers: int = 1, *,
+                    emit=None) -> dict:
     """Estimate labels outward from the ground-truth frames, round by round.
 
-    Covers exactly the frames run_naive covers. `workers` is accepted and
-    ignored: the run is single-threaded.
+    Covers exactly the frames run_naive covers, and returns or emits them
+    the same way. `workers` is accepted and ignored: the run is
+    single-threaded.
     """
     if not cfg.progressive:
         raise ConfigError("run_progressive requires cfg.progressive = True")
-    return _run_rounds(source, split, cfg, schedule_progressive)
+    results: dict = {}
+    _run_plan(source, split, cfg, schedule_progressive, emit or results.__setitem__)
+    return results
 
 
 def write_ple(pmap: PseudoLabelMap, path) -> None:

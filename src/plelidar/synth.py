@@ -248,8 +248,12 @@ def _perturbed(pose: RigidTransform, cfg: SynthConfig, t: int) -> RigidTransform
     return RigidTransform(d_rot @ pose.rotation, pose.translation + d_trans)
 
 
-def generate(cfg: SynthConfig) -> SynthDataset:
-    """Build the full sequence; a pure function of the config."""
+def frames(cfg: SynthConfig):
+    """Yield the sequence's (cloud, labels) pairs in frame order.
+
+    Each frame is built only when it is asked for, so a caller that writes
+    or drops a frame before taking the next holds one frame at a time.
+    """
     cfg.validate()
     true_poses = _interpolated_poses(cfg)
     density = cfg.points_per_surface
@@ -267,7 +271,6 @@ def generate(cfg: SynthConfig) -> SynthDataset:
             instance_ids[b] = next_instance
             next_instance += 1
 
-    clouds, labels = [], []
     for t in range(cfg.frames):
         chunks, sems, insts = [], [], []
         for b, body in enumerate(cfg.bodies):
@@ -288,32 +291,49 @@ def generate(cfg: SynthConfig) -> SynthDataset:
         # scans are stored in the sensor frame, like real recordings
         local = geometry.apply_points(geometry.invert(true_poses[t]), points[keep])
         points = local.astype(np.float32).astype(np.float64)
-        clouds.append(
-            PointCloud(points, np.zeros(len(points)), frame_id=t, sequence_id="00")
-        )
-        labels.append(
-            LabelMap(semantic[keep], instance[keep], frame_id=t, sequence_id="00")
+        yield (
+            PointCloud(points, np.zeros(len(points)), frame_id=t, sequence_id="00"),
+            LabelMap(semantic[keep], instance[keep], frame_id=t, sequence_id="00"),
         )
 
-    poses = [_perturbed(p, cfg, t) for t, p in enumerate(true_poses)]
-    return SynthDataset(cfg, tuple(clouds), tuple(labels), tuple(poses), tuple(true_poses))
+
+def reported_poses(cfg: SynthConfig) -> list:
+    """The world-from-sensor poses a recording reports: the exact ones,
+    perturbed by the config's pose noise."""
+    return [_perturbed(p, cfg, t) for t, p in enumerate(_interpolated_poses(cfg))]
 
 
-def export(dataset: SynthDataset, root_path) -> None:
-    """Write the dataset in the standard sequence layout under root_path."""
+def generate(cfg: SynthConfig) -> SynthDataset:
+    """Build the full sequence in memory; a pure function of the config."""
+    clouds, labels = zip(*frames(cfg))
+    return SynthDataset(cfg, clouds, labels, tuple(reported_poses(cfg)),
+                        tuple(_interpolated_poses(cfg)))
+
+
+def export(pairs, poses, root_path) -> tuple:
+    """Write (cloud, labels) pairs and their poses in the standard sequence
+    layout under root_path.
+
+    Each frame's scan and label files are written as soon as `pairs` yields
+    it, so streaming `frames(cfg)` holds one frame at a time. Returns the
+    number of frames and of points written.
+    """
     from pathlib import Path
 
     seq_dir = Path(root_path) / "sequences" / "00"
+    count = points = 0
     try:
         (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
         (seq_dir / "labels").mkdir(parents=True, exist_ok=True)
-        for t, (cloud, label) in enumerate(zip(dataset.clouds, dataset.labels)):
+        for t, (cloud, label) in enumerate(pairs):
             lidar_io.write_scan(cloud, seq_dir / "velodyne" / f"{t:06d}.bin")
             lidar_io.write_labels(label, seq_dir / "labels" / f"{t:06d}.label")
-        lidar_io.write_poses(dataset.poses, seq_dir / "poses.txt")
+            count, points = t + 1, points + len(cloud)
+        lidar_io.write_poses(poses, seq_dir / "poses.txt")
         lidar_io.write_calibration(seq_dir / "calib.txt", geometry.identity())
     except OSError as exc:
         raise IoError(f"cannot export dataset to {root_path}: {exc}") from exc
+    return count, points
 
 
 _SCALAR_KEYS = {

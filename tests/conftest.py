@@ -46,6 +46,11 @@ def one_box_config(**overrides) -> synth.SynthConfig:
     return synth.SynthConfig(**base)
 
 
+def export(dataset: synth.SynthDataset, root):
+    """Write an in-memory dataset through synth's streaming writer."""
+    return synth.export(zip(dataset.clouds, dataset.labels), dataset.poses, root)
+
+
 @pytest.fixture(scope="session")
 def corridor_dataset():
     return synth.generate(corridor_config())

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from plelidar import cli, evaluation, lidar_io, ple, split as split_mod, synth
+from plelidar.errors import DataError
 from plelidar.ssl_mini import read_history
 
-from conftest import corridor_config, one_box_config
+from conftest import corridor_config, export, one_box_config
 
 
 def _scene_file(tmp_path, cfg) -> Path:
@@ -75,6 +76,20 @@ def test_synth_is_reproducible(tmp_path):
     assert cli.main(["synth", "--config", str(scene), "--out", str(a)]) == 0
     assert cli.main(["synth", "--config", str(scene), "--out", str(b)]) == 0
     assert _tree_bytes(a) == _tree_bytes(b)
+
+
+@pytest.mark.parametrize("sampling", ["fixed", "per-frame"])
+def test_synth_output_equals_writing_generate(tmp_path, capsys, sampling):
+    cfg = one_box_config(frames=6, points_per_surface=1.0, sampling=sampling,
+                         pose_noise_translation=0.05, pose_noise_rotation=0.01)
+    streamed, in_memory = tmp_path / "streamed", tmp_path / "in_memory"
+    scene = _scene_file(tmp_path, cfg)
+    assert cli.main(["synth", "--config", str(scene), "--out", str(streamed)]) == 0
+    dataset = synth.generate(cfg)
+    export(dataset, in_memory)
+    assert _tree_bytes(streamed, skip_names=("synth.config",)) == _tree_bytes(in_memory)
+    points = sum(len(cloud) for cloud in dataset.clouds)
+    assert capsys.readouterr().out == f"frames=6 points={points} out={streamed}\n"
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +350,52 @@ def test_ple_unreachable_frames_exit_empty(workspace, tmp_path, capsys):
         ]
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("mode", [[], ["--progressive"]], ids=["naive", "progressive"])
+def test_failed_ple_keeps_the_estimates_written_before_it(workspace, tmp_path, monkeypatch,
+                                                          capsys, mode, k):
+    argv = ["ple", "--root", str(workspace["data"]), "--split", str(workspace["split"]), *mode]
+    full, failed = tmp_path / "full", tmp_path / "failed"
+    written = []
+
+    def write(pmap, path, _real=ple.write_ple):
+        written.append(f"00/{Path(path).name}")
+        _real(pmap, path)
+
+    monkeypatch.setattr(ple, "write_ple", write)
+    assert cli.main([*argv, "--out", str(full)]) == 0
+    calls = Counter()
+
+    def estimate(*args, _real=ple.estimate_labels, **kwargs):
+        calls["estimate"] += 1
+        if calls["estimate"] == k:
+            raise DataError("injected")
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(ple, "estimate_labels", estimate)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(failed)]) == 3
+    frame = int(Path(written[k - 1]).stem)
+    assert f"error: sequence 00, frame {frame}: injected" in capsys.readouterr().err
+    # the first k-1 estimates stay, whole; no ple.config marks a finished run
+    kept = {name for ple_file in written[:k - 1]
+            for name in (ple_file, ple_file.replace(ple.PLE_SUFFIX, ple.META_SUFFIX))}
+    assert _tree_bytes(failed) == {name: data for name, data in _tree_bytes(full).items()
+                                   if name in kept}
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_stray_file_under_ple_dir_exits_data(workspace, estimates, tmp_path, capsys, command):
+    est = tmp_path / "est"
+    shutil.copytree(estimates, est)
+    stray = est / "00" / f"first{ple.PLE_SUFFIX}"
+    shutil.copy(sorted((est / "00").glob(f"*{ple.PLE_SUFFIX}"))[0], stray)
+    argv = [command, "--root", str(workspace["data"]), "--split", str(workspace["split"]),
+            "--ple-dir", str(est), "--out", str(tmp_path / "r")]
+    assert cli.main(argv + (["--steps", "1"] if command == "train" else [])) == 3
+    assert f"error: {stray}: " in capsys.readouterr().err
 
 
 def test_eval_scores_ignore_class_prediction_as_miss(workspace, estimates, tmp_path, capsys):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plelidar import geometry, lidar_io, ple, synth
@@ -19,7 +20,7 @@ from plelidar.lidar_io import LabelMap, PointCloud
 from plelidar.ple import DatasetSource, PleConfig, PseudoLabelMap
 from plelidar.spatial_index import nearest_brute
 
-from conftest import corridor_config
+from conftest import corridor_config, export
 
 
 def _cloud(points, frame_id=0):
@@ -328,7 +329,7 @@ class TestRunners:
             assert a.mean_distance == b.mean_distance
 
     def test_progressive_decodes_each_frame_once(self, corridor_short, tmp_path, monkeypatch):
-        synth.export(corridor_short, tmp_path)
+        export(corridor_short, tmp_path)
         manifest = lidar_io.build_manifest(tmp_path)
         real_read = lidar_io.read_scan
         reads = []
@@ -345,7 +346,7 @@ class TestRunners:
     def test_naive_reads_labels_of_ground_truth_references_only(
         self, corridor_short, tmp_path, monkeypatch
     ):
-        synth.export(corridor_short, tmp_path)
+        export(corridor_short, tmp_path)
         manifest = lidar_io.build_manifest(tmp_path)
         counted = {"read_scan": Counter(), "read_labels": Counter()}
         for name, reads in counted.items():
@@ -362,7 +363,7 @@ class TestRunners:
 
     def test_gt_labels_checks_scan_size_without_decoding(self, corridor_short, tmp_path,
                                                          monkeypatch):
-        synth.export(corridor_short, tmp_path)
+        export(corridor_short, tmp_path)
         source = ple.ManifestSource(lidar_io.build_manifest(tmp_path))
         scan = tmp_path / "sequences" / "00" / "velodyne" / "000002.bin"
         expected = len(lidar_io.read_scan(scan))
@@ -374,7 +375,7 @@ class TestRunners:
 
     def test_real_dataset_loop_runs_on_export(self, corridor_short, tmp_path):
         # test_acceptance::test_11's code path, on a synthetic export
-        synth.export(corridor_short, tmp_path)
+        export(corridor_short, tmp_path)
         manifest_by_seq = {
             m.sequence_id: m for m in lidar_io.build_manifest(tmp_path) if m.label_paths
         }
@@ -404,6 +405,162 @@ class TestRunners:
     def test_sequence_without_labeled_frames_skipped(self, corridor_short):
         source = DatasetSource(corridor_short)
         assert ple.run_naive(source, {}, PleConfig()) == {}
+
+
+def _round_order_run(source, split: dict, cfg: PleConfig, schedule) -> dict:
+    """The run as its schedule reads: round by round, every estimate kept."""
+    results = {}
+    for seq in source.sequence_ids():
+        labeled = set(split.get(seq, ()))
+        if not labeled:
+            continue
+        for entries in schedule(labeled, source.frame_count(seq), cfg, source.frequency(seq)):
+            for f, refs in entries:
+                target_pose = source.pose(seq, f)
+                references = []
+                for g in refs:
+                    labels = results.get((seq, g))
+                    if labels is None:
+                        labels = source.gt_labels(seq, g)
+                    references.append((source.cloud(seq, g), labels, geometry.relative_transform(
+                        source.pose(seq, g), target_pose)))
+                results[(seq, f)] = ple.estimate_labels(source.cloud(seq, f), references, cfg)
+    return results
+
+
+def _assert_same_estimates(got: dict, want: dict) -> None:
+    assert sorted(got) == sorted(want)
+    for key, b in want.items():
+        a = got[key]
+        for field in ("semantic", "valid", "origin_kind"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), (key, field)
+        assert (a.frame_id, a.sequence_id, a.references, a.mean_distance) == (
+            b.frame_id, b.sequence_id, b.references, b.mean_distance), key
+
+
+@pytest.fixture(scope="module")
+def moving_40():
+    """40 frames with two moving boxes, few points per frame."""
+    cfg = corridor_config(
+        frames=40, points_per_surface=0.3, sampling="per-frame",
+        bodies=corridor_config().bodies + (
+            synth.Box(10, (4.0, 3.0, 1.1), (4.0, 2.0, 1.6), (5.0, 0.0, 0.0)),
+            synth.Box(30, (12.0, -5.0, 1.0), (0.8, 0.8, 1.8), (0.0, 2.0, 0.0)),
+        ),
+    )
+    return synth.generate(cfg)
+
+
+def _cross_chain_references(labeled: set, rounds) -> int:
+    """References from a target to an estimate of another chain."""
+    root = {f: ple.chain_root(labeled, f) for entries in rounds for f, _ in entries}
+    return sum(g in root and root[g] != root[f]
+               for entries in rounds for f, refs in entries for g in refs)
+
+
+def test_every_tenth_frame_labeled_has_cross_chain_references():
+    labeled = set(range(0, 40, 10))
+    rounds = ple.schedule_progressive(labeled, 40, PleConfig(progressive=True), 10.0)
+    assert _cross_chain_references(labeled, rounds) == 19
+
+
+@st.composite
+def _stream_case(draw):
+    length = draw(st.integers(2, 40))
+    labeled = draw(st.sets(st.integers(0, length - 1), min_size=1, max_size=8))
+    window_seconds = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0]))
+    max_references = draw(st.integers(1, 6))
+    max_distance = draw(st.sampled_from([None, 0.4]))
+    progressive = draw(st.booleans())
+    return length, labeled, PleConfig(window_seconds, max_references, max_distance, progressive)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stream_case())
+@example((40, set(range(0, 40, 10)), PleConfig(progressive=True)))
+@example((40, {3, 9, 15, 31}, PleConfig(0.5, 6, progressive=True)))
+def test_streamed_run_equals_round_order_run(moving_40, case):
+    length, labeled, cfg = case
+    data = dataclasses.replace(
+        moving_40, clouds=moving_40.clouds[:length], labels=moving_40.labels[:length],
+        poses=moving_40.poses[:length], true_poses=moving_40.true_poses[:length])
+    source = DatasetSource(data)
+    split = {"00": tuple(sorted(labeled))}
+    run, schedule = ((ple.run_progressive, ple.schedule_progressive) if cfg.progressive
+                     else (ple.run_naive, ple.schedule_naive))
+    try:
+        want = _round_order_run(source, split, cfg, schedule)
+    except EmptyIndexError:
+        # a reference set whose every point is out of range; the stream fails too
+        with pytest.raises(EmptyIndexError):
+            run(source, split, cfg)
+        return
+    emitted = []
+    assert run(source, split, cfg, emit=lambda key, pmap: emitted.append((key, pmap))) == {}
+    keys = [key for key, _ in emitted]
+    assert len(set(keys)) == len(keys)
+    # an estimate is emitted only after every estimate it references
+    for i, ((_, f), pmap) in enumerate(emitted):
+        assert {("00", g) for g in pmap.references if ("00", g) in want} <= set(keys[:i])
+        assert pmap.frame_id == f
+    _assert_same_estimates(dict(emitted), want)
+    _assert_same_estimates(run(source, split, cfg), want)
+
+
+@pytest.fixture(scope="module")
+def long_sparse(tmp_path_factory):
+    """300 exported frames of a few dozen points each."""
+    root = tmp_path_factory.mktemp("long")
+    export(synth.generate(corridor_config(frames=300, points_per_surface=0.05)), root)
+    return lidar_io.build_manifest(root)
+
+
+@pytest.mark.parametrize("progressive", [False, True], ids=["naive", "progressive"])
+@pytest.mark.parametrize("window_seconds, max_references", [(1.0, 4), (0.5, 8)])
+@pytest.mark.parametrize("labeled", [
+    tuple(range(5, 300, 12)),
+    (0, 7, 40, 100, 101, 160, 171, 250, 299),
+], ids=["every-12th", "irregular"])
+def test_long_sparse_run_holds_a_bounded_live_set(long_sparse, monkeypatch, progressive,
+                                                  window_seconds, max_references, labeled):
+    alive = {kind: weakref.WeakSet() for kind in ("scan", "labels", "estimate")}
+    reads = Counter()
+    for name, kind in (("read_scan", "scan"), ("read_labels", "labels")):
+        def read(path, *args, _real=getattr(lidar_io, name), _kind=kind, **kwargs):
+            reads[_kind, Path(path).stem] += 1
+            item = _real(path, *args, **kwargs)
+            alive[_kind].add(item)
+            return item
+        monkeypatch.setattr(lidar_io, name, read)
+    peak = Counter()
+
+    def estimate(*args, _real=ple.estimate_labels, **kwargs):
+        # the live set is largest here: the references are still held
+        pmap = _real(*args, **kwargs)
+        alive["estimate"].add(pmap)
+        for kind, objects in alive.items():
+            peak[kind] = max(peak[kind], len(objects))
+        return pmap
+
+    monkeypatch.setattr(ple, "estimate_labels", estimate)
+    cfg = PleConfig(window_seconds, max_references, progressive=progressive)
+    run = ple.run_progressive if progressive else ple.run_naive
+    emitted = Counter()
+    run(ple.ManifestSource(long_sparse), {"00": labeled}, cfg,
+        emit=lambda key, pmap: emitted.update([key]))
+    schedule = ple.schedule_progressive if progressive else ple.schedule_naive
+    assert sorted(emitted) == [("00", f) for f in _targets(schedule(set(labeled), 300, cfg, 10.0))]
+    assert set(emitted.values()) == {1}
+    assert set(reads.values()) == {1}
+    # Stated bound: at most 2 * (window + max_refs) estimates, scans and
+    # label maps alive at once, at any sequence length; naive mode keeps no
+    # estimate but the one being made. Measured here: at most 9 estimates
+    # and 10 scans, where a run that keeps every estimate ends with 66 to
+    # 275 of them.
+    bound = 2 * (cfg.window_frames(10.0) + max_references)
+    assert peak["estimate"] <= (bound if progressive else 1)
+    assert peak["scan"] <= bound
+    assert peak["labels"] + peak["estimate"] <= bound
 
 
 class TestFileFormat:

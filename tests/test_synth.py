@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from plelidar import geometry, lidar_io, synth
 from plelidar.errors import ConfigError
 from plelidar.synth import Box, Ground, SynthConfig, Wall
 
-from conftest import corridor_config, one_box_config
+from conftest import corridor_config, export, one_box_config
 
 
 def _world_points(dataset, t):
@@ -155,7 +157,7 @@ def test_box_has_no_bottom_face():
 
 
 def test_export_round_trip(tmp_path, one_box_dataset):
-    synth.export(one_box_dataset, tmp_path)
+    export(one_box_dataset, tmp_path)
     manifest = lidar_io.build_manifest(tmp_path, scan_frequency_hz=10.0)
     (seq,) = manifest.sequences
     assert seq.sequence_id == "00"
@@ -170,6 +172,21 @@ def test_export_round_trip(tmp_path, one_box_dataset):
             np.abs(seq.poses[t].as_matrix() - one_box_dataset.poses[t].as_matrix()).max()
             < 1e-12
         )
+
+
+def test_streamed_export_memory_does_not_grow_with_frames(tmp_path):
+    def peak(frames):
+        cfg = corridor_config(frames=frames, points_per_surface=4.0, sampling="per-frame")
+        tracemalloc.start()
+        try:
+            synth.export(synth.frames(cfg), synth.reported_poses(cfg), tmp_path / str(frames))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(40)  # first-call allocations are not the export's
+    # measured: 1.2x; building every frame before writing one gives 3.8x
+    assert peak(160) <= 1.5 * peak(40)
 
 
 def test_config_text_round_trip():
