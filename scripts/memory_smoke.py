@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Check that `synth` and `ple` hold no more memory on a long sequence.
 
-    python3 scripts/memory_smoke.py [--short 40] [--long 400] [--tolerance 0.10]
+    python3 scripts/memory_smoke.py
 
 Runs `synth`, `split`, `ple` and `ple --progressive` (10 % labelled) on
-one corridor scene at two lengths, each command as its own process, and
-reads each command's peak resident memory (`ru_maxrss`, Linux) from
-`os.wait4`. Both lengths cover the same drive through the same scene, so
+one corridor scene at `SHORT` and `LONG` frames, each command as its own
+process, and reads each command's peak resident memory (`ru_maxrss`,
+Linux) from `os.wait4`. Both lengths cover the same drive through the same scene, so
 every frame holds about the same points and only the number of frames
 grows. Exits 1 if any command's peak on the long sequence exceeds its peak
-on the short one by more than the tolerance. The package is used from
+on the short one by more than `TOLERANCE`. The package is used from
 `src/` of this checkout; scratch files go to a temporary directory.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -24,6 +23,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 COMMANDS = ("synth", "split", "ple", "ple --progressive")
+SHORT, LONG, TOLERANCE = 40, 400, 0.10
 
 
 def scene(frames: int) -> str:
@@ -73,23 +73,17 @@ def peaks(frames: int, work: Path) -> dict:
     return {command: peak_mb(argvs[command]) for command in COMMANDS}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--short", type=int, default=40, help="frames of the short sequence")
-    parser.add_argument("--long", type=int, default=400, help="frames of the long sequence")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        help="largest allowed growth of a peak, as a fraction")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        short = peaks(args.short, Path(tmp))
-        long = peaks(args.long, Path(tmp))
+        short = peaks(SHORT, Path(tmp))
+        long = peaks(LONG, Path(tmp))
     failed = False
     for command in COMMANDS:
         growth = long[command] / short[command] - 1.0
-        over = growth > args.tolerance
+        over = growth > TOLERANCE
         failed |= over
-        print(f"{command:18} {args.short} frames {short[command]:6.1f} MB  "
-              f"{args.long} frames {long[command]:6.1f} MB  {growth:+6.1%}"
+        print(f"{command:18} {SHORT} frames {short[command]:6.1f} MB  "
+              f"{LONG} frames {long[command]:6.1f} MB  {growth:+6.1%}"
               + ("  FAIL" if over else ""))
     return 1 if failed else 0
 

@@ -161,6 +161,8 @@ def cmd_ple(args) -> int:
         ple.write_ple(pmap, seq_dir / f"{frame:06d}{ple.PLE_SUFFIX}")
         frames, points = frames + 1, points + len(pmap)
 
+    # only a finished run leaves a ple.config, also over an earlier run's files
+    (out / "ple.config").unlink(missing_ok=True)
     runner(source, labeled, cfg, emit=write)
 
     out.mkdir(parents=True, exist_ok=True)

@@ -384,6 +384,12 @@ def test_failed_ple_keeps_the_estimates_written_before_it(workspace, tmp_path, m
             for name in (ple_file, ple_file.replace(ple.PLE_SUFFIX, ple.META_SUFFIX))}
     assert _tree_bytes(failed) == {name: data for name, data in _tree_bytes(full).items()
                                    if name in kept}
+    # failing over a finished run leaves its estimates but takes away its ple.config
+    rerun = tmp_path / "rerun"
+    shutil.copytree(full, rerun)
+    calls.clear()
+    assert cli.main([*argv, "--out", str(rerun)]) == 3
+    assert _tree_bytes(rerun) == _tree_bytes(full, skip_names={"ple.config"})
 
 
 @pytest.mark.parametrize("command", ["eval", "train"])
