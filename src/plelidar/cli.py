@@ -31,6 +31,7 @@ EXIT_DATA = 3
 EXIT_EMPTY = 4
 
 TAU_SWEEP = (0.0, 0.5, 0.7, 0.9)
+SWEEP_COLUMNS = ("tau", "pseudo_label_accuracy")
 
 
 def write_flat(path, pairs: dict) -> None:
@@ -142,11 +143,10 @@ def cmd_ple(args) -> int:
     manifest = lidar_io.build_manifest(args.root, args.frequency)
     source = ple.ManifestSource(manifest)
     labeled = _load_split_for(manifest, args.split)
-    max_distance = None if args.max_distance == float("inf") else args.max_distance
     cfg = ple.PleConfig(
         window_seconds=args.window_seconds,
         max_references=args.max_refs,
-        max_distance=max_distance,
+        max_distance=args.max_distance,
         progressive=args.progressive,
     )
     runner = ple.run_progressive if args.progressive else ple.run_naive
@@ -191,13 +191,6 @@ def _eval_frames(ple_dir: Path) -> list:
     return frames
 
 
-def _nearest_labeled_offset(split: dict, seq: str, frame: int) -> int | None:
-    frames = split.get(seq)
-    if not frames:
-        return None
-    return min(abs(frame - g) for g in frames)
-
-
 def cmd_eval(args) -> int:
     if args.group_by_offset and args.split is None:
         raise ConfigError("--group-by-offset needs --split to locate labeled frames")
@@ -227,7 +220,8 @@ def cmd_eval(args) -> int:
             frame_cm = evaluation.accumulate(
                 evaluation.ConfusionMatrix(classes, args.ignore_class), gt, pred)
             cm = frame_cm if cm is None else evaluation.merged(cm, frame_cm)
-        offset = _nearest_labeled_offset(split, seq, frame) if args.group_by_offset else None
+        roots = split.get(seq) if args.group_by_offset else None
+        offset = abs(frame - ple.chain_root(roots, frame)) if roots else 0
         if offset:
             # a frame with nothing outside the ignore class scores 0
             per_frame.append((offset, evaluation.metrics(frame_cm) if classes
@@ -306,9 +300,7 @@ def cmd_train(args) -> int:
             _warn_if_unscored(scored, tau)
             rows.append((tau, acc))
             log.info("sweep tau=%.2f accuracy=%.4f", tau, acc)
-        lines = ["tau,pseudo_label_accuracy"]
-        lines += [f"{tau:.17g},{acc:.17g}" for tau, acc in rows]
-        (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+        evaluation.write_rows(out / "sweep.csv", "csv", "sweep", SWEEP_COLUMNS, rows)
         print("sweep=" + " ".join(f"{tau:g}:{acc:.4f}" for tau, acc in rows))
         return EXIT_OK
     student, teacher, history = ssl_mini.train_loop(data, cfg, args.single_branch)

@@ -130,7 +130,7 @@ def interval_curve(per_frame_reports) -> list:
     return [(k, float(np.mean(groups[k]))) for k in sorted(groups)]
 
 
-def _write_rows(path, format: str, what: str, columns: tuple, rows) -> None:
+def write_rows(path, format: str, what: str, columns: tuple, rows) -> None:
     """Write rows, tuples in column order, as a csv or json-lines table.
 
     csv: a header line, None as an empty cell, floats as ``.17g``. json: one
@@ -157,10 +157,10 @@ def write_report(report: EvalReport, path, format: str = "csv") -> None:
     rows = [(c, report.per_class_iou.get(c), report.per_class_precision.get(c),
              report.point_counts.get(c, 0)) for c in report.classes()]
     rows.append(("mean", report.miou, report.mprecision, sum(report.point_counts.values())))
-    _write_rows(path, format, "report", REPORT_COLUMNS, rows)
+    write_rows(path, format, "report", REPORT_COLUMNS, rows)
 
 
-def _read_rows(path, format: str, what: str, columns: tuple, parse) -> list:
+def read_rows(path, format: str, what: str, columns: tuple, parse) -> list:
     """Parse each data row of a csv or json-lines table with parse.
 
     parse receives the row as a dict: a json object, or the csv cells keyed by
@@ -200,7 +200,7 @@ def _report_row(row: dict) -> tuple:
 
 
 def read_report(path, format: str = "csv") -> EvalReport:
-    rows = _read_rows(path, format, "report", REPORT_COLUMNS, _report_row)
+    rows = read_rows(path, format, "report", REPORT_COLUMNS, _report_row)
     per_iou, per_prec, per_count = {}, {}, {}
     miou = mprec = 0.0
     for c, iou, prec, count in rows:
@@ -218,9 +218,9 @@ def read_report(path, format: str = "csv") -> EvalReport:
 
 def write_curve(curve, path, format: str = "csv") -> None:
     """Persist an interval curve as (offset, accuracy) rows."""
-    _write_rows(path, format, "curve", CURVE_COLUMNS, [(int(o), v) for o, v in curve])
+    write_rows(path, format, "curve", CURVE_COLUMNS, [(int(o), v) for o, v in curve])
 
 
 def read_curve(path, format: str = "csv") -> list:
-    return _read_rows(path, format, "curve", CURVE_COLUMNS,
-                      lambda row: (int(row["offset"]), float(row["accuracy"])))
+    return read_rows(path, format, "curve", CURVE_COLUMNS,
+                     lambda row: (int(row["offset"]), float(row["accuracy"])))

@@ -45,7 +45,8 @@ class RigidTransform:
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-        if rotation_defect(r) > _ORTHO_TOL or abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
+        ok = rotation_defect(r) <= _ORTHO_TOL and abs(np.linalg.det(r) - 1.0) <= _ORTHO_TOL
+        if not ok:  # written so that NaN fails
             raise ValueError("rotation is not orthonormal with determinant +1")
 
     def as_matrix(self) -> np.ndarray:

@@ -160,12 +160,14 @@ def _parse_matrix_line(line: str, lineno: int, path) -> np.ndarray:
         values = [float(p) for p in parts]
     except ValueError:
         raise FormatError(f"{path}:{lineno}: non-numeric pose entry") from None
+    if not all(map(math.isfinite, values)):
+        raise FormatError(f"{path}:{lineno}: non-finite pose entry")
     return np.array(values, dtype=np.float64).reshape(3, 4)
 
 
 def _checked_transform(mat34: np.ndarray, context: str) -> RigidTransform:
     defect = geometry.rotation_defect(mat34[:, :3])
-    if defect > _POSE_ORTHO_TOL:
+    if not defect <= _POSE_ORTHO_TOL:  # written so that NaN fails
         raise DataError(f"{context}: rotation defect {defect:.3e} exceeds {_POSE_ORTHO_TOL}")
     return RigidTransform(geometry.orthonormalize(mat34[:, :3]), mat34[:, 3])
 

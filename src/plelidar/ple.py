@@ -5,15 +5,15 @@ labeled points are transformed into the target's sensor frame with the pose
 difference, pooled into one KD-tree, and every target point takes the class
 of its globally nearest pooled point.
 
-Two drivers share one run loop. ``run_naive`` is a single round that
-references ground-truth frames only, within a temporal window around each
-unlabeled frame. ``run_progressive`` moves outward from the labeled frames in
-rounds of growing temporal offset, letting earlier-round outputs serve as
-references for later rounds; every frame belongs to exactly one chain, rooted
-at its temporally nearest ground-truth frame (ties to the earlier frame id),
-and its references always stay within the window of that root. The loop
-runs the targets in an order that follows their references, not round by
-round, so it can hand each estimate on as soon as it is made.
+Two schedules plan a sequence as ``{target: references}``, and one run loop
+carries either plan out. ``schedule_naive`` references ground-truth frames
+only, within a temporal window around each unlabeled frame.
+``schedule_progressive`` lets estimates serve as references: every frame
+belongs to one chain, rooted at its temporally nearest ground-truth frame
+(ties to the earlier frame id), and a target at offset k from its root may
+reference any frame within the root's window whose own offset is below k.
+The loop runs the targets in an order that follows their references, so it
+can hand each estimate on as soon as it is made.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _VALID_BIT = 1 << 17
 class PleConfig:
     window_seconds: float = 1.0
     max_references: int = 4
-    max_distance: float | None = None
+    max_distance: float = math.inf
     progressive: bool = False
 
     def __post_init__(self):
@@ -60,7 +60,7 @@ class PleConfig:
                 f"window_seconds must be positive and finite, got {self.window_seconds}")
         if self.max_references < 1:
             raise ConfigError(f"max_references must be >= 1, got {self.max_references}")
-        if self.max_distance is not None and not self.max_distance > 0:
+        if not self.max_distance > 0:
             raise ConfigError(f"max_distance must be positive, got {self.max_distance}")
 
     def window_frames(self, frequency: float) -> int:
@@ -166,10 +166,8 @@ def estimate_labels(target_cloud: PointCloud, references, cfg: PleConfig) -> Pse
     tree = KdTree(pool_pts)
     idx, dist = tree.nearest(target_cloud.points)
     semantic = pool_sem[idx].astype(np.int32)
-    valid = np.ones(len(idx), dtype=bool)
-    if cfg.max_distance is not None:
-        valid = dist <= cfg.max_distance
-        semantic = np.where(valid, semantic, IGNORE_CLASS).astype(np.int32)
+    valid = dist <= cfg.max_distance
+    semantic = np.where(valid, semantic, IGNORE_CLASS).astype(np.int32)
     return PseudoLabelMap(
         semantic=semantic,
         valid=valid,
@@ -268,21 +266,13 @@ def _estimate_for(source, seq: str, target: int, refs, scans, labels,
     return estimate_labels(scans.take(target), references, cfg)
 
 
-def schedule_naive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> list:
-    """One-round plan for one sequence, shaped like ``schedule_progressive``.
-
-    The round holds (target, references) pairs for every unlabeled frame
+def schedule_naive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> dict:
+    """Plan for one sequence: {target: references} for every unlabeled frame
     with a ground-truth frame in its window; references are ground truth
-    only. Empty when no frame qualifies.
-    """
-    entries = []
-    for f in range(length):
-        if f in labeled:
-            continue
-        refs = select_references(labeled, f, cfg, frequency)
-        if refs:
-            entries.append((f, tuple(refs)))
-    return [entries] if entries else []
+    only."""
+    refs_of = {f: tuple(select_references(labeled, f, cfg, frequency))
+               for f in range(length) if f not in labeled}
+    return {f: refs for f, refs in refs_of.items() if refs}
 
 
 def chain_root(labeled: set, target: int) -> int:
@@ -290,36 +280,26 @@ def chain_root(labeled: set, target: int) -> int:
     return min(labeled, key=lambda g: (abs(g - target), g))
 
 
-def schedule_progressive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> list:
-    """Round-by-round plan for one sequence.
+def schedule_progressive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> dict:
+    """Plan for one sequence: {target: references} for every frame within
+    the window of its chain root.
 
-    Returns a list of rounds; round k-1 holds (target, references) pairs for
-    all frames at offset k from their chain root. References are selected
-    from frames already labeled before the round starts (ground truth plus
-    all earlier rounds), restricted to the window of the target's root.
+    A target's offset is its distance to its root; ground truth has offset
+    0. Its candidates are the frames within the root's window at a smaller
+    offset than its own, so the nearest frames are labelled first and no
+    estimate references one at its own offset or beyond.
     """
     window = cfg.window_frames(frequency)
-    roots = {}
-    for f in range(length):
-        if f in labeled or not labeled:
-            continue
-        root = chain_root(labeled, f)
-        if abs(f - root) <= window:
-            roots[f] = root
-    rounds = []
-    grown = set(labeled)
-    for k in range(1, window + 1):
-        targets = sorted(f for f, root in roots.items() if abs(f - root) == k)
-        if not targets:
-            continue
-        entries = []
-        for f in targets:
-            candidates = {g for g in grown if abs(g - roots[f]) <= window}
-            refs = select_references(candidates, f, cfg, frequency)
-            entries.append((f, tuple(refs)))
-        rounds.append(entries)
-        grown.update(targets)
-    return rounds
+    root = {f: chain_root(labeled, f) for f in range(length)} if labeled else {}
+    offset = {f: abs(f - r) for f, r in root.items()}
+    refs_of = {}
+    for f, k in offset.items():
+        if 0 < k <= window:
+            r = root[f]
+            candidates = [g for g in range(max(0, r - window), min(length, r + window + 1))
+                          if offset[g] < k]
+            refs_of[f] = tuple(select_references(candidates, f, cfg, frequency))
+    return refs_of
 
 
 class _UseCounted:
@@ -349,11 +329,12 @@ def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit) -> None:
     """Run each sequence's plan in dependency order, handing every estimate
     to emit((sequence, frame), estimate) as soon as it is made.
 
-    An estimate depends only on its references' labels, and no schedule
-    references a target of its own round, so any order that makes every
-    estimated reference before its targets writes the same bytes as the
-    plan's round order. Of the targets whose references are all done, the
-    smallest frame id runs next, so the run advances through the sequence.
+    An estimate depends only on its references' labels, and every
+    estimated reference sits at a smaller offset than its target, so the
+    graph has no cycle and any order that makes every estimated reference
+    before its targets writes the same bytes. Of the targets whose
+    references are all done, the smallest frame id runs next, so the run
+    advances through the sequence.
     A scan, a ground-truth label map or an estimate is read (or made) once,
     kept while a later target still needs it, and dropped after its last
     use; a target's label file is never read.
@@ -362,8 +343,7 @@ def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit) -> None:
         labeled = set(split.get(seq, ()))
         if not labeled:
             continue
-        rounds = schedule(labeled, source.frame_count(seq), cfg, source.frequency(seq))
-        refs_of = {f: refs for entries in rounds for f, refs in entries}
+        refs_of = schedule(labeled, source.frame_count(seq), cfg, source.frequency(seq))
         waiting = dict.fromkeys(refs_of, 0)
         dependents: dict = {}
         scan_uses = Counter(refs_of.keys())  # each target reads its own scan once
@@ -412,7 +392,8 @@ def run_naive(source, split: dict, cfg: PleConfig, workers: int = 1, *, emit=Non
 
 def run_progressive(source, split: dict, cfg: PleConfig, workers: int = 1, *,
                     emit=None) -> dict:
-    """Estimate labels outward from the ground-truth frames, round by round.
+    """Estimate labels outward from the ground-truth frames, nearest first:
+    a frame may reference estimates closer to its chain root than itself.
 
     Covers exactly the frames run_naive covers, and returns or emits them
     the same way. `workers` is accepted and ignored: the run is

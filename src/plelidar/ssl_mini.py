@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import evaluation
 from .errors import ConfigError, DataError, FormatError, ShapeError
 
 IGNORE_LABEL = -1
@@ -463,26 +464,14 @@ def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):
 
 
 def write_history(history, path) -> None:
-    lines = [",".join(HISTORY_COLUMNS)]
-    for row in history:
-        step = int(row[0])
-        lines.append(str(step) + "," + ",".join(f"{v:.17g}" for v in row[1:]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    evaluation.write_rows(path, "csv", "history", HISTORY_COLUMNS,
+                          [(int(row[0]), *map(float, row[1:])) for row in history])
 
 
 def read_history(path) -> list:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != ",".join(HISTORY_COLUMNS):
-        raise FormatError(f"{path}: missing history header")
-    out = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(HISTORY_COLUMNS):
-            raise FormatError(f"{path}: expected {len(HISTORY_COLUMNS)} columns")
-        out.append((int(parts[0]), *[float(v) for v in parts[1:]]))
-    return out
+    return evaluation.read_rows(
+        path, "csv", "history", HISTORY_COLUMNS,
+        lambda row: (int(row["step"]), *(float(row[c]) for c in HISTORY_COLUMNS[1:])))
 
 
 def save_model(net: DualHeadNet, path) -> None:

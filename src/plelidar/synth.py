@@ -44,6 +44,9 @@ class Ground:
     def values(self) -> list:
         return [self.class_id, self.x_min, self.x_max, self.y_min, self.y_max, self.z]
 
+    def extents(self) -> tuple:
+        return (self.x_max - self.x_min, self.y_max - self.y_min)
+
 
 @dataclass(frozen=True)
 class Wall:
@@ -59,6 +62,9 @@ class Wall:
 
     def values(self) -> list:
         return [self.class_id, self.x0, self.y0, self.x1, self.y1, self.height, self.z_base]
+
+    def extents(self) -> tuple:
+        return (math.hypot(self.x1 - self.x0, self.y1 - self.y0), self.height)
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,9 @@ class Box:
     def values(self) -> list:
         return [self.class_id, *self.center, *self.size, *self.velocity]
 
+    def extents(self) -> tuple:
+        return self.size
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -96,20 +105,27 @@ class SynthConfig:
     bodies: tuple = field(default_factory=tuple)
 
     def validate(self) -> None:
+        # written so that NaN fails every check
         if self.frames < 2:
             raise ConfigError(f"frames must be >= 2, got {self.frames}")
-        if self.frequency <= 0:
-            raise ConfigError(f"frequency must be positive, got {self.frequency}")
-        if self.sensor_range <= 0:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key in ("frequency", "points_per_surface"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {getattr(self, key)}")
+        if not self.sensor_range > 0:
             raise ConfigError(f"sensor_range must be positive, got {self.sensor_range}")
-        if self.points_per_surface <= 0:
-            raise ConfigError("points_per_surface must be positive")
         if self.sampling not in SAMPLING_MODES:
             raise ConfigError(f"sampling must be one of {SAMPLING_MODES}, got {self.sampling!r}")
-        if self.pose_noise_translation < 0 or self.pose_noise_rotation < 0:
-            raise ConfigError("pose noise levels cannot be negative")
+        for key in ("pose_noise_translation", "pose_noise_rotation"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be >= 0 and finite, got {getattr(self, key)}")
         if not self.path:
             raise ConfigError("sensor path needs at least one waypoint")
+        if not all(math.isfinite(v) for wp in self.path for v in wp):
+            raise ConfigError(f"path values must be finite, got {self.path}")
+        if not all(map(math.isfinite, self.headings)):
+            raise ConfigError(f"headings must be finite, got {self.headings}")
         if self.headings and len(self.headings) != len(self.path):
             raise ConfigError(
                 f"{len(self.headings)} headings for {len(self.path)} waypoints"
@@ -117,8 +133,13 @@ class SynthConfig:
         if not self.bodies:
             raise ConfigError("scene has no bodies")
         for body in self.bodies:
+            kind = type(body).__name__.lower()
             if body.class_id < 1:
                 raise ConfigError(f"class ids must be >= 1, got {body.class_id}")
+            if not all(map(math.isfinite, body.values())):
+                raise ConfigError(f"{kind} values must be finite, got {body.values()}")
+            if not all(0 <= e < math.inf for e in body.extents()):
+                raise ConfigError(f"{kind} extents must be >= 0 and finite, got {body.values()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,9 +388,9 @@ def _body_from_values(kind: str, vals: list, lineno: int):
         raise ConfigError(
             f"line {lineno}: {kind} expects {_BODY_ARITY[kind]} values, got {len(vals)}"
         )
-    class_id = int(vals[0])
-    if vals[0] != class_id:
+    if not vals[0].is_integer():
         raise ConfigError(f"line {lineno}: class id must be an integer")
+    class_id = int(vals[0])
     if kind == "ground":
         return Ground(class_id, *vals[1:])
     if kind == "wall":

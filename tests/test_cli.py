@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import filecmp
 import logging
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -12,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plelidar import cli, evaluation, lidar_io, ple, split as split_mod, synth
+from plelidar import cli, evaluation, lidar_io, ple, split as split_mod, ssl_mini, synth
 from plelidar.errors import DataError
 from plelidar.ssl_mini import read_history
 
@@ -310,6 +313,48 @@ def test_old_echo_with_frequency_still_replays(workspace, estimates, tmp_path, c
     assert cli.main([command, *flags, "--config", str(config), "--out", str(out)]) == 0
     echo = Path(f"{out}.config") if command == "split" else out / f"{command}.config"
     assert "frequency" not in cli.read_flat(echo)
+
+
+@pytest.mark.parametrize("command, name, index, value", [
+    ("split", "poses.txt", 0, "inf"),
+    ("split", "poses.txt", 1, "nan"),
+    ("split", "poses.txt", 3, "nan"),
+    ("split", "calib.txt", 0, "inf"),
+    ("split", "calib.txt", 1, "nan"),
+    ("split", "calib.txt", 3, "nan"),
+    ("ple", "poses.txt", 0, "inf"),
+    ("ple", "calib.txt", 0, "inf"),
+])
+def test_non_finite_pose_or_calibration_exits_data(workspace, tmp_path, command, name, index,
+                                                   value):
+    # run in a subprocess with a timeout, so that a command that hangs fails
+    # this test instead of stalling the suite
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / "sequences" / "00" / name
+    lines = path.read_text().splitlines()
+    words = lines[0].split()
+    words[index + (name == "calib.txt")] = value  # the calib row starts with "Tr:"
+    path.write_text("\n".join([" ".join(words), *lines[1:]]) + "\n")
+    flags = {"split": ["--ratio", "10%"], "ple": ["--split", str(workspace["split"])]}[command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "plelidar.cli", command, "--root", str(data), *flags,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"{path}:1: non-finite pose entry" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_scene_it_cannot_build_exits_config(tmp_path, capsys):
+    scene = tmp_path / "scene.config"
+    scene.write_text(synth.config_to_text(one_box_config()) + "points_per_surface = nan\n")
+    assert cli.main(["synth", "--config", str(scene), "--out", str(tmp_path / "ds")]) == 2
+    assert "points_per_surface must be positive and finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
 
 
 def test_ple_fully_labeled_notice(workspace, tmp_path, capsys):
@@ -676,6 +721,7 @@ def test_train_zero_steps(workspace, tmp_path):
     )
     assert code == 0
     assert read_history(out / "history.csv") == []
+    assert (out / "history.csv").read_text() == ",".join(ssl_mini.HISTORY_COLUMNS) + "\n"
 
 
 def test_train_threshold_sweep(workspace, tmp_path, capsys):

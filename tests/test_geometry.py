@@ -118,6 +118,15 @@ def test_constructor_rejects_non_rotation():
         RigidTransform(reflection, np.zeros(3))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constructor_rejects_non_finite_rotation(bad):
+    r = np.eye(3)
+    r[0, 1] = bad
+    with pytest.raises(ValueError):
+        RigidTransform(r, np.zeros(3))
+
+
 def test_orthonormalize_fixes_noisy_rotation():
     rng = np.random.default_rng(8)
     r = random_rotation(rng)

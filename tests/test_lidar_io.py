@@ -140,6 +140,21 @@ def test_read_poses_rejects_bad_rotation(tmp_path):
         lidar_io.read_poses(path)
 
 
+@pytest.mark.parametrize("name", ["poses.txt", "calib.txt"])
+@pytest.mark.parametrize("index", [1, 3], ids=["rotation", "translation"])
+def test_read_poses_rejects_non_finite_entry(tmp_path, name, index):
+    # nan only: inf can make the rotation's polar decomposition spin, so the
+    # command-line test covers it in a subprocess, where a hang times out
+    words = _pose_line(np.hstack([np.eye(3), np.zeros((3, 1))])).split()
+    (tmp_path / "poses.txt").write_text(" ".join(words) + "\n")
+    (tmp_path / "calib.txt").write_text("Tr: " + " ".join(words) + "\n")
+    words[index] = "nan"
+    bad = tmp_path / name
+    bad.write_text(("Tr: " if name == "calib.txt" else "") + " ".join(words) + "\n")
+    with pytest.raises(FormatError, match=f"{name}:1: non-finite"):
+        lidar_io.read_poses(tmp_path / "poses.txt", tmp_path / "calib.txt")
+
+
 def test_calibration_missing_tr_line(tmp_path):
     path = tmp_path / "calib.txt"
     path.write_text("P0: 1 2 3\n")

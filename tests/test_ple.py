@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -204,50 +205,116 @@ class TestChainsAndSchedule:
 
     def test_single_root_rounds(self):
         cfg = PleConfig(window_seconds=1.0, max_references=4, progressive=True)
-        rounds = ple.schedule_progressive({10}, 21, cfg, 10.0)
-        assert len(rounds) == 10
-        assert rounds[0] == [(9, (10,)), (11, (10,))]
-        by_target = {f: refs for entries in rounds for f, refs in entries}
-        assert by_target[8] == (9, 10, 11)
-        assert by_target[0] == (1, 2, 3, 4)
-        assert sorted(by_target) == [f for f in range(21) if f != 10]
+        plan = ple.schedule_progressive({10}, 21, cfg, 10.0)
+        # offset k holds exactly frames 10 - k and 10 + k, for k = 1..10
+        assert {k: sorted(f for f in plan if abs(f - 10) == k) for k in range(1, 12)} == {
+            **{k: [10 - k, 10 + k] for k in range(1, 11)}, 11: []}
+        assert plan[9] == plan[11] == (10,)
+        assert plan[8] == (9, 10, 11)
+        assert plan[0] == (1, 2, 3, 4)
+        assert sorted(plan) == [f for f in range(21) if f != 10]
 
     def test_candidates_limited_to_root_window(self):
         # target 9 ties between roots 0 and 18 and belongs to 0; frame 18
         # is inside the target's window but outside the root's, so the
         # chain may not borrow from it
         cfg = PleConfig(window_seconds=1.0, max_references=4, progressive=True)
-        rounds = ple.schedule_progressive({0, 18}, 19, cfg, 10.0)
-        by_target = {f: refs for entries in rounds for f, refs in entries}
-        assert by_target[9] == (8, 10, 7, 6)
+        plan = ple.schedule_progressive({0, 18}, 19, cfg, 10.0)
+        assert plan[9] == (8, 10, 7, 6)
 
     def test_unreachable_frames_not_scheduled(self):
         cfg = PleConfig(window_seconds=1.0, progressive=True)
-        rounds = ple.schedule_progressive({0}, 30, cfg, 10.0)
-        targets = {f for entries in rounds for f, _ in entries}
-        assert targets == set(range(1, 11))
+        plan = ple.schedule_progressive({0}, 30, cfg, 10.0)
+        assert set(plan) == set(range(1, 11))
 
     def test_naive_schedule_is_one_round(self):
         cfg = PleConfig(window_seconds=0.2, max_references=1)
-        assert ple.schedule_naive({3, 9}, 12, cfg, 10.0) == [
-            [(1, (3,)), (2, (3,)), (4, (3,)), (5, (3,)), (7, (9,)), (8, (9,)),
-             (10, (9,)), (11, (9,))]
-        ]
-        assert ple.schedule_naive({0}, 30, cfg, 1.0) == []
+        assert ple.schedule_naive({3, 9}, 12, cfg, 10.0) == {
+            1: (3,), 2: (3,), 4: (3,), 5: (3,), 7: (9,), 8: (9,), 10: (9,), 11: (9,)}
+        assert ple.schedule_naive({0}, 30, cfg, 1.0) == {}
+
+
+def _round_schedule_naive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> list:
+    """The naive plan as one round of (target, references) pairs."""
+    entries = []
+    for f in range(length):
+        if f in labeled:
+            continue
+        refs = ple.select_references(labeled, f, cfg, frequency)
+        if refs:
+            entries.append((f, tuple(refs)))
+    return [entries] if entries else []
+
+
+def _round_schedule_progressive(labeled: set, length: int, cfg: PleConfig,
+                                frequency: float) -> list:
+    """The progressive plan grown round by round: round k-1 holds the frames
+    at offset k, referencing ground truth and every earlier round within the
+    window of their root."""
+    window = cfg.window_frames(frequency)
+    roots = {}
+    for f in range(length):
+        if f in labeled or not labeled:
+            continue
+        root = ple.chain_root(labeled, f)
+        if abs(f - root) <= window:
+            roots[f] = root
+    rounds = []
+    grown = set(labeled)
+    for k in range(1, window + 1):
+        targets = sorted(f for f, root in roots.items() if abs(f - root) == k)
+        if not targets:
+            continue
+        entries = []
+        for f in targets:
+            candidates = {g for g in grown if abs(g - roots[f]) <= window}
+            refs = ple.select_references(candidates, f, cfg, frequency)
+            entries.append((f, tuple(refs)))
+        rounds.append(entries)
+        grown.update(targets)
+    return rounds
 
 
 @st.composite
 def _schedule_case(draw):
-    length = draw(st.integers(1, 40))
-    labeled = draw(st.sets(st.integers(0, length - 1), max_size=6))
+    length = draw(st.integers(1, 60))
+    labeled = draw(st.sets(st.integers(0, length - 1), max_size=8))
     window_seconds = draw(st.sampled_from([0.05, 0.1, 0.25, 0.4, 1.0]))
-    max_references = draw(st.integers(1, 5))
-    frequency = draw(st.sampled_from([5.0, 10.0]))
+    max_references = draw(st.integers(1, 6))
+    frequency = draw(st.sampled_from([1.0, 5.0, 10.0]))
     return labeled, length, window_seconds, max_references, frequency
 
 
-def _targets(rounds) -> list:
-    return sorted(f for entries in rounds for f, _ in entries)
+def _offset(labeled: set, frame: int) -> int:
+    return abs(frame - ple.chain_root(labeled, frame))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_schedule_case())
+@example((set(range(0, 40, 10)), 40, 1.0, 4, 10.0))
+@example(({3, 9, 15, 31}, 40, 0.5, 6, 10.0))
+def test_plans_equal_the_flattened_round_schedules(case):
+    labeled, length, window_seconds, max_references, frequency = case
+    for cfg, schedule, rounds in (
+        (PleConfig(window_seconds, max_references), ple.schedule_naive, _round_schedule_naive),
+        (PleConfig(window_seconds, max_references, progressive=True),
+         ple.schedule_progressive, _round_schedule_progressive),
+    ):
+        flat = [entry for entries in rounds(labeled, length, cfg, frequency) for entry in entries]
+        plan = schedule(labeled, length, cfg, frequency)
+        assert len(flat) == len(plan)
+        assert plan == dict(flat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedule_case())
+def test_every_reference_sits_at_a_smaller_offset(case):
+    labeled, length, window_seconds, max_references, frequency = case
+    for cfg, schedule in ((PleConfig(window_seconds, max_references), ple.schedule_naive),
+                          (PleConfig(window_seconds, max_references, progressive=True),
+                           ple.schedule_progressive)):
+        for f, refs in schedule(labeled, length, cfg, frequency).items():
+            assert all(_offset(labeled, g) < _offset(labeled, f) for g in refs), (f, refs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,9 +327,9 @@ def test_schedules_target_the_same_frames(case):
     prog = ple.schedule_progressive(
         labeled, length, PleConfig(window_seconds, max_references, progressive=True), frequency
     )
-    assert len(naive) <= 1
-    assert _targets(naive) == _targets(prog)
-    assert len(set(_targets(prog))) == len(_targets(prog))
+    # no naive target references another, so the plan runs as one round
+    assert not {g for refs in naive.values() for g in refs} & set(naive)
+    assert sorted(naive) == sorted(prog)
 
 
 @settings(max_examples=200, deadline=None)
@@ -271,16 +338,16 @@ def test_progressive_references_stay_in_root_window_and_precede_round(case):
     labeled, length, window_seconds, max_references, frequency = case
     cfg = PleConfig(window_seconds, max_references, progressive=True)
     window = cfg.window_frames(frequency)
-    known = set(labeled)
-    for entries in ple.schedule_progressive(labeled, length, cfg, frequency):
-        for f, refs in entries:
-            root = ple.chain_root(labeled, f)
-            assert 1 <= len(refs) <= max_references
-            for g in refs:
-                assert g in known
-                assert abs(g - root) <= window
-                assert 0 < abs(g - f) <= window
-        known.update(f for f, _ in entries)
+    plan = ple.schedule_progressive(labeled, length, cfg, frequency)
+    for f, refs in plan.items():
+        root = ple.chain_root(labeled, f)
+        # frames labeled before f's round: ground truth and smaller offsets
+        known = labeled | {g for g in plan if _offset(labeled, g) < abs(f - root)}
+        assert 1 <= len(refs) <= max_references
+        for g in refs:
+            assert g in known
+            assert abs(g - root) <= window
+            assert 0 < abs(g - f) <= window
 
 
 @settings(max_examples=200, deadline=None)
@@ -289,13 +356,12 @@ def test_naive_references_are_ground_truth_in_window(case):
     labeled, length, window_seconds, max_references, frequency = case
     cfg = PleConfig(window_seconds, max_references)
     window = cfg.window_frames(frequency)
-    for entries in ple.schedule_naive(labeled, length, cfg, frequency):
-        for f, refs in entries:
-            assert f not in labeled
-            assert 1 <= len(refs) <= max_references
-            for g in refs:
-                assert g in labeled
-                assert 0 < abs(g - f) <= window
+    for f, refs in ple.schedule_naive(labeled, length, cfg, frequency).items():
+        assert f not in labeled
+        assert 1 <= len(refs) <= max_references
+        for g in refs:
+            assert g in labeled
+            assert 0 < abs(g - f) <= window
 
 
 @pytest.fixture(scope="module")
@@ -408,23 +474,23 @@ class TestRunners:
 
 
 def _round_order_run(source, split: dict, cfg: PleConfig, schedule) -> dict:
-    """The run as its schedule reads: round by round, every estimate kept."""
+    """The run in round order: targets by (offset, frame), every estimate kept."""
     results = {}
     for seq in source.sequence_ids():
         labeled = set(split.get(seq, ()))
         if not labeled:
             continue
-        for entries in schedule(labeled, source.frame_count(seq), cfg, source.frequency(seq)):
-            for f, refs in entries:
-                target_pose = source.pose(seq, f)
-                references = []
-                for g in refs:
-                    labels = results.get((seq, g))
-                    if labels is None:
-                        labels = source.gt_labels(seq, g)
-                    references.append((source.cloud(seq, g), labels, geometry.relative_transform(
-                        source.pose(seq, g), target_pose)))
-                results[(seq, f)] = ple.estimate_labels(source.cloud(seq, f), references, cfg)
+        plan = schedule(labeled, source.frame_count(seq), cfg, source.frequency(seq))
+        for f in sorted(plan, key=lambda f: (_offset(labeled, f), f)):
+            target_pose = source.pose(seq, f)
+            references = []
+            for g in plan[f]:
+                labels = results.get((seq, g))
+                if labels is None:
+                    labels = source.gt_labels(seq, g)
+                references.append((source.cloud(seq, g), labels, geometry.relative_transform(
+                    source.pose(seq, g), target_pose)))
+            results[(seq, f)] = ple.estimate_labels(source.cloud(seq, f), references, cfg)
     return results
 
 
@@ -451,17 +517,16 @@ def moving_40():
     return synth.generate(cfg)
 
 
-def _cross_chain_references(labeled: set, rounds) -> int:
+def _cross_chain_references(labeled: set, plan: dict) -> int:
     """References from a target to an estimate of another chain."""
-    root = {f: ple.chain_root(labeled, f) for entries in rounds for f, _ in entries}
-    return sum(g in root and root[g] != root[f]
-               for entries in rounds for f, refs in entries for g in refs)
+    root = {f: ple.chain_root(labeled, f) for f in plan}
+    return sum(g in root and root[g] != root[f] for f, refs in plan.items() for g in refs)
 
 
 def test_every_tenth_frame_labeled_has_cross_chain_references():
     labeled = set(range(0, 40, 10))
-    rounds = ple.schedule_progressive(labeled, 40, PleConfig(progressive=True), 10.0)
-    assert _cross_chain_references(labeled, rounds) == 19
+    plan = ple.schedule_progressive(labeled, 40, PleConfig(progressive=True), 10.0)
+    assert _cross_chain_references(labeled, plan) == 19
 
 
 @st.composite
@@ -470,7 +535,7 @@ def _stream_case(draw):
     labeled = draw(st.sets(st.integers(0, length - 1), min_size=1, max_size=8))
     window_seconds = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0]))
     max_references = draw(st.integers(1, 6))
-    max_distance = draw(st.sampled_from([None, 0.4]))
+    max_distance = draw(st.sampled_from([math.inf, 0.4]))
     progressive = draw(st.booleans())
     return length, labeled, PleConfig(window_seconds, max_references, max_distance, progressive)
 
@@ -549,7 +614,7 @@ def test_long_sparse_run_holds_a_bounded_live_set(long_sparse, monkeypatch, prog
     run(ple.ManifestSource(long_sparse), {"00": labeled}, cfg,
         emit=lambda key, pmap: emitted.update([key]))
     schedule = ple.schedule_progressive if progressive else ple.schedule_naive
-    assert sorted(emitted) == [("00", f) for f in _targets(schedule(set(labeled), 300, cfg, 10.0))]
+    assert sorted(emitted) == [("00", f) for f in sorted(schedule(set(labeled), 300, cfg, 10.0))]
     assert set(emitted.values()) == {1}
     assert set(reads.values()) == {1}
     # Stated bound: at most 2 * (window + max_refs) estimates, scans and

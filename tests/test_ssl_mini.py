@@ -339,7 +339,11 @@ class TestPersistence:
         ssl.write_history(history, path)
         again = ssl.read_history(path)
         assert again == history
-        assert path.read_text().splitlines()[0] == ",".join(ssl.HISTORY_COLUMNS)
+        assert path.read_text() == (
+            "step,ce_clean,lovasz,ce_pseudo,consistency,pseudo_label_accuracy\n"
+            "10,0.5,0.25,0.125,0.0625,0.75\n"
+            "20,0.40000000000000002,0.20000000000000001,0.10000000000000001,"
+            "0.050000000000000003,0.80000000000000004\n")
 
     def test_model_round_trip(self, tmp_path):
         net = _net(feature_dim=5, hidden=7, classes=4, seed=13)

@@ -233,6 +233,36 @@ def test_validate_rejects_bad_configs():
         synth.generate(corridor_config(headings=(0.0,)))
 
 
+@pytest.mark.parametrize("line, named", [
+    ("points_per_surface = nan", "points_per_surface"),
+    ("points_per_surface = inf", "points_per_surface"),
+    ("ground = [1, -5, inf, -5, 5, 0]", "ground"),
+    ("ground = [1, -1e308, 1e308, -5, 5, 0]", "ground"),
+    ("ground = [1, 5, -5, -5, 5, 0]", "ground"),
+    ("ground = [nan, -5, 5, -5, 5, 0]", "line 3"),
+    ("wall = [9, 0, 0, 1, 0, -1, 0]", "wall"),
+    ("box = [10, 0, 0, 1, -1, 1, 1, 0, 0, 0]", "box"),
+    ("box = [10, 0, 0, 1, 1, 1, 1, nan, 0, 0]", "box"),
+    ("seed = -1", "seed"),
+    ("sensor_range = nan", "sensor_range"),
+    ("path = [0, 0, nan]", "path"),
+    ("headings = [nan]", "headings"),
+    ("frequency = nan", "frequency"),
+    ("frequency = inf", "frequency"),
+    ("pose_noise_translation = nan", "pose_noise_translation"),
+    ("pose_noise_rotation = inf", "pose_noise_rotation"),
+])
+def test_parse_config_rejects_scene_it_cannot_build(line, named):
+    with pytest.raises(ConfigError, match=named):
+        synth.parse_config(f"frames = 3\nground = [1, -5, 5, -5, 5, 0]\n{line}\n")
+
+
+def test_infinite_sensor_range_keeps_every_point():
+    cfg = synth.parse_config("frames = 2\nsensor_range = inf\nground = [1, -5, 5, -5, 5, 0]\n")
+    assert cfg.sensor_range == float("inf")
+    assert [len(c) for c in synth.generate(cfg).clouds] == [200, 200]
+
+
 def test_point_density_scales_with_area():
     small = SynthConfig(frames=2, bodies=(Ground(1, 0, 1, 0, 1),), points_per_surface=3.0)
     big = SynthConfig(frames=2, bodies=(Ground(1, 0, 10, 0, 10),), points_per_surface=3.0)
