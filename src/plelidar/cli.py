@@ -57,10 +57,12 @@ def _write_run_config(path, args) -> None:
 
 
 def read_flat(path) -> dict:
+    """Parse `key = value` lines; a line whose first non-blank character is
+    `#` is a comment, and a value keeps any `#` it holds."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
@@ -181,6 +183,8 @@ def cmd_ple(args) -> int:
 
 
 def _eval_frames(ple_dir: Path) -> list:
+    if not ple_dir.is_dir():
+        raise MissingDataError(f"{ple_dir} is not a directory")
     frames = []
     for seq_dir in sorted(p for p in ple_dir.iterdir() if p.is_dir()):
         for f in sorted(seq_dir.glob(f"*{ple.PLE_SUFFIX}")):
@@ -198,8 +202,6 @@ def cmd_eval(args) -> int:
     source = ple.ManifestSource(manifest)
     split = _load_split_for(manifest, args.split) if args.split else None
     ple_dir = Path(args.ple_dir)
-    if not ple_dir.is_dir():
-        raise MissingDataError(f"{ple_dir} is not a directory")
     frames = _eval_frames(ple_dir)
     if not frames:
         raise EmptyResultError(f"no {ple.PLE_SUFFIX} files under {ple_dir}")

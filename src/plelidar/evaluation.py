@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, IoError
+from .errors import DataError, IoError
 
 IGNORE_CLASS = 0
 REPORT_COLUMNS = ("class", "iou", "precision", "count")
@@ -160,67 +160,7 @@ def write_report(report: EvalReport, path, format: str = "csv") -> None:
     write_rows(path, format, "report", REPORT_COLUMNS, rows)
 
 
-def read_rows(path, format: str, what: str, columns: tuple, parse) -> list:
-    """Parse each data row of a csv or json-lines table with parse.
-
-    parse receives the row as a dict: a json object, or the csv cells keyed by
-    column with empty cells left out. A row parse rejects raises FormatError
-    naming the path and the line.
-    """
-    lines = Path(path).read_text().splitlines()
-    numbered = [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
-    if format == "csv":
-        if not numbered or numbered[0][1] != ",".join(columns):
-            raise FormatError(f"{path}: missing {what} header")
-        numbered = numbered[1:]
-    elif format != "json":
-        raise DataError(f"unknown {what} format {format!r}")
-    rows = []
-    for lineno, line in numbered:
-        try:
-            if format == "json":
-                row = json.loads(line)
-            else:
-                cells = line.split(",")
-                if len(cells) != len(columns):
-                    raise FormatError(f"{path}:{lineno}: expected {len(columns)} columns")
-                row = {k: v for k, v in zip(columns, cells) if v}
-            rows.append(parse(row))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: bad JSON ({exc})") from None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}:{lineno}: malformed {what} row ({exc!r})") from None
-    return rows
-
-
-def _report_row(row: dict) -> tuple:
-    c = str(row["class"])
-    iou, prec = (None if row.get(k) is None else float(row[k]) for k in ("iou", "precision"))
-    return ("mean" if c == "mean" else int(c), iou, prec, int(row["count"]))
-
-
-def read_report(path, format: str = "csv") -> EvalReport:
-    rows = read_rows(path, format, "report", REPORT_COLUMNS, _report_row)
-    per_iou, per_prec, per_count = {}, {}, {}
-    miou = mprec = 0.0
-    for c, iou, prec, count in rows:
-        if c == "mean":
-            miou = iou if iou is not None else 0.0
-            mprec = prec if prec is not None else 0.0
-            continue
-        per_count[c] = count
-        if iou is not None:
-            per_iou[c] = iou
-        if prec is not None:
-            per_prec[c] = prec
-    return EvalReport(per_iou, miou, per_prec, mprec, per_count)
-
-
 def write_curve(curve, path, format: str = "csv") -> None:
     """Persist an interval curve as (offset, accuracy) rows."""
     write_rows(path, format, "curve", CURVE_COLUMNS, [(int(o), v) for o, v in curve])
 
-
-def read_curve(path, format: str = "csv") -> list:
-    return read_rows(path, format, "curve", CURVE_COLUMNS,
-                     lambda row: (int(row["offset"]), float(row["accuracy"])))

@@ -175,9 +175,9 @@ def _checked_transform(mat34: np.ndarray, context: str) -> RigidTransform:
 def read_calibration(path) -> RigidTransform:
     """Extract the Tr extrinsic (sensor-to-reference) from a calib.txt file."""
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if line.startswith("Tr:") or line.startswith("Tr "):
+        if line.startswith("Tr:"):
             return _checked_transform(
-                _parse_matrix_line(line.split(":", 1)[-1], lineno, path), f"{path}:{lineno}"
+                _parse_matrix_line(line[3:], lineno, path), f"{path}:{lineno}"
             )
     raise FormatError(f"{path}: no line starting with 'Tr:'")
 

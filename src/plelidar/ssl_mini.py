@@ -468,12 +468,6 @@ def write_history(history, path) -> None:
                           [(int(row[0]), *map(float, row[1:])) for row in history])
 
 
-def read_history(path) -> list:
-    return evaluation.read_rows(
-        path, "csv", "history", HISTORY_COLUMNS,
-        lambda row: (int(row["step"]), *(float(row[c]) for c in HISTORY_COLUMNS[1:])))
-
-
 def save_model(net: DualHeadNet, path) -> None:
     """Text header naming parameter shapes, then the flat little-endian
     float64 parameter data in header order."""

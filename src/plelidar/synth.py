@@ -140,6 +140,9 @@ class SynthConfig:
                 raise ConfigError(f"{kind} values must be finite, got {body.values()}")
             if not all(0 <= e < math.inf for e in body.extents()):
                 raise ConfigError(f"{kind} extents must be >= 0 and finite, got {body.values()}")
+            if not all(math.isfinite(a * self.points_per_surface) for a in _surface_areas(body)):
+                raise ConfigError(f"{kind} surface area times points_per_surface must be "
+                                  f"finite, got {body.values()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,13 +171,19 @@ def _rng(seed: int, stream: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, *key)))
 
 
-def _surface_count(area: float, density: float) -> int:
-    return max(1, math.ceil(area * density))
+# a box's sampled faces as (fixed axis, side): the four sides, then the top
+_BOX_FACES = ((0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0), (2, 1.0))
 
 
-def _sample_ground(body: Ground, density: float, rng) -> np.ndarray:
-    area = (body.x_max - body.x_min) * (body.y_max - body.y_min)
-    n = _surface_count(area, density)
+def _surface_areas(body) -> tuple:
+    """The areas of a body's sampled surfaces, in sampling order."""
+    if isinstance(body, Box):
+        return tuple(math.prod(s for i, s in enumerate(body.size) if i != axis)
+                     for axis, _ in _BOX_FACES)
+    return (math.prod(body.extents()),)
+
+
+def _sample_ground(body: Ground, n: int, rng) -> np.ndarray:
     pts = np.empty((n, 3))
     pts[:, 0] = rng.uniform(body.x_min, body.x_max, n)
     pts[:, 1] = rng.uniform(body.y_min, body.y_max, n)
@@ -182,9 +191,7 @@ def _sample_ground(body: Ground, density: float, rng) -> np.ndarray:
     return pts
 
 
-def _sample_wall(body: Wall, density: float, rng) -> np.ndarray:
-    length = math.hypot(body.x1 - body.x0, body.y1 - body.y0)
-    n = _surface_count(length * body.height, density)
+def _sample_wall(body: Wall, n: int, rng) -> np.ndarray:
     s = rng.uniform(0.0, 1.0, n)
     pts = np.empty((n, 3))
     pts[:, 0] = body.x0 + s * (body.x1 - body.x0)
@@ -193,40 +200,24 @@ def _sample_wall(body: Wall, density: float, rng) -> np.ndarray:
     return pts
 
 
-def _sample_box_local(body: Box, density: float, rng) -> np.ndarray:
-    sx, sy, sz = body.size
+def _sample_box_local(body: Box, counts: list, rng) -> np.ndarray:
     faces = []
-    # Four side faces then the top; the bottom face is never sampled.
-    for sign in (-1.0, 1.0):
-        n = _surface_count(sy * sz, density)
+    for (axis, side), n in zip(_BOX_FACES, counts):
         face = np.empty((n, 3))
-        face[:, 0] = sign * sx / 2.0
-        face[:, 1] = rng.uniform(-sy / 2.0, sy / 2.0, n)
-        face[:, 2] = rng.uniform(-sz / 2.0, sz / 2.0, n)
+        for i, s in enumerate(body.size):
+            face[:, i] = side * s / 2.0 if i == axis else rng.uniform(-s / 2.0, s / 2.0, n)
         faces.append(face)
-    for sign in (-1.0, 1.0):
-        n = _surface_count(sx * sz, density)
-        face = np.empty((n, 3))
-        face[:, 0] = rng.uniform(-sx / 2.0, sx / 2.0, n)
-        face[:, 1] = sign * sy / 2.0
-        face[:, 2] = rng.uniform(-sz / 2.0, sz / 2.0, n)
-        faces.append(face)
-    n = _surface_count(sx * sy, density)
-    top = np.empty((n, 3))
-    top[:, 0] = rng.uniform(-sx / 2.0, sx / 2.0, n)
-    top[:, 1] = rng.uniform(-sy / 2.0, sy / 2.0, n)
-    top[:, 2] = sz / 2.0
-    faces.append(top)
     return np.concatenate(faces, axis=0)
 
 
 def _sample_body_local(body, density: float, rng) -> np.ndarray:
+    counts = [max(1, math.ceil(area * density)) for area in _surface_areas(body)]
     if isinstance(body, Ground):
-        return _sample_ground(body, density, rng)
+        return _sample_ground(body, counts[0], rng)
     if isinstance(body, Wall):
-        return _sample_wall(body, density, rng)
+        return _sample_wall(body, counts[0], rng)
     if isinstance(body, Box):
-        return _sample_box_local(body, density, rng)
+        return _sample_box_local(body, counts, rng)
     raise ConfigError(f"unknown body type {type(body).__name__}")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import filecmp
 import logging
 import os
@@ -17,7 +18,6 @@ import pytest
 
 from plelidar import cli, evaluation, lidar_io, ple, split as split_mod, ssl_mini, synth
 from plelidar.errors import DataError
-from plelidar.ssl_mini import read_history
 
 from conftest import corridor_config, export, one_box_config
 
@@ -26,6 +26,11 @@ def _scene_file(tmp_path, cfg) -> Path:
     path = tmp_path / "scene.config"
     path.write_text(synth.config_to_text(cfg))
     return path
+
+
+def _csv_rows(path) -> list:
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def _tree_bytes(root: Path, skip_names=()) -> dict:
@@ -315,6 +320,19 @@ def test_old_echo_with_frequency_still_replays(workspace, estimates, tmp_path, c
     assert "frequency" not in cli.read_flat(echo)
 
 
+def test_echoed_paths_holding_a_hash_replay(workspace, tmp_path):
+    # only a line that starts with '#' is a comment; a value keeps its '#'
+    data, split = tmp_path / "data#1", tmp_path / "labeled#1.split"
+    shutil.copytree(workspace["data"], data)
+    shutil.copy(workspace["split"], split)
+    first, again = tmp_path / "first#1", tmp_path / "again"
+    assert cli.main(["ple", "--root", str(data), "--split", str(split), "--out", str(first)]) == 0
+    replay = tmp_path / "replay.config"
+    replay.write_text("# a comment\n  # an indented one\n" + (first / "ple.config").read_text())
+    assert cli.main(["ple", "--config", str(replay), "--out", str(again)]) == 0
+    assert _run_outputs("ple", again) == _run_outputs("ple", first)
+
+
 @pytest.mark.parametrize("command, name, index, value", [
     ("split", "poses.txt", 0, "inf"),
     ("split", "poses.txt", 1, "nan"),
@@ -354,6 +372,14 @@ def test_synth_scene_it_cannot_build_exits_config(tmp_path, capsys):
     scene.write_text(synth.config_to_text(one_box_config()) + "points_per_surface = nan\n")
     assert cli.main(["synth", "--config", str(scene), "--out", str(tmp_path / "ds")]) == 2
     assert "points_per_surface must be positive and finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+def test_synth_surface_it_cannot_sample_exits_config(tmp_path, capsys):
+    scene = tmp_path / "scene.config"
+    scene.write_text("frames = 2\nground = [1, -1e200, 1e200, -1e200, 1e200, 0]\n")
+    assert cli.main(["synth", "--config", str(scene), "--out", str(tmp_path / "ds")]) == 2
+    assert "error: ground surface area times points_per_surface" in capsys.readouterr().err
     assert not (tmp_path / "ds").exists()
 
 
@@ -449,6 +475,15 @@ def test_stray_file_under_ple_dir_exits_data(workspace, estimates, tmp_path, cap
     assert f"error: {stray}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_missing_ple_dir_exits_data(workspace, tmp_path, capsys, command):
+    nope, out = tmp_path / "nope", tmp_path / "r"
+    assert cli.main([command, "--root", str(workspace["data"]), "--split", str(workspace["split"]),
+                     "--ple-dir", str(nope), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {nope} is not a directory\n"
+    assert not out.exists()
+
+
 def test_eval_scores_ignore_class_prediction_as_miss(workspace, estimates, tmp_path, capsys):
     ignore = 1
     tally: dict = {}
@@ -536,7 +571,7 @@ def test_eval_frame_with_nothing_to_score_enters_curve_at_zero(workspace, estima
     code = cli.main(["eval", "--root", str(data), "--ple-dir", str(tmp_path / "est"),
                      "--split", str(workspace["split"]), "--group-by-offset", "--out", str(out)])
     assert code == 0
-    curve = dict(evaluation.read_curve(out / "curve.csv"))
+    curve = {int(row["offset"]): float(row["accuracy"]) for row in _csv_rows(out / "curve.csv")}
     assert set(curve) == {offset_empty, offset_kept}
     assert curve[offset_empty] == 0.0 and curve[offset_kept] > 0.0
 
@@ -633,8 +668,7 @@ def test_train_writes_models_and_history(workspace, tmp_path, capsys):
     assert "final_pseudo_label_accuracy=" in capsys.readouterr().out
     for name in ("history.csv", "student.model", "teacher.model", "train.config"):
         assert (out / name).is_file()
-    history = read_history(out / "history.csv")
-    assert [row[0] for row in history] == [12]
+    assert [int(row["step"]) for row in _csv_rows(out / "history.csv")] == [12]
 
 
 def test_train_unknown_estimate_class_exits_data(workspace, tmp_path, capsys):
@@ -720,7 +754,7 @@ def test_train_zero_steps(workspace, tmp_path):
         ]
     )
     assert code == 0
-    assert read_history(out / "history.csv") == []
+    assert _csv_rows(out / "history.csv") == []
     assert (out / "history.csv").read_text() == ",".join(ssl_mini.HISTORY_COLUMNS) + "\n"
 
 
@@ -765,7 +799,7 @@ def test_train_warns_when_no_pseudo_label_clears_tau(workspace, tmp_path, monkey
     assert code == 0
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and "tau=1" in warnings[0].getMessage()
-    assert read_history(out / "history.csv")[-1][-1] == 0.0
+    assert float(_csv_rows(out / "history.csv")[-1]["pseudo_label_accuracy"]) == 0.0
 
 
 def test_config_echo_round_trips_through_read_flat(workspace, tmp_path):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plelidar import evaluation as ev
-from plelidar.errors import DataError, FormatError
+from plelidar.errors import DataError
 from plelidar.lidar_io import LabelMap
 
 
@@ -240,17 +243,35 @@ def _sample_report():
     return ev.metrics(cm)
 
 
+_CELL_TYPES = {"class": int, "count": int, "offset": int,
+               "iou": float, "precision": float, "accuracy": float}
+
+
+def _table_rows(path, fmt) -> list:
+    """The written rows as dicts, parsed with the standard library alone;
+    an empty csv cell is left out, as json leaves out a None."""
+    if fmt == "json":
+        return [json.loads(line) for line in path.read_text().splitlines()]
+    with open(path, newline="") as f:
+        return [{k: v if v == "mean" else _CELL_TYPES[k](v) for k, v in row.items() if v}
+                for row in csv.DictReader(f)]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_report_round_trip(tmp_path, fmt):
     report = _sample_report()
     path = tmp_path / f"report.{fmt}"
     ev.write_report(report, path, format=fmt)
-    again = ev.read_report(path, format=fmt)
-    assert again.per_class_iou == report.per_class_iou
-    assert again.per_class_precision == report.per_class_precision
-    assert again.miou == report.miou
-    assert again.mprecision == report.mprecision
-    assert again.point_counts == report.point_counts
+    rows = _table_rows(path, fmt)
+    assert [row["class"] for row in rows] == [*report.classes(), "mean"]
+    *per_class, mean = rows
+    for row in per_class:
+        c = row["class"]
+        assert row.get("iou") == report.per_class_iou.get(c)
+        assert row.get("precision") == report.per_class_precision.get(c)
+        assert row["count"] == report.point_counts[c]
+    assert (mean["iou"], mean["precision"]) == (report.miou, report.mprecision)
+    assert mean["count"] == sum(report.point_counts.values())
 
 
 def test_report_csv_shape(tmp_path):
@@ -267,7 +288,8 @@ def test_curve_round_trip(tmp_path, fmt):
     curve = [(1, 0.875), (2, 0.625), (3, 1.0 / 3.0)]
     path = tmp_path / f"curve.{fmt}"
     ev.write_curve(curve, path, format=fmt)
-    assert ev.read_curve(path, format=fmt) == curve
+    rows = _table_rows(path, fmt)
+    assert [(row["offset"], row["accuracy"]) for row in rows] == curve
 
 
 def test_report_and_curve_bytes(tmp_path):
@@ -303,54 +325,6 @@ def test_unknown_write_format_rejected(tmp_path, write, table):
     with pytest.raises(DataError, match="unknown (report|curve) format 'xml'"):
         write(table, tmp_path / "x", format="xml")
     assert not (tmp_path / "x").exists()
-
-
-_REPORT_HEADER = "class,iou,precision,count\n"
-
-
-@pytest.mark.parametrize(
-    "fmt, text, lineno",
-    [
-        ("csv", "not,a,report\n", None),
-        ("csv", _REPORT_HEADER + "1,abc,0.5,3\n", 2),
-        ("csv", _REPORT_HEADER + "1,0.5,0.5,3\n\nx,0.5,0.5,3\n", 4),
-        ("csv", _REPORT_HEADER + "1,0.5,0.5,\n", 2),
-        ("json", '{"class": 1, "count": 3}\n{"class": 2, "iou": 0.5}\n', 2),
-        ("json", "{not json\n", 1),
-        ("json", "[1, 2]\n", 1),
-    ],
-    ids=["header", "non-numeric-cell", "non-numeric-class", "empty-count",
-         "json-without-count", "bad-json", "json-not-object"],
-)
-def test_read_report_rejects_garbage(tmp_path, fmt, text, lineno):
-    path = tmp_path / f"report.{fmt}"
-    path.write_text(text)
-    with pytest.raises(FormatError) as excinfo:
-        ev.read_report(path, format=fmt)
-    message = str(excinfo.value)
-    assert message.startswith(f"{path}: " if lineno is None else f"{path}:{lineno}: ")
-
-
-@pytest.mark.parametrize(
-    "fmt, text, lineno",
-    [
-        ("csv", "offset,acc\n1,0.5\n", None),
-        ("csv", "offset,accuracy\n1,high\n", 2),
-        ("csv", "offset,accuracy\n1,0.5,7\n", 2),
-        ("json", '{"offset": 1}\n', 1),
-        ("json", '{"offset": 1, "accuracy": 0.5}\n\n{oops\n', 3),
-        ("json", '{"offset": "one", "accuracy": 0.5}\n', 1),
-    ],
-    ids=["header", "non-numeric-cell", "extra-column", "json-without-accuracy",
-         "bad-json", "json-non-numeric"],
-)
-def test_read_curve_rejects_garbage(tmp_path, fmt, text, lineno):
-    path = tmp_path / f"curve.{fmt}"
-    path.write_text(text)
-    with pytest.raises(FormatError) as excinfo:
-        ev.read_curve(path, format=fmt)
-    message = str(excinfo.value)
-    assert message.startswith(f"{path}: " if lineno is None else f"{path}:{lineno}: ")
 
 
 @settings(max_examples=40, deadline=None)

@@ -162,6 +162,13 @@ def test_calibration_missing_tr_line(tmp_path):
         lidar_io.read_calibration(path)
 
 
+def test_calibration_needs_the_colon(tmp_path):
+    path = tmp_path / "calib.txt"
+    path.write_text("Tr 1 0 0 0 0 1 0 0 0 0 1 0\n")
+    with pytest.raises(FormatError, match="no line starting with 'Tr:'"):
+        lidar_io.read_calibration(path)
+
+
 def test_pose_write_read_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     poses = [

@@ -239,6 +239,7 @@ def test_validate_rejects_bad_configs():
     ("ground = [1, -5, inf, -5, 5, 0]", "ground"),
     ("ground = [1, -1e308, 1e308, -5, 5, 0]", "ground"),
     ("ground = [1, 5, -5, -5, 5, 0]", "ground"),
+    ("ground = [1, -1e200, 1e200, -1e200, 1e200, 0]", "ground surface area"),
     ("ground = [nan, -5, 5, -5, 5, 0]", "line 3"),
     ("wall = [9, 0, 0, 1, 0, -1, 0]", "wall"),
     ("box = [10, 0, 0, 1, -1, 1, 1, 0, 0, 0]", "box"),
