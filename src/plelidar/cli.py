@@ -56,6 +56,17 @@ def _write_run_config(path, args) -> None:
                       for key, value in vars(args).items() if key not in _NOT_SETTINGS})
 
 
+def _unreadable_setting(args):
+    """The first setting whose echo `read_flat` would not give back: a
+    value with a blank at either end or a line break."""
+    for key, value in vars(args).items():
+        if key in _NOT_SETTINGS or not isinstance(value, str):
+            continue
+        if value != value.strip() or len(value.splitlines()) > 1:
+            return key, value
+    return None
+
+
 def read_flat(path) -> dict:
     """Parse `key = value` lines; a line whose first non-blank character is
     `#` is a comment, and a value keeps any `#` it holds."""
@@ -411,6 +422,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "needs_config", False) and args.config is None:
         print("error: this command requires --config", file=sys.stderr)
+        return EXIT_CONFIG
+    unreadable = _unreadable_setting(args) if args.command != "synth" else None
+    if unreadable is not None:
+        key, value = unreadable
+        print(f"error: {key} = {value!r} cannot be echoed to a config file: it has a blank "
+              "at either end or a line break", file=sys.stderr)
         return EXIT_CONFIG
     try:
         return args.func(args)

@@ -333,6 +333,20 @@ def test_echoed_paths_holding_a_hash_replay(workspace, tmp_path):
     assert _run_outputs("ple", again) == _run_outputs("ple", first)
 
 
+@pytest.mark.parametrize("command", ["split", "ple"])
+@pytest.mark.parametrize("name", ["est ", " est", "e\nst", "e\rst"])
+def test_setting_its_echo_cannot_replay_exits_config(workspace, tmp_path, monkeypatch, capsys,
+                                                      command, name):
+    # read_flat strips a value and splits lines, so such a value would
+    # replay as another path; the run is refused before it writes anything
+    monkeypatch.chdir(tmp_path)
+    flags = {"split": ["--ratio", "10%"], "ple": ["--split", str(workspace["split"])]}[command]
+    argv = [command, "--root", str(workspace["data"]), *flags, "--out", name]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "cannot be echoed" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, name, index, value", [
     ("split", "poses.txt", 0, "inf"),
     ("split", "poses.txt", 1, "nan"),

@@ -1,4 +1,5 @@
-"""KdTree against the brute-force reference on varied point distributions."""
+"""KdTree against the brute-force reference on varied point distributions,
+and its tree arrays against the node-at-a-time build it replaced."""
 
 from __future__ import annotations
 
@@ -7,11 +8,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plelidar import geometry, synth
+from plelidar import geometry, spatial_index, synth
 from plelidar.errors import DataError, EmptyIndexError, ShapeError
 from plelidar.spatial_index import DEFAULT_LEAF_SIZE, KdTree, nearest_brute
 
 from conftest import one_box_config
+
+TREE_ARRAYS = ("_perm", "_axis", "_split", "_left", "_right", "_start", "_end", "_leaf_xyz")
+
+
+def oracle_build(pts, leaf_size):
+    """The tree arrays of the original build, which gathers each node's
+    (k, 3) rows and partitions a strided column."""
+    n = len(pts)
+    perm = np.arange(n, dtype=np.int64)
+    axis, split = [], []
+    left, right = [], []
+    start, end = [], []
+
+    def new_node() -> int:
+        for lst, fill in ((axis, -1), (left, -1), (right, -1), (start, 0), (end, 0)):
+            lst.append(fill)
+        split.append(0.0)
+        return len(axis) - 1
+
+    stack = [(new_node(), 0, n)]
+    while stack:
+        node, lo, hi = stack.pop()
+        if hi - lo <= leaf_size:
+            perm[lo:hi].sort()
+            start[node], end[node] = lo, hi
+            continue
+        coords = pts[perm[lo:hi]]
+        spread = coords.max(axis=0) - coords.min(axis=0)
+        ax = int(np.argmax(spread))
+        mid = (lo + hi) // 2
+        order = np.argpartition(coords[:, ax], mid - lo)
+        perm[lo:hi] = perm[lo:hi][order]
+        axis[node] = ax
+        split[node] = pts[perm[mid], ax]
+        left[node], right[node] = new_node(), new_node()
+        stack.append((left[node], lo, mid))
+        stack.append((right[node], mid, hi))
+
+    return {
+        "_perm": perm,
+        "_leaf_xyz": np.ascontiguousarray(pts[perm].T),
+        "_axis": np.array(axis, dtype=np.int64),
+        "_split": np.array(split, dtype=np.float64),
+        "_left": np.array(left, dtype=np.int64),
+        "_right": np.array(right, dtype=np.int64),
+        "_start": np.array(start, dtype=np.int64),
+        "_end": np.array(end, dtype=np.int64),
+    }
+
+
+def assert_tree_equals_oracle(points, leaf_size):
+    tree = KdTree(points, leaf_size=leaf_size)
+    expected = oracle_build(np.asarray(points, dtype=np.float64), leaf_size)
+    for name in TREE_ARRAYS:
+        got = getattr(tree, name)
+        assert got.dtype == expected[name].dtype, name
+        assert np.array_equal(got, expected[name]), name
 
 
 def assert_matches_brute(points, queries, leaf_size=16):
@@ -88,14 +146,19 @@ def test_leaf_sizes_agree(leaf_size):
     assert_matches_brute(pts, queries, leaf_size=leaf_size)
 
 
+def _scan_pair():
+    """A two-frame pool in the second frame's coordinates, and that frame."""
+    data = synth.generate(one_box_config(frames=2, points_per_surface=6.0))
+    to_target = geometry.relative_transform(data.poses[0], data.poses[1])
+    target = data.clouds[1].points
+    return np.concatenate([geometry.apply_points(to_target, data.clouds[0].points), target]), target
+
+
 def test_scan_pair_matches_brute_at_default_leaf_size():
     # Planar ground and walls put many points exactly on split planes, and
     # fixed sampling makes most target points exact duplicates of reference
     # points, so the lowest-index rule decides across leaves.
-    data = synth.generate(one_box_config(frames=2, points_per_surface=6.0))
-    to_target = geometry.relative_transform(data.poses[0], data.poses[1])
-    target = data.clouds[1].points
-    pool = np.concatenate([geometry.apply_points(to_target, data.clouds[0].points), target])
+    pool, target = _scan_pair()
     assert len(pool) > 40 * DEFAULT_LEAF_SIZE
     assert_matches_brute(pool, target, leaf_size=DEFAULT_LEAF_SIZE)
 
@@ -172,3 +235,146 @@ def test_random_instances_match_brute(seed, n_points, n_queries, leaf_size):
     pts = rng.integers(-4, 5, (n_points, 3)).astype(np.float64)
     queries = rng.integers(-5, 6, (n_queries, 3)).astype(np.float64)
     assert_matches_brute(pts, queries, leaf_size=leaf_size)
+
+
+@pytest.mark.parametrize("leaf_size", [1, 16, DEFAULT_LEAF_SIZE])
+@pytest.mark.parametrize("kind", ["uniform", "grid", "duplicates", "plane", "line", "one-leaf",
+                                  "offset", "scan"])
+def test_tree_arrays_equal_the_original_build(kind, leaf_size):
+    rng = np.random.default_rng(len(kind) * 1000 + leaf_size)
+    if kind == "uniform":
+        pts = rng.uniform(-20.0, 20.0, (3000, 3))
+    elif kind == "grid":
+        pts = rng.integers(-4, 5, (3000, 3)).astype(np.float64)
+    elif kind == "duplicates":
+        pts = np.tile(rng.uniform(-5.0, 5.0, (60, 3)), (30, 1))
+    elif kind == "plane":
+        pts = rng.uniform(-10.0, 10.0, (2000, 3))
+        pts[:, 2] = 0.25
+    elif kind == "line":
+        pts = np.outer(rng.uniform(-40.0, 40.0, 1500), [0.6, -0.8, 0.0]) + [1.0, 2.0, 3.0]
+    elif kind == "one-leaf":
+        pts = rng.uniform(-1.0, 1.0, (leaf_size, 3))
+    elif kind == "offset":
+        pts = rng.uniform(-5.0, 5.0, (2500, 3)) + 1e5
+    else:
+        pts = _scan_pair()[0]
+    assert_tree_equals_oracle(pts, leaf_size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.sampled_from([1, 3, 16, 64]))
+def test_random_tree_arrays_equal_the_original_build(seed, n_points, leaf_size):
+    rng = np.random.default_rng(seed)
+    assert_tree_equals_oracle(rng.integers(-4, 5, (n_points, 3)).astype(np.float64), leaf_size)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nearest_rejects_non_finite_query(value):
+    tree = KdTree(np.arange(30, dtype=np.float64).reshape(10, 3), leaf_size=2)
+    queries = np.zeros((4, 3))
+    queries[2, 1] = value
+    with pytest.raises(DataError):
+        tree.nearest(queries)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nearest_brute_rejects_non_finite_query(value):
+    queries = np.zeros((4, 3))
+    queries[3, 0] = value
+    with pytest.raises(DataError):
+        nearest_brute(np.arange(30, dtype=np.float64).reshape(10, 3), queries)
+
+
+def _split_plane_queries(rng, pts, leaf_size, count):
+    """Points moved onto the split plane of a random inner node."""
+    tree = KdTree(pts, leaf_size=leaf_size)
+    inner = np.flatnonzero(tree._axis >= 0)
+    queries = pts[rng.integers(0, len(pts), count)] + rng.normal(0.0, 0.3, (count, 3))
+    if len(inner):
+        nodes = inner[rng.integers(0, len(inner), count)]
+        queries[np.arange(count), tree._axis[nodes]] = tree._split[nodes]
+    return queries
+
+
+def _structured_case(kind, rng, leaf_size):
+    """(points, queries) of one kind the two-phase query must get exactly right."""
+    if kind == "duplicates-across-leaves":
+        base = np.round(rng.uniform(-3.0, 3.0, (rng.integers(1, 20), 3)) * 2.0) / 2.0
+        pts = np.tile(base, (rng.integers(2, 12), 1))
+        rng.shuffle(pts)
+        queries = np.concatenate([base, base + rng.normal(0.0, 0.2, base.shape)])
+        return pts, queries
+    if kind == "on-split-planes":
+        pts = rng.integers(-5, 6, (rng.integers(2, 300), 3)).astype(np.float64)
+        return pts, _split_plane_queries(rng, pts, leaf_size, 40)
+    if kind == "planar":
+        pts = rng.uniform(-10.0, 10.0, (rng.integers(2, 300), 3))
+        normal = rng.normal(size=3)
+        pts -= np.outer(pts @ normal / (normal @ normal), normal)
+        return pts, rng.uniform(-12.0, 12.0, (40, 3))
+    if kind == "collinear":
+        direction = rng.normal(size=3)
+        pts = np.outer(np.round(rng.uniform(-20.0, 20.0, rng.integers(2, 300))), direction)
+        queries = np.outer(rng.uniform(-25.0, 25.0, 40), direction) + rng.normal(0.0, 1.0, (40, 3))
+        return pts, queries
+    if kind == "one-leaf":
+        pts = rng.integers(-2, 3, (rng.integers(1, leaf_size + 1), 3)).astype(np.float64)
+        return pts, rng.integers(-3, 4, (40, 3)).astype(np.float64)
+    # offset: coordinates near 1e5 m, where a subtraction rounds
+    pts = 1e5 + rng.uniform(-3.0, 3.0, (rng.integers(2, 300), 3))
+    pts[rng.integers(0, len(pts), len(pts) // 3)] = pts[0]
+    queries = 1e5 + rng.uniform(-4.0, 4.0, (40, 3))
+    queries[:10] = pts[rng.integers(0, len(pts), 10)]
+    return pts, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["duplicates-across-leaves", "on-split-planes", "planar", "collinear",
+                     "one-leaf", "offset"]),
+    st.sampled_from([1, 2, 8, 32]),
+)
+def test_structured_sets_match_brute(seed, kind, leaf_size):
+    pts, queries = _structured_case(kind, np.random.default_rng(seed), leaf_size)
+    assert_matches_brute(pts, queries, leaf_size=leaf_size)
+
+
+def test_queries_inside_their_cell_skip_phase_two(monkeypatch):
+    # Clusters of nine points, a cube's corners and its centre, on a
+    # 4 x 4 x 2 grid: every median split falls between clusters, one cluster
+    # fills a leaf, and a query on a centre matches at distance 0, nearer
+    # than any face of its cell.
+    corners = np.array([[i, j, k] for i in (-0.1, 0.1) for j in (-0.1, 0.1) for k in (-0.1, 0.1)])
+    cube = np.concatenate([[[0.0, 0.0, 0.0]], corners])
+    centres = np.array([[i, j, k] for i in range(4) for j in range(4) for k in range(2)],
+                       dtype=np.float64) * 2.0
+    pts = (centres[:, None, :] + cube).reshape(-1, 3)
+
+    def fail(*args):
+        raise AssertionError("phase 2 ran")
+
+    monkeypatch.setattr(KdTree, "_far_leaves", fail)
+    assert_matches_brute(pts, centres, leaf_size=len(cube))
+
+
+def test_phase_two_halves_query_sets_that_outgrow_the_pair_budget(monkeypatch):
+    # queries on a shell around the points cross many split planes, so with
+    # a tiny pair budget phase 2 halves its query set until each half fits
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(-1.0, 1.0, (300, 3))
+    directions = rng.normal(size=(60, 3))
+    queries = 3.0 * directions / np.linalg.norm(directions, axis=1)[:, None]
+    monkeypatch.setattr(spatial_index, "_PAIR_BUDGET", 64)
+    far_leaves = KdTree._far_leaves
+    outgrown = []
+
+    def spy(self, q, rows, *args):
+        pairs = far_leaves(self, q, rows, *args)
+        outgrown.append(pairs is None)
+        return pairs
+
+    monkeypatch.setattr(KdTree, "_far_leaves", spy)
+    assert_matches_brute(pts, queries, leaf_size=2)
+    assert any(outgrown) and not all(outgrown)
