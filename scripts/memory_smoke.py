@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Check that `synth` and `ple` hold no more memory on a long sequence.
+"""Check that no command holds more memory on a long sequence.
 
     python3 scripts/memory_smoke.py
 
-Runs `synth`, `split`, `ple` and `ple --progressive` (10 % labelled) on
+Runs `synth`, `split`, `ple` and `ple --progressive` (10 % labelled), then
+`eval --group-by-offset` and `train --steps 2` on the naive estimates, on
 one corridor scene at `SHORT` and `LONG` frames, each command as its own
 process, and reads each command's peak resident memory (`ru_maxrss`,
 Linux) from `os.wait4`. Both lengths cover the same drive through the same scene, so
@@ -22,7 +23,8 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-COMMANDS = ("synth", "split", "ple", "ple --progressive")
+COMMANDS = ("synth", "split", "ple", "ple --progressive", "eval --group-by-offset",
+            "train --steps 2")
 SHORT, LONG, TOLERANCE = 40, 400, 0.10
 
 
@@ -64,11 +66,16 @@ def peaks(frames: int, work: Path) -> dict:
     (base / "scene.config").write_text(scene(frames))
     data, split = str(base / "data"), str(base / "labeled.split")
     common = ["--root", data, "--split", split]
+    naive = str(base / "naive")
     argvs = {
         "synth": ["synth", "--config", str(base / "scene.config"), "--out", data],
         "split": ["split", "--root", data, "--ratio", "10%", "--out", split],
-        "ple": ["ple", *common, "--out", str(base / "naive")],
+        "ple": ["ple", *common, "--out", naive],
         "ple --progressive": ["ple", *common, "--progressive", "--out", str(base / "progressive")],
+        "eval --group-by-offset": ["eval", *common, "--ple-dir", naive, "--group-by-offset",
+                                   "--out", str(base / "scores")],
+        "train --steps 2": ["train", *common, "--ple-dir", naive, "--steps", "2",
+                            "--out", str(base / "run")],
     }
     return {command: peak_mb(argvs[command]) for command in COMMANDS}
 
@@ -82,7 +89,7 @@ def main() -> int:
         growth = long[command] / short[command] - 1.0
         over = growth > TOLERANCE
         failed |= over
-        print(f"{command:18} {SHORT} frames {short[command]:6.1f} MB  "
+        print(f"{command:22} {SHORT} frames {short[command]:6.1f} MB  "
               f"{LONG} frames {long[command]:6.1f} MB  {growth:+6.1%}"
               + ("  FAIL" if over else ""))
     return 1 if failed else 0

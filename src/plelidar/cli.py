@@ -123,7 +123,11 @@ def _manifest_lengths(manifest: lidar_io.SequenceManifest) -> dict:
 
 
 def cmd_synth(args) -> int:
-    cfg = synth.parse_config(Path(args.config).read_text())
+    try:
+        text = Path(args.config).read_text()
+    except OSError as exc:
+        raise ConfigError(exc) from None
+    cfg = synth.parse_config(text, args.config)
     out = Path(args.out)
     frames, points = synth.export(synth.frames(cfg), synth.reported_poses(cfg), out)
     (out / "synth.config").write_text(synth.config_to_text(cfg))
@@ -221,7 +225,7 @@ def cmd_eval(args) -> int:
     per_frame = []
     for seq, frame, path in frames:
         gt = source.gt_labels(seq, frame)
-        pred = ple.read_ple(path, frame, seq)
+        pred = ple.read_ple(path)
         if len(pred) != len(gt):
             raise DataError(
                 f"frame {seq}/{frame}: {len(gt)} labeled points vs {len(pred)} estimates"
@@ -264,8 +268,7 @@ class _EstimateDir(Mapping):
         self._paths = {(seq, frame): path for seq, frame, path in _eval_frames(Path(ple_dir))}
 
     def __getitem__(self, key):
-        seq, frame = key
-        return ple.read_ple(self._paths[key], frame, seq)
+        return ple.read_ple(self._paths[key])
 
     def __contains__(self, key) -> bool:
         return key in self._paths

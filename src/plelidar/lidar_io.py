@@ -8,9 +8,10 @@ A dataset root holds one directory per sequence (optionally under a
     <root>/sequences/<seq>/poses.txt                 one 3x4 row-major pose per line
     <root>/sequences/<seq>/calib.txt                 line "Tr: <12 decimals>"
 
-All binary values are little-endian. Poses on disk are expressed in the
-calibration reference frame; readers fold the ``Tr`` extrinsic in so that
-every pose handed out is world-from-LiDAR.
+Every sequence needs both ``poses.txt`` and ``calib.txt``. All binary values
+are little-endian. Poses on disk are expressed in the calibration reference
+frame; readers fold the ``Tr`` extrinsic in so that every pose handed out is
+world-from-LiDAR.
 """
 
 from __future__ import annotations
@@ -182,15 +183,15 @@ def read_calibration(path) -> RigidTransform:
     raise FormatError(f"{path}: no line starting with 'Tr:'")
 
 
-def read_poses(pose_path, calib_path=None) -> list:
+def read_poses(pose_path, calib_path) -> list:
     """Read per-frame poses, normalized to world-from-LiDAR.
 
     File poses are expressed in the calibration reference frame; each is
-    conjugated with ``Tr`` (``Tr^-1 . P . Tr``). Without a calibration file
-    ``Tr`` is the identity. Rotations are re-orthonormalized to absorb the
+    conjugated with the ``Tr`` of the required calibration file
+    (``Tr^-1 . P . Tr``). Rotations are re-orthonormalized to absorb the
     file's limited precision; a defect beyond 1e-4 is rejected.
     """
-    tr = read_calibration(calib_path) if calib_path is not None else geometry.identity()
+    tr = read_calibration(calib_path)
     tr_inv = geometry.invert(tr)
     poses = []
     for lineno, line in enumerate(Path(pose_path).read_text().splitlines(), start=1):
@@ -252,11 +253,11 @@ def build_manifest(dataset_root, scan_frequency_hz: float = 10.0) -> SequenceMan
     for seq_dir in _sequence_dirs(root):
         seq_id = seq_dir.name
         scan_paths = _frame_files(seq_dir / "velodyne", SCAN_SUFFIX, seq_id)
-        pose_path = seq_dir / "poses.txt"
-        if not pose_path.is_file():
-            raise MissingDataError(f"sequence {seq_id}: missing {pose_path}")
-        calib_path = seq_dir / "calib.txt"
-        poses = read_poses(pose_path, calib_path if calib_path.is_file() else None)
+        pose_path, calib_path = seq_dir / "poses.txt", seq_dir / "calib.txt"
+        for path in (pose_path, calib_path):
+            if not path.is_file():
+                raise MissingDataError(f"sequence {seq_id}: missing {path}")
+        poses = read_poses(pose_path, calib_path)
         if len(poses) != len(scan_paths):
             raise DataError(
                 f"sequence {seq_id}: {len(scan_paths)} scans but {len(poses)} poses"

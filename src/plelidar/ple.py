@@ -429,17 +429,14 @@ def write_ple(pmap: PseudoLabelMap, path) -> None:
     path.with_suffix(META_SUFFIX).write_text("\n".join(meta) + "\n")
 
 
-def read_ple(path, frame_id: int = 0, sequence_id: str = "") -> PseudoLabelMap:
+def read_ple(path) -> PseudoLabelMap:
     """Load a persisted estimate. The ids, references and mean distance come
-    from its .meta; without one, the given ids, () and 0.0."""
+    from its required .meta."""
     raw = Path(path).read_bytes()
     if len(raw) % 4 != 0:
         raise FormatError(f"{path}: length {len(raw)} is not a multiple of 4")
     words = np.frombuffer(raw, dtype="<u4")
-    meta_path = Path(path).with_suffix(META_SUFFIX)
-    meta = {"sequence": sequence_id, "frame": frame_id, "references": (), "mean_distance": 0.0}
-    if meta_path.is_file():
-        meta = read_meta(meta_path)
+    meta = read_meta(Path(path).with_suffix(META_SUFFIX))
     return PseudoLabelMap(
         semantic=(words & _SEMANTIC_MASK).astype(np.int32),
         valid=(words & _VALID_BIT) != 0,

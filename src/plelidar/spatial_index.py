@@ -18,6 +18,9 @@ DEFAULT_LEAF_SIZE = 256
 # it holds at once stay within this many, so queries far from every point,
 # which reach every leaf, stay in bounded memory.
 _PAIR_BUDGET = 1 << 16
+# A leaf scores at most this many queries at once, so its (queries x leaf
+# points) distance block stays within a few MiB however many share the leaf.
+_LEAF_ROWS = 4096
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -77,12 +80,13 @@ class KdTree:
     A query runs in two phases, each one numpy step per tree level for all
     queries together. Phase 1 walks every query to its home leaf, keeping
     the smallest squared distance to a split plane on its path (its home
-    cell's nearest face), and scores each leaf's queries in one block. Only
-    a query whose best squared distance reaches that face goes on to phase
-    2, which expands (query, node) pairs with the plane test
-    ``signed**2 <= best`` and scores the new (query, leaf) pairs one batch
-    per leaf. A point beyond a plane is at least ``signed**2`` away even in
-    floating point, because rounding is monotone, so the search is exact.
+    cell's nearest face), and scores each leaf's queries in one block, in
+    slices of at most ``_LEAF_ROWS`` queries. Only a query whose best
+    squared distance reaches that face goes on to phase 2, which expands
+    (query, node) pairs with the plane test ``signed**2 <= best`` and
+    scores the new (query, leaf) pairs one batch per leaf. A point beyond a
+    plane is at least ``signed**2`` away even in floating point, because
+    rounding is monotone, so the search is exact.
     """
 
     def __init__(self, points, leaf_size: int = DEFAULT_LEAF_SIZE):
@@ -192,7 +196,12 @@ class KdTree:
         return indices, dists
 
     def _leaf_nearest(self, q: np.ndarray, leaf: int):
-        """Nearest point of one leaf for per-axis queries ``q`` (3, M)."""
+        """Nearest point of one leaf for per-axis queries ``q`` (3, M),
+        scored at most ``_LEAF_ROWS`` queries at a time."""
+        if q.shape[1] > _LEAF_ROWS:
+            parts = [self._leaf_nearest(q[:, a:a + _LEAF_ROWS], leaf)
+                     for a in range(0, q.shape[1], _LEAF_ROWS)]
+            return tuple(np.concatenate(p) for p in zip(*parts))
         lo, hi = self._start[leaf], self._end[leaf]
         d2 = _squared_distances(q, self._leaf_xyz[:, lo:hi])
         # Leaf points ascend in original index, so argmin's first-occurrence

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation
-from .errors import ConfigError, DataError, FormatError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 IGNORE_LABEL = -1
 KIND_NONE = 0
@@ -70,10 +70,6 @@ class DualHeadNet:
     @property
     def feature_dim(self) -> int:
         return self.params["w1"].shape[0]
-
-    @property
-    def classes(self) -> int:
-        return self.params["wc"].shape[1]
 
     def copy(self) -> "DualHeadNet":
         return DualHeadNet({k: v.copy() for k, v in self.params.items()})
@@ -481,39 +477,6 @@ def save_model(net: DualHeadNet, path) -> None:
         for name in PARAM_NAMES
     )
     Path(path).write_bytes(("\n".join(header) + "\n").encode("ascii") + blob)
-
-
-def load_model(path) -> DualHeadNet:
-    raw = Path(path).read_bytes()
-    marker = b"\nend\n"
-    cut = raw.find(marker)
-    if cut < 0:
-        raise FormatError(f"{path}: missing model header terminator")
-    header_lines = raw[:cut].decode("ascii", errors="replace").splitlines()
-    if not header_lines or header_lines[0] != MODEL_MAGIC:
-        raise FormatError(f"{path}: not a model file")
-    shapes = {}
-    for line in header_lines[1:]:
-        parts = line.split()
-        if parts[0] not in PARAM_NAMES or len(parts) < 2:
-            raise FormatError(f"{path}: unexpected header line {line!r}")
-        shapes[parts[0]] = tuple(int(d) for d in parts[1:])
-    if set(shapes) != set(PARAM_NAMES):
-        raise FormatError(f"{path}: header does not name every parameter")
-    blob = raw[cut + len(marker):]
-    values = np.frombuffer(blob, dtype="<f8")
-    params = {}
-    offset = 0
-    for name in PARAM_NAMES:
-        size = int(np.prod(shapes[name]))
-        chunk = values[offset : offset + size]
-        if len(chunk) != size:
-            raise FormatError(f"{path}: truncated parameter data")
-        params[name] = chunk.reshape(shapes[name]).astype(np.float64)
-        offset += size
-    if offset != len(values):
-        raise FormatError(f"{path}: trailing bytes after parameters")
-    return DualHeadNet(params)
 
 
 def _voxel_keys(points: np.ndarray) -> np.ndarray:

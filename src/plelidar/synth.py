@@ -361,26 +361,24 @@ _SCALAR_KEYS = {
 _BODY_ARITY = {"ground": 6, "wall": 7, "box": 10}
 
 
-def _parse_list(value: str, key: str, lineno: int) -> list:
+def _parse_list(value: str, key: str, at: str) -> list:
     raw = value.strip()
     if not (raw.startswith("[") and raw.endswith("]")):
-        raise ConfigError(f"line {lineno}: {key} expects a bracketed list")
+        raise ConfigError(f"{at}: {key} expects a bracketed list")
     inner = raw[1:-1].strip()
     if not inner:
         return []
     try:
         return [float(p) for p in inner.split(",")]
     except ValueError:
-        raise ConfigError(f"line {lineno}: non-numeric entry in {key}") from None
+        raise ConfigError(f"{at}: non-numeric entry in {key}") from None
 
 
-def _body_from_values(kind: str, vals: list, lineno: int):
+def _body_from_values(kind: str, vals: list, at: str):
     if len(vals) != _BODY_ARITY[kind]:
-        raise ConfigError(
-            f"line {lineno}: {kind} expects {_BODY_ARITY[kind]} values, got {len(vals)}"
-        )
+        raise ConfigError(f"{at}: {kind} expects {_BODY_ARITY[kind]} values, got {len(vals)}")
     if not vals[0].is_integer():
-        raise ConfigError(f"line {lineno}: class id must be an integer")
+        raise ConfigError(f"{at}: class id must be an integer")
     class_id = int(vals[0])
     if kind == "ground":
         return Ground(class_id, *vals[1:])
@@ -389,8 +387,12 @@ def _body_from_values(kind: str, vals: list, lineno: int):
     return Box(class_id, tuple(vals[1:4]), tuple(vals[4:7]), tuple(vals[7:10]))
 
 
-def parse_config(text: str) -> SynthConfig:
-    """Parse the flat key = value scene description (see config_to_text)."""
+def parse_config(text: str, source=None) -> SynthConfig:
+    """Parse the flat key = value scene description (see config_to_text).
+
+    An error names its place as ``source:line`` for the file ``source`` the
+    text came from, or as ``line N`` when none is given.
+    """
     scalars: dict = {}
     path: list = []
     headings: list = []
@@ -399,8 +401,9 @@ def parse_config(text: str) -> SynthConfig:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
+        at = f"{source}:{lineno}" if source is not None else f"line {lineno}"
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{at}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
         if key in _SCALAR_KEYS:
@@ -408,18 +411,18 @@ def parse_config(text: str) -> SynthConfig:
             try:
                 scalars[key] = caster(value)
             except ValueError:
-                raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from None
+                raise ConfigError(f"{at}: bad value for {key}: {value!r}") from None
         elif key == "path":
-            vals = _parse_list(value, key, lineno)
+            vals = _parse_list(value, key, at)
             if len(vals) % 3 != 0 or not vals:
-                raise ConfigError(f"line {lineno}: path needs 3 values per waypoint")
+                raise ConfigError(f"{at}: path needs 3 values per waypoint")
             path = [tuple(vals[i : i + 3]) for i in range(0, len(vals), 3)]
         elif key == "headings":
-            headings = _parse_list(value, key, lineno)
+            headings = _parse_list(value, key, at)
         elif key in _BODY_ARITY:
-            bodies.append(_body_from_values(key, _parse_list(value, key, lineno), lineno))
+            bodies.append(_body_from_values(key, _parse_list(value, key, at), at))
         else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{at}: unknown key {key!r}")
     kwargs = dict(scalars)
     if path:
         kwargs["path"] = tuple(path)

@@ -137,6 +137,61 @@ def test_missing_dataset_exits_data(tmp_path, capsys):
     assert code == 3
 
 
+def _argv(command, data, split, est, out) -> list:
+    """A run of `command` over the dataset `data`, with the flags it needs."""
+    argv = [command, "--root", str(data), "--out", str(out)]
+    if command == "split":
+        return argv + ["--ratio", "10%"]
+    argv += ["--split", str(split)]
+    if command in ("eval", "train"):
+        argv += ["--ple-dir", str(est)]
+    return argv + (["--steps", "1"] if command == "train" else [])
+
+
+@pytest.mark.parametrize("command", ["split", "ple", "eval", "train"])
+def test_sequence_without_calibration_exits_data(workspace, estimates, tmp_path, capsys,
+                                                 command):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    calib = data / "sequences" / "00" / "calib.txt"
+    calib.unlink()
+    out = tmp_path / "out"
+    assert cli.main(_argv(command, data, workspace["split"], estimates, out)) == 3
+    assert capsys.readouterr().err == f"error: sequence 00: missing {calib}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("poses.txt", ":1: non-numeric pose entry"),
+    ("velodyne/abc.bin", ": scan file name is not a frame number"),
+])
+def test_broken_dataset_file_exits_data(workspace, tmp_path, capsys, name, message):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / "sequences" / "00" / name
+    if name == "poses.txt":
+        path.write_text("x" + path.read_text())  # the first entry reads 'x1'
+    else:
+        shutil.copy(path.parent / "000000.bin", path)
+    out = tmp_path / "out"
+    assert cli.main(_argv("split", data, None, None, out)) == 3
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("00 x", "frame id 'x' is not an integer"),
+    ("00 -1", "negative frame id -1"),
+])
+def test_split_file_bad_frame_id_exits_data(workspace, tmp_path, capsys, line, message):
+    split = tmp_path / "bad.split"
+    split.write_text(f"[labeled]\n00 0\n{line}\n")
+    out = tmp_path / "out"
+    assert cli.main(_argv("ple", workspace["data"], split, None, out)) == 3
+    assert capsys.readouterr().err == f"error: {split}:3: {message}\n"
+    assert not out.exists()
+
+
 def test_ple_naive_then_eval(workspace, tmp_path, capsys):
     est = tmp_path / "est"
     code = cli.main(
@@ -397,6 +452,29 @@ def test_synth_surface_it_cannot_sample_exits_config(tmp_path, capsys):
     assert not (tmp_path / "ds").exists()
 
 
+def test_synth_missing_scene_file_exits_config(tmp_path, capsys):
+    nope = tmp_path / "nope.scene"
+    assert cli.main(["synth", "--config", str(nope), "--out", str(tmp_path / "ds")]) == 2
+    assert str(nope) in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("frames", "expected 'key = value', got 'frames'"),
+    ("box = 1, 2", "box expects a bracketed list"),
+    ("frames = x", "bad value for frames: 'x'"),
+    ("path = [1, 2]", "path needs 3 values per waypoint"),
+    ("ground = [1, a, 2, 3, 4, 5]", "non-numeric entry in ground"),
+])
+def test_synth_bad_scene_line_exits_config_naming_file_and_line(tmp_path, capsys, line,
+                                                                 message):
+    scene = tmp_path / "scene.config"
+    scene.write_text(f"frames = 3\nground = [1, -5, 5, -5, 5, 0]\n{line}\n")
+    assert cli.main(["synth", "--config", str(scene), "--out", str(tmp_path / "ds")]) == 2
+    assert capsys.readouterr().err == f"error: {scene}:3: {message}\n"
+    assert not (tmp_path / "ds").exists()
+
+
 def test_ple_fully_labeled_notice(workspace, tmp_path, capsys):
     full = tmp_path / "full.split"
     assert (
@@ -558,6 +636,42 @@ def test_eval_estimate_one_word_short_exits_data(workspace, estimates, tmp_path,
     assert code == 3
     assert f"frame 00/{int(short.stem)}:" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_estimate_without_meta_exits_data(workspace, estimates, tmp_path, capsys, command):
+    est = tmp_path / "est"
+    shutil.copytree(estimates, est)
+    meta = sorted((est / "00").glob(f"*{ple.META_SUFFIX}"))[-1]
+    meta.unlink()
+    out = tmp_path / "r"
+    assert cli.main(_argv(command, workspace["data"], workspace["split"], est, out)) == 3
+    assert f"error: [Errno 2] No such file or directory: '{meta}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_meta_without_mean_distance_exits_data(workspace, estimates, tmp_path, capsys):
+    est = tmp_path / "est"
+    shutil.copytree(estimates, est)
+    meta = sorted((est / "00").glob(f"*{ple.META_SUFFIX}"))[-1]
+    meta.write_text("".join(line for line in meta.read_text().splitlines(keepends=True)
+                            if not line.startswith("mean_distance")))
+    out = tmp_path / "r"
+    assert cli.main(_argv("eval", workspace["data"], workspace["split"], est, out)) == 3
+    assert capsys.readouterr().err.startswith(f"error: {meta}: missing or malformed field")
+    assert not out.exists()
+
+
+def test_train_estimate_one_word_short_exits_data(workspace, estimates, tmp_path, capsys):
+    est = tmp_path / "est"
+    shutil.copytree(estimates, est)
+    short = sorted((est / "00").glob(f"*{ple.PLE_SUFFIX}"))[-1]
+    short.write_bytes(short.read_bytes()[:-4])
+    out = tmp_path / "run"
+    assert cli.main(_argv("train", workspace["data"], workspace["split"], est, out)) == 3
+    assert capsys.readouterr().err == (
+        f"error: frame 00/{int(short.stem)}: estimate and scan sizes differ\n")
+    assert not out.exists()
 
 
 def test_eval_frame_with_nothing_to_score_enters_curve_at_zero(workspace, estimates, tmp_path):

@@ -82,6 +82,13 @@ def _pose_line(mat34: np.ndarray) -> str:
     return " ".join(f"{v:.12e}" for v in mat34.reshape(-1))
 
 
+def _identity_calibration(directory):
+    """An identity calib.txt in `directory`, as synth writes for its scenes."""
+    path = directory / "calib.txt"
+    lidar_io.write_calibration(path, geometry.identity())
+    return path
+
+
 def test_read_poses_identity_calibration(tmp_path):
     rng = np.random.default_rng(1)
     mats = []
@@ -94,7 +101,7 @@ def test_read_poses_identity_calibration(tmp_path):
         lines.append(_pose_line(m))
     pose_path = tmp_path / "poses.txt"
     pose_path.write_text("\n".join(lines) + "\n")
-    poses = lidar_io.read_poses(pose_path)
+    poses = lidar_io.read_poses(pose_path, _identity_calibration(tmp_path))
     assert len(poses) == 5
     for pose, m in zip(poses, mats):
         assert np.abs(pose.rotation - m[:, :3]).max() < 1e-9
@@ -129,7 +136,7 @@ def test_read_poses_reports_line_numbers(tmp_path):
     path = tmp_path / "poses.txt"
     path.write_text(good + "\n1 2 3\n")
     with pytest.raises(FormatError, match=":2"):
-        lidar_io.read_poses(path)
+        lidar_io.read_poses(path, _identity_calibration(tmp_path))
 
 
 def test_read_poses_rejects_bad_rotation(tmp_path):
@@ -137,7 +144,7 @@ def test_read_poses_rejects_bad_rotation(tmp_path):
     path = tmp_path / "poses.txt"
     path.write_text(_pose_line(mat) + "\n")
     with pytest.raises(DataError, match="defect"):
-        lidar_io.read_poses(path)
+        lidar_io.read_poses(path, _identity_calibration(tmp_path))
 
 
 @pytest.mark.parametrize("name", ["poses.txt", "calib.txt"])
@@ -202,6 +209,7 @@ def _make_sequence(root, seq="00", frames=3, with_labels=True):
             labels = LabelMap(np.full(20, 1), np.zeros(20, dtype=int), f, seq)
             lidar_io.write_labels(labels, seq_dir / "labels" / f"{f:06d}.label")
     (seq_dir / "poses.txt").write_text("\n".join(lines) + "\n")
+    _identity_calibration(seq_dir)
     return seq_dir
 
 
@@ -229,6 +237,13 @@ def test_build_manifest_missing_poses(tmp_path):
     seq_dir = _make_sequence(tmp_path)
     (seq_dir / "poses.txt").unlink()
     with pytest.raises(MissingDataError):
+        lidar_io.build_manifest(tmp_path)
+
+
+def test_build_manifest_missing_calibration(tmp_path):
+    seq_dir = _make_sequence(tmp_path)
+    (seq_dir / "calib.txt").unlink()
+    with pytest.raises(MissingDataError, match=f"missing {seq_dir / 'calib.txt'}"):
         lidar_io.build_manifest(tmp_path)
 
 

@@ -706,16 +706,12 @@ class TestFileFormat:
         assert meta["references"] == (2, 3)
         assert meta["mean_distance"] == 0.375
 
-    def test_read_without_sidecar(self, tmp_path):
-        pmap = self._sample_map()
+    def test_read_needs_its_meta(self, tmp_path):
         path = tmp_path / "s.ple"
-        ple.write_ple(pmap, path)
+        ple.write_ple(self._sample_map(), path)
         path.with_suffix(".meta").unlink()
-        again = ple.read_ple(path, frame_id=7, sequence_id="04")
-        assert again.frame_id == 7
-        assert again.sequence_id == "04"
-        assert again.references == ()
-        assert again.mean_distance == 0.0
+        with pytest.raises(FileNotFoundError, match="s.meta"):
+            ple.read_ple(path)
 
     def test_read_rejects_negative_mean_distance(self, tmp_path):
         path = tmp_path / "n.ple"

@@ -3,6 +3,8 @@ and its tree arrays against the node-at-a-time build it replaced."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,3 +380,33 @@ def test_phase_two_halves_query_sets_that_outgrow_the_pair_budget(monkeypatch):
     monkeypatch.setattr(KdTree, "_far_leaves", spy)
     assert_matches_brute(pts, queries, leaf_size=2)
     assert any(outgrown) and not all(outgrown)
+
+
+def test_many_queries_in_one_leaf_score_in_bounded_memory():
+    # 40,000 queries share the one leaf of a 200-point pool. One (queries x
+    # points) block for all of them peaks near 130 MB; slices of _LEAF_ROWS
+    # queries keep the peak near 16 MB.
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(-10.0, 10.0, (200, 3))
+    queries = rng.uniform(-12.0, 12.0, (40_000, 3))
+    tree = KdTree(pts)
+    tracemalloc.start()
+    try:
+        ti, td = tree.nearest(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+    bi, bd = nearest_brute(pts, queries)
+    assert np.array_equal(ti, bi)
+    assert np.array_equal(td, bd)
+
+
+@pytest.mark.parametrize("leaf_size", [1, 4, 16])
+def test_leaf_blocks_scored_in_slices_match_brute(monkeypatch, leaf_size):
+    # slices of three queries split both phases' leaf blocks
+    monkeypatch.setattr(spatial_index, "_LEAF_ROWS", 3)
+    rng = np.random.default_rng(29)
+    pts = rng.uniform(-1.0, 1.0, (200, 3))
+    assert_matches_brute(pts, rng.uniform(-1.5, 1.5, (500, 3)), leaf_size=leaf_size)
+    assert_matches_brute(pts, np.repeat(pts[:7], 5, axis=0), leaf_size=leaf_size)
