@@ -13,7 +13,6 @@ from .errors import (
     EmptyIndexError,
     EmptyResultError,
     FormatError,
-    IoError,
     MissingDataError,
     PlelidarError,
     ShapeError,
@@ -33,7 +32,6 @@ __all__ = [
     "EmptyIndexError",
     "EmptyResultError",
     "FormatError",
-    "IoError",
     "KdTree",
     "LabelMap",
     "MissingDataError",

@@ -43,7 +43,7 @@ def write_flat(path, pairs: dict) -> None:
         elif isinstance(value, float):
             value = f"{value:.17g}"
         lines.append(f"{key} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    lidar_io.write_lines(path, lines)
 
 
 # argparse plumbing that is not a setting of the run
@@ -70,16 +70,8 @@ def _unreadable_setting(args):
 def read_flat(path) -> dict:
     """Parse `key = value` lines; a line whose first non-blank character is
     `#` is a comment, and a value keeps any `#` it holds."""
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+    lines = lidar_io.read_lines(path, ConfigError)
+    return {key: value for _, key, value in lidar_io.key_values(lines, path, ConfigError)}
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
@@ -123,14 +115,10 @@ def _manifest_lengths(manifest: lidar_io.SequenceManifest) -> dict:
 
 
 def cmd_synth(args) -> int:
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        raise ConfigError(exc) from None
-    cfg = synth.parse_config(text, args.config)
+    cfg = synth.parse_config(lidar_io.read_lines(args.config, ConfigError), args.config)
     out = Path(args.out)
     frames, points = synth.export(synth.frames(cfg), synth.reported_poses(cfg), out)
-    (out / "synth.config").write_text(synth.config_to_text(cfg))
+    lidar_io.write_lines(out / "synth.config", synth.config_to_text(cfg).splitlines())
     print(f"frames={frames} points={points} out={out}")
     return EXIT_OK
 
@@ -152,7 +140,10 @@ def cmd_split(args) -> int:
 
 def _load_split_for(manifest, path) -> dict:
     result = split_mod.read_split(path)
-    split_mod.validate_split(result, _manifest_lengths(manifest))
+    try:
+        split_mod.validate_split(result, _manifest_lengths(manifest))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return result
 
 
@@ -210,6 +201,16 @@ def _eval_frames(ple_dir: Path) -> list:
     return frames
 
 
+def _read_estimate(source, seq: str, frame: int, path):
+    """The estimate at `path`, checked to hold one label per point of its frame."""
+    pred = ple.read_ple(path)
+    points = source.point_count(seq, frame)
+    if len(pred) != points:
+        raise DataError(f"frame {seq}/{frame}: {path} holds {len(pred)} estimates "
+                        f"for {points} points")
+    return pred
+
+
 def cmd_eval(args) -> int:
     if args.group_by_offset and args.split is None:
         raise ConfigError("--group-by-offset needs --split to locate labeled frames")
@@ -225,11 +226,7 @@ def cmd_eval(args) -> int:
     per_frame = []
     for seq, frame, path in frames:
         gt = source.gt_labels(seq, frame)
-        pred = ple.read_ple(path)
-        if len(pred) != len(gt):
-            raise DataError(
-                f"frame {seq}/{frame}: {len(gt)} labeled points vs {len(pred)} estimates"
-            )
+        pred = _read_estimate(source, seq, frame, path)
         classes = set(np.unique(gt.semantic).tolist())
         classes.update(np.unique(pred.semantic[pred.valid]).tolist())
         classes.discard(args.ignore_class)
@@ -262,13 +259,15 @@ def cmd_eval(args) -> int:
 
 class _EstimateDir(Mapping):
     """The estimates of a --ple-dir tree by (sequence, frame); each lookup
-    reads its file, so no estimate is held longer than its caller holds it."""
+    reads and checks its file, so no estimate is held longer than its caller
+    holds it."""
 
-    def __init__(self, ple_dir):
+    def __init__(self, ple_dir, source):
         self._paths = {(seq, frame): path for seq, frame, path in _eval_frames(Path(ple_dir))}
+        self._source = source
 
     def __getitem__(self, key):
-        return ple.read_ple(self._paths[key])
+        return _read_estimate(self._source, *key, self._paths[key])
 
     def __contains__(self, key) -> bool:
         return key in self._paths
@@ -300,7 +299,7 @@ def cmd_train(args) -> int:
         hidden=args.hidden,
         seed=args.seed,
     )
-    ple_maps = _EstimateDir(args.ple_dir) if args.ple_dir else None
+    ple_maps = _EstimateDir(args.ple_dir, source) if args.ple_dir else None
     data = ssl_mini.assemble_training_data(
         source, labeled, ple_maps, max_points=args.max_points, seed=args.seed
     )

@@ -29,9 +29,5 @@ class ShapeError(PlelidarError):
     """Array dimensions do not match what an operation requires."""
 
 
-class IoError(PlelidarError):
-    """An output path could not be written."""
-
-
 class EmptyResultError(PlelidarError):
     """A pipeline stage produced no output where some was required."""

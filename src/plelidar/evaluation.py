@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, IoError
+from . import lidar_io
+from .errors import DataError
 
 IGNORE_CLASS = 0
 REPORT_COLUMNS = ("class", "iou", "precision", "count")
@@ -146,10 +146,7 @@ def write_rows(path, format: str, what: str, columns: tuple, rows) -> None:
                  for row in rows]
     else:
         raise DataError(f"unknown {what} format {format!r}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n" if lines else "")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    lidar_io.write_lines(path, lines)
 
 
 def write_report(report: EvalReport, path, format: str = "csv") -> None:

@@ -9,9 +9,9 @@ A dataset root holds one directory per sequence (optionally under a
     <root>/sequences/<seq>/calib.txt                 line "Tr: <12 decimals>"
 
 Every sequence needs both ``poses.txt`` and ``calib.txt``. All binary values
-are little-endian. Poses on disk are expressed in the calibration reference
-frame; readers fold the ``Tr`` extrinsic in so that every pose handed out is
-world-from-LiDAR.
+are little-endian, and all text is UTF-8 whatever the locale. Poses on disk
+are expressed in the calibration reference frame; readers fold the ``Tr``
+extrinsic in so that every pose handed out is world-from-LiDAR.
 """
 
 from __future__ import annotations
@@ -100,6 +100,37 @@ class SequenceManifest:
         return iter(self.sequences)
 
 
+def read_lines(path, error) -> list:
+    """The lines of a UTF-8 text file; one that cannot be read or decoded
+    raises `error`, the caller's error class, naming the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8").splitlines()
+    except OSError as exc:
+        raise error(exc) from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
+def write_lines(path, lines) -> None:
+    """Write `lines` as UTF-8 text, each ended by a newline."""
+    Path(path).write_bytes("".join(f"{line}\n" for line in lines).encode("utf-8"))
+
+
+def key_values(lines, source, error):
+    """Yield (place, key, value) of each `key = value` line, place being
+    `source:line` (`line N` without a source). A line that is blank or whose
+    first non-blank character is `#` is skipped; a value keeps any `#`."""
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        at = f"{source}:{lineno}" if source is not None else f"line {lineno}"
+        if "=" not in stripped:
+            raise error(f"{at}: expected 'key = value', got {line!r}")
+        key, _, value = stripped.partition("=")
+        yield at, key.strip(), value.strip()
+
+
 def _check_scan_size(path, size: int) -> None:
     if size % 16 != 0:
         raise FormatError(f"{path}: length {size} is not a multiple of 16 bytes")
@@ -175,7 +206,7 @@ def _checked_transform(mat34: np.ndarray, context: str) -> RigidTransform:
 
 def read_calibration(path) -> RigidTransform:
     """Extract the Tr extrinsic (sensor-to-reference) from a calib.txt file."""
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path, FormatError), start=1):
         if line.startswith("Tr:"):
             return _checked_transform(
                 _parse_matrix_line(line[3:], lineno, path), f"{path}:{lineno}"
@@ -194,7 +225,7 @@ def read_poses(pose_path, calib_path) -> list:
     tr = read_calibration(calib_path)
     tr_inv = geometry.invert(tr)
     poses = []
-    for lineno, line in enumerate(Path(pose_path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(pose_path, FormatError), start=1):
         if not line.strip():
             continue
         pose = _checked_transform(
@@ -214,12 +245,12 @@ def write_poses(poses, pose_path, calibration: RigidTransform | None = None) -> 
             )
         mat = pose.as_matrix()[:3, :]
         lines.append(" ".join(f"{v:.17g}" for v in mat.reshape(-1)))
-    Path(pose_path).write_text("\n".join(lines) + "\n")
+    write_lines(pose_path, lines)
 
 
 def write_calibration(path, tr: RigidTransform) -> None:
     mat = tr.as_matrix()[:3, :]
-    Path(path).write_text("Tr: " + " ".join(f"{v:.17g}" for v in mat.reshape(-1)) + "\n")
+    write_lines(path, ["Tr: " + " ".join(f"{v:.17g}" for v in mat.reshape(-1))])
 
 
 def _sequence_dirs(root: Path) -> list:
@@ -236,9 +267,8 @@ def _frame_files(directory: Path, suffix: str, seq_id: str) -> tuple:
         except ValueError:
             raise DataError(f"{f}: scan file name is not a frame number") from None
         if stem_id != index:
-            raise DataError(
-                f"sequence {seq_id}: frame ids not contiguous, expected {index} got {stem_id}"
-            )
+            raise DataError(f"sequence {seq_id}: frame ids not contiguous, expected "
+                            f"{directory / f'{index:06d}{suffix}'} got {f}")
     return tuple(files)
 
 
@@ -260,7 +290,7 @@ def build_manifest(dataset_root, scan_frequency_hz: float = 10.0) -> SequenceMan
         poses = read_poses(pose_path, calib_path)
         if len(poses) != len(scan_paths):
             raise DataError(
-                f"sequence {seq_id}: {len(scan_paths)} scans but {len(poses)} poses"
+                f"sequence {seq_id}: {len(scan_paths)} scans but {len(poses)} poses in {pose_path}"
             )
         label_paths = None
         if (seq_dir / "labels").is_dir():

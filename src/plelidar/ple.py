@@ -239,14 +239,21 @@ class ManifestSource:
         info = self._info(seq, frame)
         return lidar_io.read_scan(info.scan_paths[frame], frame, seq)
 
+    def point_count(self, seq: str, frame: int) -> int:
+        """Points in the frame's scan, from its file size alone."""
+        return lidar_io.scan_point_count(self._info(seq, frame).scan_paths[frame])
+
     def gt_labels(self, seq: str, frame: int) -> LabelMap:
         """The frame's labels, checked against its scan's size; the scan
         itself is not decoded."""
-        info = self._info(seq, frame)
-        points = lidar_io.scan_point_count(info.scan_paths[frame])
+        points = self.point_count(seq, frame)
+        info = self._by_id[seq]
         if info.label_paths is None:
             raise DataError(f"sequence {seq} has no label files")
-        return lidar_io.read_labels(info.label_paths[frame], points, frame, seq)
+        try:
+            return lidar_io.read_labels(info.label_paths[frame], points, frame, seq)
+        except FormatError as exc:
+            raise FormatError(f"{exc}, one per point of {info.scan_paths[frame]}") from None
 
     def pose(self, seq: str, frame: int) -> geometry.RigidTransform:
         return self._info(seq, frame).poses[frame]
@@ -426,7 +433,7 @@ def write_ple(pmap: PseudoLabelMap, path) -> None:
         "references = " + ", ".join(str(r) for r in pmap.references),
         f"mean_distance = {pmap.mean_distance:.17g}",
     ]
-    path.with_suffix(META_SUFFIX).write_text("\n".join(meta) + "\n")
+    lidar_io.write_lines(path.with_suffix(META_SUFFIX), meta)
 
 
 def read_ple(path) -> PseudoLabelMap:
@@ -436,27 +443,25 @@ def read_ple(path) -> PseudoLabelMap:
     if len(raw) % 4 != 0:
         raise FormatError(f"{path}: length {len(raw)} is not a multiple of 4")
     words = np.frombuffer(raw, dtype="<u4")
-    meta = read_meta(Path(path).with_suffix(META_SUFFIX))
-    return PseudoLabelMap(
-        semantic=(words & _SEMANTIC_MASK).astype(np.int32),
-        valid=(words & _VALID_BIT) != 0,
-        origin_kind=((words & _ORIGIN_BIT) != 0).astype(np.uint8),
-        frame_id=meta["frame"],
-        sequence_id=meta["sequence"],
-        references=meta["references"],
-        mean_distance=meta["mean_distance"],
-    )
+    meta_path = Path(path).with_suffix(META_SUFFIX)
+    meta = read_meta(meta_path)
+    try:
+        return PseudoLabelMap(
+            semantic=(words & _SEMANTIC_MASK).astype(np.int32),
+            valid=(words & _VALID_BIT) != 0,
+            origin_kind=((words & _ORIGIN_BIT) != 0).astype(np.uint8),
+            frame_id=meta["frame"],
+            sequence_id=meta["sequence"],
+            references=meta["references"],
+            mean_distance=meta["mean_distance"],
+        )
+    except DataError as exc:
+        raise DataError(f"{path} with {meta_path}: {exc}") from None
 
 
 def read_meta(path) -> dict:
-    fields: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+    lines = lidar_io.read_lines(path, FormatError)
+    fields = {key: value for _, key, value in lidar_io.key_values(lines, path, FormatError)}
     try:
         return {
             "sequence": fields["sequence"],

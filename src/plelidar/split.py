@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+from . import lidar_io
 from .errors import ConfigError, DataError, FormatError
 
 MODES = ("global-floor", "per-sequence")
@@ -100,13 +101,11 @@ def write_split(split: dict, path) -> None:
     for seq in sorted(split):
         for frame in split[seq]:
             lines.append(f"{seq} {frame}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lidar_io.write_lines(path, lines)
 
 
 def read_split(path) -> dict:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = lidar_io.read_lines(path, FormatError)
     if not lines or lines[0].strip() != "[labeled]":
         raise FormatError(f"{path}: first line must be '[labeled]'")
     split: dict = {}

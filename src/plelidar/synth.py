@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, lidar_io
-from .errors import ConfigError, IoError
+from .errors import ConfigError
 from .geometry import RigidTransform
 from .lidar_io import LabelMap, PointCloud
 
@@ -334,17 +334,14 @@ def export(pairs, poses, root_path) -> tuple:
 
     seq_dir = Path(root_path) / "sequences" / "00"
     count = points = 0
-    try:
-        (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
-        (seq_dir / "labels").mkdir(parents=True, exist_ok=True)
-        for t, (cloud, label) in enumerate(pairs):
-            lidar_io.write_scan(cloud, seq_dir / "velodyne" / f"{t:06d}.bin")
-            lidar_io.write_labels(label, seq_dir / "labels" / f"{t:06d}.label")
-            count, points = t + 1, points + len(cloud)
-        lidar_io.write_poses(poses, seq_dir / "poses.txt")
-        lidar_io.write_calibration(seq_dir / "calib.txt", geometry.identity())
-    except OSError as exc:
-        raise IoError(f"cannot export dataset to {root_path}: {exc}") from exc
+    (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
+    (seq_dir / "labels").mkdir(parents=True, exist_ok=True)
+    for t, (cloud, label) in enumerate(pairs):
+        lidar_io.write_scan(cloud, seq_dir / "velodyne" / f"{t:06d}.bin")
+        lidar_io.write_labels(label, seq_dir / "labels" / f"{t:06d}.label")
+        count, points = t + 1, points + len(cloud)
+    lidar_io.write_poses(poses, seq_dir / "poses.txt")
+    lidar_io.write_calibration(seq_dir / "calib.txt", geometry.identity())
     return count, points
 
 
@@ -387,25 +384,19 @@ def _body_from_values(kind: str, vals: list, at: str):
     return Box(class_id, tuple(vals[1:4]), tuple(vals[4:7]), tuple(vals[7:10]))
 
 
-def parse_config(text: str, source=None) -> SynthConfig:
-    """Parse the flat key = value scene description (see config_to_text).
+def parse_config(lines, source=None) -> SynthConfig:
+    """Parse the lines of a flat key = value scene description (see
+    config_to_text); a `#` starts a comment.
 
     An error names its place as ``source:line`` for the file ``source`` the
-    text came from, or as ``line N`` when none is given.
+    lines came from, or as ``line N`` when none is given.
     """
     scalars: dict = {}
     path: list = []
     headings: list = []
     bodies: list = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        at = f"{source}:{lineno}" if source is not None else f"line {lineno}"
-        if "=" not in stripped:
-            raise ConfigError(f"{at}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
+    for at, key, value in lidar_io.key_values(lines, source, ConfigError):
+        value = value.split("#", 1)[0].strip()
         if key in _SCALAR_KEYS:
             caster = _SCALAR_KEYS[key]
             try:
@@ -430,7 +421,10 @@ def parse_config(text: str, source=None) -> SynthConfig:
         kwargs["headings"] = tuple(headings)
     kwargs["bodies"] = tuple(bodies)
     cfg = SynthConfig(**kwargs)
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}" if source is not None else exc) from None
     return cfg
 
 

@@ -69,8 +69,8 @@ def test_synth_writes_dataset_and_echo(tmp_path, capsys):
     assert (out / "sequences" / "00" / "poses.txt").is_file()
     assert (out / "sequences" / "00" / "calib.txt").is_file()
     # the echoed config parses back to the same scene
-    echoed = synth.parse_config((out / "synth.config").read_text())
-    assert echoed == synth.parse_config(scene.read_text())
+    echoed = synth.parse_config((out / "synth.config").read_text().splitlines())
+    assert echoed == synth.parse_config(scene.read_text().splitlines())
 
 
 def test_synth_requires_config(tmp_path, capsys):
@@ -436,11 +436,39 @@ def test_non_finite_pose_or_calibration_exits_data(workspace, tmp_path, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["split", "synth"])
+def test_runs_do_not_depend_on_the_locale(workspace, tmp_path, command):
+    # an ASCII locale with UTF-8 mode off reads and writes UTF-8 all the same
+    out = tmp_path / "out"
+    if command == "synth":
+        config = _scene_file(tmp_path, corridor_config(frames=3, points_per_surface=1.0))
+        config.write_text("# scène, café\n" + config.read_text(), encoding="utf-8")
+        argv = ["synth", "--config", str(config), "--out", str(out)]
+    else:
+        config = tmp_path / "split.config"
+        config.write_text("# café\nratio = 25%\nmode = global-floor\n", encoding="utf-8")
+        argv = ["split", "--config", str(config), "--root", str(workspace["data"]),
+                "--out", str(out / "labeled.split")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    outputs = []
+    for locale_env in ({"PYTHONUTF8": "1"}, {"PYTHONUTF8": "0", "LC_ALL": "C"}):
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "plelidar.cli", *argv], capture_output=True,
+                              timeout=60, env={**env, **locale_env})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, _tree_bytes(out)))
+        shutil.rmtree(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]
+
+
 def test_synth_scene_it_cannot_build_exits_config(tmp_path, capsys):
     scene = tmp_path / "scene.config"
     scene.write_text(synth.config_to_text(one_box_config()) + "points_per_surface = nan\n")
     assert cli.main(["synth", "--config", str(scene), "--out", str(tmp_path / "ds")]) == 2
-    assert "points_per_surface must be positive and finite, got nan" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {scene}: points_per_surface must be positive and finite, got nan\n")
     assert not (tmp_path / "ds").exists()
 
 
@@ -448,7 +476,8 @@ def test_synth_surface_it_cannot_sample_exits_config(tmp_path, capsys):
     scene = tmp_path / "scene.config"
     scene.write_text("frames = 2\nground = [1, -1e200, 1e200, -1e200, 1e200, 0]\n")
     assert cli.main(["synth", "--config", str(scene), "--out", str(tmp_path / "ds")]) == 2
-    assert "error: ground surface area times points_per_surface" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scene}: ground surface area times points_per_surface")
     assert not (tmp_path / "ds").exists()
 
 
@@ -634,7 +663,7 @@ def test_eval_estimate_one_word_short_exits_data(workspace, estimates, tmp_path,
     code = cli.main(["eval", "--root", str(workspace["data"]), "--ple-dir", str(est),
                      "--out", str(tmp_path / "r")])
     assert code == 3
-    assert f"frame 00/{int(short.stem)}:" in capsys.readouterr().err
+    assert f"frame 00/{int(short.stem)}: {short} holds" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
@@ -669,8 +698,10 @@ def test_train_estimate_one_word_short_exits_data(workspace, estimates, tmp_path
     short.write_bytes(short.read_bytes()[:-4])
     out = tmp_path / "run"
     assert cli.main(_argv("train", workspace["data"], workspace["split"], est, out)) == 3
+    points = (len(short.read_bytes()) + 4) // 4
     assert capsys.readouterr().err == (
-        f"error: frame 00/{int(short.stem)}: estimate and scan sizes differ\n")
+        f"error: frame 00/{int(short.stem)}: {short} holds {points - 1} estimates "
+        f"for {points} points\n")
     assert not out.exists()
 
 

@@ -192,27 +192,25 @@ def test_streamed_export_memory_does_not_grow_with_frames(tmp_path):
 def test_config_text_round_trip():
     cfg = one_box_config(pose_noise_translation=0.01, sampling="per-frame")
     text = synth.config_to_text(cfg)
-    again = synth.parse_config(text)
+    again = synth.parse_config(text.splitlines())
     assert again == cfg
     assert synth.config_to_text(again) == text
 
 
 def test_parse_config_minimal():
-    cfg = synth.parse_config(
-        "frames = 3\nground = [1, -5, 5, -5, 5, 0]\n"
-    )
+    cfg = synth.parse_config(["frames = 3", "ground = [1, -5, 5, -5, 5, 0]"])
     assert cfg.frames == 3
     assert cfg.bodies == (Ground(1, -5.0, 5.0, -5.0, 5.0, 0.0),)
 
 
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown"):
-        synth.parse_config("no_such_key = 3\n")
+        synth.parse_config(["no_such_key = 3"])
 
 
 def test_parse_config_rejects_bad_arity():
     with pytest.raises(ConfigError, match="line 1"):
-        synth.parse_config("wall = [9, 0, 0, 1]\n")
+        synth.parse_config(["wall = [9, 0, 0, 1]"])
 
 
 def test_validate_rejects_bad_configs():
@@ -255,11 +253,11 @@ def test_validate_rejects_bad_configs():
 ])
 def test_parse_config_rejects_scene_it_cannot_build(line, named):
     with pytest.raises(ConfigError, match=named):
-        synth.parse_config(f"frames = 3\nground = [1, -5, 5, -5, 5, 0]\n{line}\n")
+        synth.parse_config(["frames = 3", "ground = [1, -5, 5, -5, 5, 0]", line])
 
 
 def test_infinite_sensor_range_keeps_every_point():
-    cfg = synth.parse_config("frames = 2\nsensor_range = inf\nground = [1, -5, 5, -5, 5, 0]\n")
+    cfg = synth.parse_config(["frames = 2", "sensor_range = inf", "ground = [1, -5, 5, -5, 5, 0]"])
     assert cfg.sensor_range == float("inf")
     assert [len(c) for c in synth.generate(cfg).clouds] == [200, 200]
 
