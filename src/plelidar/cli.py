@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, lidar_io, ple, split as split_mod, ssl_mini, synth
+# every process compiles and runs each module it imports, so a module only
+# some commands run is imported inside those commands
+from . import lidar_io, ple, split as split_mod
 from .errors import ConfigError, DataError, EmptyResultError, MissingDataError, PlelidarError
 
 log = logging.getLogger("plelidar")
@@ -115,6 +117,8 @@ def _manifest_lengths(manifest: lidar_io.SequenceManifest) -> dict:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     cfg = synth.parse_config(lidar_io.read_lines(args.config, ConfigError), args.config)
     out = Path(args.out)
     frames, points = synth.export(synth.frames(cfg), synth.reported_poses(cfg), out)
@@ -212,6 +216,8 @@ def _read_estimate(source, seq: str, frame: int, path):
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation
+
     if args.group_by_offset and args.split is None:
         raise ConfigError("--group-by-offset needs --split to locate labeled frames")
     manifest = lidar_io.build_manifest(args.root)
@@ -286,6 +292,8 @@ def _warn_if_unscored(scored: int, tau: float) -> None:
 
 
 def cmd_train(args) -> int:
+    from . import evaluation, ssl_mini
+
     manifest = lidar_io.build_manifest(args.root)
     source = ple.ManifestSource(manifest)
     labeled = _load_split_for(manifest, args.split)

@@ -147,7 +147,9 @@ def read_scan(path, frame_id: int = 0, sequence_id: str = "") -> PointCloud:
     """Decode a .bin scan file: consecutive little-endian float32 (x, y, z, i)."""
     raw = Path(path).read_bytes()
     _check_scan_size(path, len(raw))
-    data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).astype(np.float64)
+    # a signalling NaN warns when cast; the check below reports it
+    with np.errstate(invalid="ignore"):
+        data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).astype(np.float64)
     bad = ~np.isfinite(data[:, :3]).all(axis=1)
     if bad.any():
         raise DataError(f"{path}: non-finite coordinate at point {int(np.argmax(bad))}")

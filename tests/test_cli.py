@@ -463,6 +463,45 @@ def test_runs_do_not_depend_on_the_locale(workspace, tmp_path, command):
     assert outputs[0][1]
 
 
+# per command: a module it runs, and the modules it must not load
+COMMAND_MODULES = {
+    "synth": ("synth", {"ssl_mini", "evaluation"}),
+    "split": ("split", {"synth", "ssl_mini", "evaluation"}),
+    "ple": ("ple", {"synth", "ssl_mini", "evaluation"}),
+    "eval": ("evaluation", {"synth", "ssl_mini"}),
+    "train": ("ssl_mini", {"synth"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(workspace, estimates, tmp_path, command):
+    data, split = str(workspace["data"]), str(workspace["split"])
+    scene = _scene_file(tmp_path, corridor_config(frames=2, points_per_surface=1.0))
+    flags = {
+        "synth": ["--config", str(scene)],
+        "split": ["--root", data, "--ratio", "10%"],
+        "ple": ["--root", data, "--split", split],
+        "eval": ["--root", data, "--ple-dir", str(estimates)],
+        "train": ["--root", data, "--split", split, "--ple-dir", str(estimates), "--steps", "2"],
+    }[command]
+    script = ("import sys\n"
+              "from plelidar import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(*sorted(m.split('.')[1] for m in sys.modules if m.startswith('plelidar.')))\n"
+              "sys.exit(code)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, command, *flags, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    runs, unused = COMMAND_MODULES[command]
+    assert runs in loaded
+    assert not loaded & unused
+
+
 def test_synth_scene_it_cannot_build_exits_config(tmp_path, capsys):
     scene = tmp_path / "scene.config"
     scene.write_text(synth.config_to_text(one_box_config()) + "points_per_surface = nan\n")

@@ -3,8 +3,8 @@
 Every input file of a small generated run is damaged in nine ways, and each
 command that could read it runs in-process through ``cli.main``. Whatever
 the damage, a run exits 0, 2, 3 or 4, raises nothing out of ``main``, prints
-no traceback, and an exit 3 names the damaged file. A per-case alarm turns a
-hang (an ``inf`` pose once hung ``split``) into a failure.
+no traceback or warning, and an exit 3 names the damaged file. A per-case
+alarm turns a hang (an ``inf`` pose once hung ``split``) into a failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import pytest
 from plelidar import cli, synth
 
 from conftest import one_box_config
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 MUTATIONS = ("empty", "half-truncated", "one-byte-short", "garbage-appended", "nan", "huge",
              "binary-noise", "latin-1", "deleted")
