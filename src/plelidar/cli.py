@@ -112,8 +112,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
     parser.set_defaults(**converted)
 
 
-def _manifest_lengths(manifest: lidar_io.SequenceManifest) -> dict:
-    return {s.sequence_id: s.frame_count for s in manifest.sequences}
+def _manifest_lengths(manifest: tuple) -> dict:
+    return {s.sequence_id: s.frame_count for s in manifest}
 
 
 def cmd_synth(args) -> int:
@@ -152,15 +152,17 @@ def _load_split_for(manifest, path) -> dict:
 
 
 def cmd_ple(args) -> int:
-    manifest = lidar_io.build_manifest(args.root, args.frequency)
-    source = ple.ManifestSource(manifest)
-    labeled = _load_split_for(manifest, args.split)
+    # checked before anything is read, written or removed
     cfg = ple.PleConfig(
         window_seconds=args.window_seconds,
         max_references=args.max_refs,
         max_distance=args.max_distance,
         progressive=args.progressive,
+        frequency=args.frequency,
     )
+    manifest = lidar_io.build_manifest(args.root)
+    source = ple.ManifestSource(manifest)
+    labeled = _load_split_for(manifest, args.split)
     runner = ple.run_progressive if args.progressive else ple.run_naive
     out = Path(args.out)
     frames = points = 0
@@ -192,16 +194,29 @@ def cmd_ple(args) -> int:
     return EXIT_OK
 
 
-def _eval_frames(ple_dir: Path) -> list:
+def _eval_frames(ple_dir: Path, source) -> list:
+    """(sequence, frame, path) of each estimate under a --ple-dir tree, taken
+    as `ple` writes it: a file `<seq>/<frame:06d>.ple` for a frame of the
+    dataset. Any other directory or .ple is a data error naming its path."""
     if not ple_dir.is_dir():
         raise MissingDataError(f"{ple_dir} is not a directory")
     frames = []
     for seq_dir in sorted(p for p in ple_dir.iterdir() if p.is_dir()):
+        seq = seq_dir.name
+        if seq not in source.sequence_ids():
+            raise DataError(f"{seq_dir}: unknown sequence {seq!r}, not in the dataset")
+        count = source.frame_count(seq)
         for f in sorted(seq_dir.glob(f"*{ple.PLE_SUFFIX}")):
-            try:
-                frames.append((seq_dir.name, int(f.stem), f))
-            except ValueError:
-                raise DataError(f"{f}: an estimate file is named by its frame number") from None
+            stem = f.stem
+            if not (stem.isascii() and stem.isdigit() and stem == f"{int(stem):06d}"
+                    and f.is_file()):
+                raise DataError(f"{f}: an estimate is a file named by its six-digit frame "
+                                "number, as ple writes it")
+            frame = int(stem)
+            if frame >= count:
+                raise DataError(f"{f}: frame {frame} is outside 0..{count - 1} "
+                                f"of sequence {seq}")
+            frames.append((seq, frame, f))
     return frames
 
 
@@ -224,7 +239,7 @@ def cmd_eval(args) -> int:
     source = ple.ManifestSource(manifest)
     split = _load_split_for(manifest, args.split) if args.split else None
     ple_dir = Path(args.ple_dir)
-    frames = _eval_frames(ple_dir)
+    frames = _eval_frames(ple_dir, source)
     if not frames:
         raise EmptyResultError(f"no {ple.PLE_SUFFIX} files under {ple_dir}")
 
@@ -269,7 +284,7 @@ class _EstimateDir(Mapping):
     holds it."""
 
     def __init__(self, ple_dir, source):
-        self._paths = {(seq, frame): path for seq, frame, path in _eval_frames(Path(ple_dir))}
+        self._paths = {(s, f): path for s, f, path in _eval_frames(Path(ple_dir), source)}
         self._source = source
 
     def __getitem__(self, key):
@@ -386,7 +401,7 @@ def build_parser():
     p.add_argument("--format", default="csv", choices=("csv", "json", "both"))
     p.add_argument("--group-by-offset", action="store_true", default=False)
     p.add_argument("--split", default=None)
-    p.add_argument("--ignore-class", type=int, default=0)
+    p.add_argument("--ignore-class", type=int, default=lidar_io.IGNORE_CLASS)
     p.set_defaults(func=cmd_eval)
 
     p = commands["train"] = sub.add_parser("train", help="train the dual-head classifier")

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import lidar_io
 from .errors import DataError
+from .lidar_io import IGNORE_CLASS
 
-IGNORE_CLASS = 0
 REPORT_COLUMNS = ("class", "iou", "precision", "count")
 CURVE_COLUMNS = ("offset", "accuracy")
 

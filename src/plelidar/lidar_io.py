@@ -23,11 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .errors import ConfigError, DataError, FormatError, MissingDataError
+from .errors import DataError, FormatError, MissingDataError
 from .geometry import RigidTransform
 
 SCAN_SUFFIX = ".bin"
 LABEL_SUFFIX = ".label"
+IGNORE_CLASS = 0  # the semantic id of an unlabelled point
 _POSE_ORTHO_TOL = 1e-4
 
 
@@ -86,18 +87,9 @@ class LabelMap:
 class SequenceInfo:
     sequence_id: str
     frame_count: int
-    scan_frequency: float
     scan_paths: tuple
     label_paths: tuple | None
     poses: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class SequenceManifest:
-    sequences: tuple
-
-    def __iter__(self):
-        return iter(self.sequences)
 
 
 def read_lines(path, error) -> list:
@@ -274,10 +266,9 @@ def _frame_files(directory: Path, suffix: str, seq_id: str) -> tuple:
     return tuple(files)
 
 
-def build_manifest(dataset_root, scan_frequency_hz: float = 10.0) -> SequenceManifest:
-    """Enumerate every sequence and frame under a dataset root, with validation."""
-    if not 0 < scan_frequency_hz < math.inf:
-        raise ConfigError(f"scan frequency must be positive and finite, got {scan_frequency_hz}")
+def build_manifest(dataset_root) -> tuple:
+    """Every sequence under a dataset root as a `SequenceInfo`, in sequence
+    order, with validation."""
     root = Path(dataset_root)
     if not root.is_dir():
         raise MissingDataError(f"dataset root {root} does not exist")
@@ -306,10 +297,9 @@ def build_manifest(dataset_root, scan_frequency_hz: float = 10.0) -> SequenceMan
             SequenceInfo(
                 sequence_id=seq_id,
                 frame_count=len(scan_paths),
-                scan_frequency=float(scan_frequency_hz),
                 scan_paths=scan_paths,
                 label_paths=label_paths,
                 poses=tuple(poses),
             )
         )
-    return SequenceManifest(tuple(sequences))
+    return tuple(sequences)

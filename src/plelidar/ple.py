@@ -31,11 +31,10 @@ from . import geometry, lidar_io
 from .errors import (
     ConfigError, DataError, EmptyIndexError, FormatError, MissingDataError, PlelidarError,
 )
-from .lidar_io import LabelMap, PointCloud, SequenceInfo, SequenceManifest
+from .lidar_io import IGNORE_CLASS, LabelMap, PointCloud, SequenceInfo
 from .spatial_index import KdTree
 from .split import round_half_up
 
-IGNORE_CLASS = 0
 ORIGIN_GROUND_TRUTH = 0
 ORIGIN_PLE = 1
 
@@ -52,23 +51,24 @@ class PleConfig:
     max_references: int = 4
     max_distance: float = math.inf
     progressive: bool = False
+    frequency: float = 10.0  # scan rate in Hz; turns window_seconds into frames
 
     def __post_init__(self):
         # written so that NaN fails every check
         if not 0 < self.window_seconds < math.inf:
             raise ConfigError(
                 f"window_seconds must be positive and finite, got {self.window_seconds}")
+        if not 0 < self.window_seconds * self.frequency < math.inf:
+            raise ConfigError(f"a window of {self.window_seconds} s at {self.frequency} Hz "
+                              "is not a positive, finite number of frames")
         if self.max_references < 1:
             raise ConfigError(f"max_references must be >= 1, got {self.max_references}")
         if not self.max_distance > 0:
             raise ConfigError(f"max_distance must be positive, got {self.max_distance}")
 
-    def window_frames(self, frequency: float) -> int:
-        frames = self.window_seconds * frequency
-        if not 0 < frames < math.inf:
-            raise ConfigError(f"a window of {self.window_seconds} s at {frequency} Hz "
-                              "is not a positive, finite number of frames")
-        return round_half_up(frames)
+    @property
+    def window_frames(self) -> int:
+        return round_half_up(self.window_seconds * self.frequency)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +113,13 @@ class PseudoLabelMap:
         return len(self.semantic)
 
 
-def select_references(labeled: set, target: int, cfg: PleConfig, frequency: float) -> list:
+def select_references(labeled: set, target: int, cfg: PleConfig) -> list:
     """Labeled frames usable for `target`: in-window, nearest first.
 
     Ordered by ascending |frame offset|, ties broken by the earlier frame id,
     truncated to cfg.max_references. Empty when nothing is in range.
     """
-    window = cfg.window_frames(frequency)
+    window = cfg.window_frames
     in_range = [f for f in labeled if f != target and abs(f - target) <= window]
     in_range.sort(key=lambda f: (abs(f - target), f))
     return in_range[: cfg.max_references]
@@ -191,9 +191,6 @@ class DatasetSource:
     def frame_count(self, seq: str) -> int:
         return len(self._data)
 
-    def frequency(self, seq: str) -> float:
-        return self._data.frequency
-
     def cloud(self, seq: str, frame: int) -> PointCloud:
         return self._data.clouds[frame]
 
@@ -211,7 +208,7 @@ class ManifestSource:
     reads a frame twice keeps it itself, as the run loop does.
     """
 
-    def __init__(self, manifest: SequenceManifest | SequenceInfo):
+    def __init__(self, manifest: tuple | SequenceInfo):
         sequences = (manifest,) if isinstance(manifest, SequenceInfo) else manifest
         self._by_id = {s.sequence_id: s for s in sequences}
 
@@ -231,9 +228,6 @@ class ManifestSource:
 
     def frame_count(self, seq: str) -> int:
         return self._by_id[seq].frame_count
-
-    def frequency(self, seq: str) -> float:
-        return self._by_id[seq].scan_frequency
 
     def cloud(self, seq: str, frame: int) -> PointCloud:
         info = self._info(seq, frame)
@@ -273,11 +267,11 @@ def _estimate_for(source, seq: str, target: int, refs, scans, labels,
     return estimate_labels(scans.take(target), references, cfg)
 
 
-def schedule_naive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> dict:
+def schedule_naive(labeled: set, length: int, cfg: PleConfig) -> dict:
     """Plan for one sequence: {target: references} for every unlabeled frame
     with a ground-truth frame in its window; references are ground truth
     only."""
-    refs_of = {f: tuple(select_references(labeled, f, cfg, frequency))
+    refs_of = {f: tuple(select_references(labeled, f, cfg))
                for f in range(length) if f not in labeled}
     return {f: refs for f, refs in refs_of.items() if refs}
 
@@ -287,7 +281,7 @@ def chain_root(labeled: set, target: int) -> int:
     return min(labeled, key=lambda g: (abs(g - target), g))
 
 
-def schedule_progressive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> dict:
+def schedule_progressive(labeled: set, length: int, cfg: PleConfig) -> dict:
     """Plan for one sequence: {target: references} for every frame within
     the window of its chain root.
 
@@ -296,7 +290,7 @@ def schedule_progressive(labeled: set, length: int, cfg: PleConfig, frequency: f
     offset than its own, so the nearest frames are labelled first and no
     estimate references one at its own offset or beyond.
     """
-    window = cfg.window_frames(frequency)
+    window = cfg.window_frames
     root = {f: chain_root(labeled, f) for f in range(length)} if labeled else {}
     offset = {f: abs(f - r) for f, r in root.items()}
     refs_of = {}
@@ -305,7 +299,7 @@ def schedule_progressive(labeled: set, length: int, cfg: PleConfig, frequency: f
             r = root[f]
             candidates = [g for g in range(max(0, r - window), min(length, r + window + 1))
                           if offset[g] < k]
-            refs_of[f] = tuple(select_references(candidates, f, cfg, frequency))
+            refs_of[f] = tuple(select_references(candidates, f, cfg))
     return refs_of
 
 
@@ -350,7 +344,7 @@ def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit) -> None:
         labeled = set(split.get(seq, ()))
         if not labeled:
             continue
-        refs_of = schedule(labeled, source.frame_count(seq), cfg, source.frequency(seq))
+        refs_of = schedule(labeled, source.frame_count(seq), cfg)
         waiting = dict.fromkeys(refs_of, 0)
         dependents: dict = {}
         scan_uses = Counter(refs_of.keys())  # each target reads its own scan once

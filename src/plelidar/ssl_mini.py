@@ -32,6 +32,7 @@ import numpy as np
 
 from . import evaluation
 from .errors import ConfigError, DataError, ShapeError
+from .lidar_io import IGNORE_CLASS
 
 IGNORE_LABEL = -1
 KIND_NONE = 0
@@ -101,6 +102,8 @@ class SSLConfig:
             raise ConfigError("learning_rate must be positive and finite")
         if self.steps < 0 or self.batch_size < 1 or self.hidden < 1:
             raise ConfigError("steps >= 0, batch_size >= 1, hidden >= 1 required")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,11 +520,11 @@ def build_features(points: np.ndarray) -> np.ndarray:
 
 def _frame_rows(source, seq: str, f: int, labeled: set, ple_maps):
     """(kept, raw ids, kind, oracle) of one frame's points without the
-    ignore class; ids hold 0 where no trusted label exists."""
+    ignore class; ids hold the ignore class where no trusted label exists."""
     gt = source.gt_labels(seq, f)
-    keep = gt.semantic != 0
+    keep = gt.semantic != IGNORE_CLASS
     oracle = gt.semantic[keep]
-    ids = np.zeros(len(oracle), dtype=np.int32)
+    ids = np.full(len(oracle), IGNORE_CLASS, dtype=np.int32)
     kind = np.full(len(oracle), KIND_NONE, dtype=np.int8)
     if f in labeled:
         ids = oracle
@@ -531,7 +534,7 @@ def _frame_rows(source, seq: str, f: int, labeled: set, ple_maps):
         if len(pmap) != len(gt):
             raise DataError(f"frame {seq}/{f}: estimate and scan sizes differ")
         sem = pmap.semantic[keep]
-        usable = pmap.valid[keep] & (sem != 0)
+        usable = pmap.valid[keep] & (sem != IGNORE_CLASS)
         ids[usable] = sem[usable]
         kind[usable] = KIND_PLE
     return keep, ids, kind, oracle

@@ -159,10 +159,6 @@ class SynthDataset:
     poses: tuple
     true_poses: tuple
 
-    @property
-    def frequency(self) -> float:
-        return self.config.frequency
-
     def __len__(self) -> int:
         return len(self.clouds)
 

@@ -250,6 +250,37 @@ def test_ple_worker_count_keeps_bytes_identical(workspace, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("progressive", [False, True], ids=["naive", "progressive"])
+def test_ple_window_is_seconds_times_frequency(workspace, tmp_path, progressive):
+    def run(name, frequency, seconds):
+        est = tmp_path / name
+        assert cli.main(["ple", "--root", str(workspace["data"]), "--split",
+                         str(workspace["split"]), "--frequency", frequency,
+                         "--window-seconds", seconds, "--out", str(est),
+                         *(["--progressive"] if progressive else [])]) == 0
+        return _tree_bytes(est, skip_names=("ple.config",))
+
+    ten_frames = run("10hz-1s", "10", "1")
+    assert run("5hz-2s", "5", "2") == ten_frames
+    # half the window reaches fewer frames
+    assert len(run("5hz-1s", "5", "1")) < len(ten_frames)
+
+
+@pytest.mark.parametrize("flags", [["--window-seconds", "1e308"],
+                                   ["--frequency", "1e308", "--window-seconds", "10"]],
+                         ids=" ".join)
+def test_ple_unusable_window_leaves_a_finished_run_in_place(workspace, estimates, tmp_path,
+                                                           capsys, flags):
+    out = tmp_path / "est"
+    shutil.copytree(estimates, out)
+    before = _tree_bytes(out)
+    assert "ple.config" in before
+    assert cli.main(["ple", "--root", str(workspace["data"]), "--split",
+                     str(workspace["split"]), *flags, "--out", str(out)]) == 2
+    assert "is not a positive, finite number of frames" in capsys.readouterr().err
+    assert _tree_bytes(out) == before
+
+
 def test_ple_starts_no_thread(workspace, tmp_path, monkeypatch):
     def refuse(self):
         raise AssertionError("ple started a thread")
@@ -636,6 +667,60 @@ def test_stray_file_under_ple_dir_exits_data(workspace, estimates, tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("name", ["1", "0000001", "+00001", "-00001", "00000\u0661"])
+def test_estimate_not_named_as_ple_writes_exits_data(workspace, estimates, tmp_path, capsys,
+                                                    command, name):
+    # ple writes <seq>/<frame:06d>.ple; a copy under another name that
+    # parses to the same frame is not read as a second estimate of it
+    est = tmp_path / "est"
+    shutil.copytree(estimates, est)
+    stray = est / "00" / f"{name}{ple.PLE_SUFFIX}"
+    shutil.copy(est / "00" / f"000001{ple.PLE_SUFFIX}", stray)
+    shutil.copy(est / "00" / "000001.meta", stray.with_suffix(".meta"))
+    out = tmp_path / "r"
+    assert cli.main(_argv(command, workspace["data"], workspace["split"], est, out)) == 3
+    assert capsys.readouterr().err.startswith(f"error: {stray}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("entry, named, message", [
+    ("99", "99", "unknown sequence '99'"),
+    ("99/000001.ple", "99", "unknown sequence '99'"),
+    ("00/000999.ple", "00/000999.ple", "frame 999 is outside 0..11"),
+], ids=["empty-sequence-dir", "sequence-dir", "frame-past-end"])
+def test_ple_dir_entry_outside_dataset_exits_data(workspace, estimates, tmp_path, capsys,
+                                                 command, entry, named, message):
+    est = tmp_path / "est"
+    shutil.copytree(estimates, est)
+    path = est / entry
+    if path.suffix:
+        path.parent.mkdir(exist_ok=True)
+        shutil.copy(est / "00" / f"000001{ple.PLE_SUFFIX}", path)
+    else:
+        path.mkdir()
+    out = tmp_path / "r"
+    assert cli.main(_argv(command, workspace["data"], workspace["split"], est, out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {est / named}: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_directory_named_as_an_estimate_exits_data(workspace, estimates, tmp_path, capsys,
+                                                   command):
+    est = tmp_path / "est"
+    shutil.copytree(estimates, est)
+    path = est / "00" / f"000001{ple.PLE_SUFFIX}"
+    path.unlink()
+    path.mkdir()
+    out = tmp_path / "r"
+    assert cli.main(_argv(command, workspace["data"], workspace["split"], est, out)) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
 def test_missing_ple_dir_exits_data(workspace, tmp_path, capsys, command):
     nope, out = tmp_path / "nope", tmp_path / "r"
     assert cli.main([command, "--root", str(workspace["data"]), "--split", str(workspace["split"]),
@@ -871,7 +956,7 @@ def test_train_writes_models_and_history(workspace, tmp_path, capsys):
 
 def test_train_unknown_estimate_class_exits_data(workspace, tmp_path, capsys):
     labeled = split_mod.read_split(workspace["split"])["00"]
-    (seq,) = lidar_io.build_manifest(workspace["data"]).sequences
+    (seq,) = lidar_io.build_manifest(workspace["data"])
     frame = next(f for f in range(seq.frame_count) if f not in labeled)
     n = len(lidar_io.read_scan(seq.scan_paths[frame]))
     est = tmp_path / "est" / "00"
@@ -906,6 +991,7 @@ def test_train_unknown_estimate_class_exits_data(workspace, tmp_path, capsys):
     ("train", ["--max-points", "0"]),
     ("train", ["--lr", "nan"]),
     ("train", ["--lambda-mt", "nan"]),
+    ("train", ["--seed", "-1"]),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_unusable_numeric_setting_exits_config(workspace, tmp_path, capsys, command, flags):
     out = tmp_path / "out"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plelidar import geometry, lidar_io
-from plelidar.errors import ConfigError, DataError, FormatError, MissingDataError
+from plelidar.errors import DataError, FormatError, MissingDataError
 from plelidar.geometry import RigidTransform
 from plelidar.lidar_io import LabelMap, PointCloud
 
@@ -216,12 +216,12 @@ def _make_sequence(root, seq="00", frames=3, with_labels=True):
 def test_build_manifest(tmp_path):
     _make_sequence(tmp_path, "00", frames=3)
     _make_sequence(tmp_path, "01", frames=2, with_labels=False)
-    manifest = lidar_io.build_manifest(tmp_path, scan_frequency_hz=10.0)
-    assert [s.sequence_id for s in manifest.sequences] == ["00", "01"]
-    seq0, seq1 = manifest.sequences
+    manifest = lidar_io.build_manifest(tmp_path)
+    assert isinstance(manifest, tuple)
+    assert [s.sequence_id for s in manifest] == ["00", "01"]
+    seq0, seq1 = manifest
     assert [seq0.frame_count, seq1.frame_count] == [3, 2]
     assert seq0.label_paths is not None and len(seq0.label_paths) == 3
-    assert seq0.scan_frequency == 10.0
     assert seq1.label_paths is None
     assert np.abs(seq0.poses[2].translation - np.array([2.0, 0.0, 0.0])).max() < 1e-9
 
@@ -230,7 +230,7 @@ def test_build_manifest_lexicographic_order_is_frame_order(tmp_path):
     seq_dir = _make_sequence(tmp_path, "00", frames=5)
     files = sorted((seq_dir / "velodyne").glob("*.bin"))
     manifest = lidar_io.build_manifest(tmp_path)
-    assert list(manifest.sequences[0].scan_paths) == files
+    assert list(manifest[0].scan_paths) == files
 
 
 def test_build_manifest_missing_poses(tmp_path):
@@ -272,13 +272,6 @@ def test_build_manifest_gap_in_frames(tmp_path):
 def test_build_manifest_missing_root(tmp_path):
     with pytest.raises(MissingDataError):
         lidar_io.build_manifest(tmp_path / "nope")
-
-
-@pytest.mark.parametrize("hz", [0.0, -10.0, float("nan"), float("inf")])
-def test_build_manifest_rejects_bad_frequency(tmp_path, hz):
-    _make_sequence(tmp_path)
-    with pytest.raises(ConfigError, match="frequency"):
-        lidar_io.build_manifest(tmp_path, scan_frequency_hz=hz)
 
 
 def test_scan_point_count_from_size(tmp_path):

@@ -35,9 +35,9 @@ def _identity():
 
 class TestConfig:
     def test_window_frames(self):
-        assert PleConfig(window_seconds=1.0).window_frames(10.0) == 10
-        assert PleConfig(window_seconds=0.05).window_frames(10.0) == 1
-        assert PleConfig(window_seconds=2.0).window_frames(5.0) == 10
+        assert PleConfig(window_seconds=1.0).window_frames == 10
+        assert PleConfig(window_seconds=0.05).window_frames == 1
+        assert PleConfig(window_seconds=2.0, frequency=5.0).window_frames == 10
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
@@ -60,25 +60,25 @@ class TestConfig:
     @pytest.mark.parametrize("frequency", [0.0, -10.0, float("nan"), float("inf"), 1e308])
     def test_window_frames_rejects_unusable_frequency(self, frequency):
         with pytest.raises(ConfigError, match="frames"):
-            PleConfig(window_seconds=10.0).window_frames(frequency)
+            PleConfig(window_seconds=10.0, frequency=frequency)
 
 
 class TestSelectReferences:
     def test_nearest_first_capped(self):
         cfg = PleConfig(window_seconds=1.0, max_references=2)
-        assert ple.select_references({0, 8, 20, 40}, 12, cfg, 10.0) == [8, 20]
+        assert ple.select_references({0, 8, 20, 40}, 12, cfg) == [8, 20]
 
     def test_tie_prefers_earlier_frame(self):
         cfg = PleConfig(window_seconds=1.0, max_references=4)
-        assert ple.select_references({0, 20}, 10, cfg, 10.0) == [0, 20]
+        assert ple.select_references({0, 20}, 10, cfg) == [0, 20]
 
     def test_out_of_window_empty(self):
         cfg = PleConfig(window_seconds=1.0)
-        assert ple.select_references({0}, 30, cfg, 10.0) == []
+        assert ple.select_references({0}, 30, cfg) == []
 
     def test_target_itself_never_selected(self):
         cfg = PleConfig(window_seconds=1.0)
-        assert ple.select_references({5}, 5, cfg, 10.0) == []
+        assert ple.select_references({5}, 5, cfg) == []
 
 
 class TestEstimateLabels:
@@ -205,7 +205,7 @@ class TestChainsAndSchedule:
 
     def test_single_root_rounds(self):
         cfg = PleConfig(window_seconds=1.0, max_references=4, progressive=True)
-        plan = ple.schedule_progressive({10}, 21, cfg, 10.0)
+        plan = ple.schedule_progressive({10}, 21, cfg)
         # offset k holds exactly frames 10 - k and 10 + k, for k = 1..10
         assert {k: sorted(f for f in plan if abs(f - 10) == k) for k in range(1, 12)} == {
             **{k: [10 - k, 10 + k] for k in range(1, 11)}, 11: []}
@@ -219,39 +219,39 @@ class TestChainsAndSchedule:
         # is inside the target's window but outside the root's, so the
         # chain may not borrow from it
         cfg = PleConfig(window_seconds=1.0, max_references=4, progressive=True)
-        plan = ple.schedule_progressive({0, 18}, 19, cfg, 10.0)
+        plan = ple.schedule_progressive({0, 18}, 19, cfg)
         assert plan[9] == (8, 10, 7, 6)
 
     def test_unreachable_frames_not_scheduled(self):
         cfg = PleConfig(window_seconds=1.0, progressive=True)
-        plan = ple.schedule_progressive({0}, 30, cfg, 10.0)
+        plan = ple.schedule_progressive({0}, 30, cfg)
         assert set(plan) == set(range(1, 11))
 
     def test_naive_schedule_is_one_round(self):
         cfg = PleConfig(window_seconds=0.2, max_references=1)
-        assert ple.schedule_naive({3, 9}, 12, cfg, 10.0) == {
+        assert ple.schedule_naive({3, 9}, 12, cfg) == {
             1: (3,), 2: (3,), 4: (3,), 5: (3,), 7: (9,), 8: (9,), 10: (9,), 11: (9,)}
-        assert ple.schedule_naive({0}, 30, cfg, 1.0) == {}
+        slow = PleConfig(window_seconds=0.2, max_references=1, frequency=1.0)
+        assert ple.schedule_naive({0}, 30, slow) == {}
 
 
-def _round_schedule_naive(labeled: set, length: int, cfg: PleConfig, frequency: float) -> list:
+def _round_schedule_naive(labeled: set, length: int, cfg: PleConfig) -> list:
     """The naive plan as one round of (target, references) pairs."""
     entries = []
     for f in range(length):
         if f in labeled:
             continue
-        refs = ple.select_references(labeled, f, cfg, frequency)
+        refs = ple.select_references(labeled, f, cfg)
         if refs:
             entries.append((f, tuple(refs)))
     return [entries] if entries else []
 
 
-def _round_schedule_progressive(labeled: set, length: int, cfg: PleConfig,
-                                frequency: float) -> list:
+def _round_schedule_progressive(labeled: set, length: int, cfg: PleConfig) -> list:
     """The progressive plan grown round by round: round k-1 holds the frames
     at offset k, referencing ground truth and every earlier round within the
     window of their root."""
-    window = cfg.window_frames(frequency)
+    window = cfg.window_frames
     roots = {}
     for f in range(length):
         if f in labeled or not labeled:
@@ -268,7 +268,7 @@ def _round_schedule_progressive(labeled: set, length: int, cfg: PleConfig,
         entries = []
         for f in targets:
             candidates = {g for g in grown if abs(g - roots[f]) <= window}
-            refs = ple.select_references(candidates, f, cfg, frequency)
+            refs = ple.select_references(candidates, f, cfg)
             entries.append((f, tuple(refs)))
         rounds.append(entries)
         grown.update(targets)
@@ -296,12 +296,13 @@ def _offset(labeled: set, frame: int) -> int:
 def test_plans_equal_the_flattened_round_schedules(case):
     labeled, length, window_seconds, max_references, frequency = case
     for cfg, schedule, rounds in (
-        (PleConfig(window_seconds, max_references), ple.schedule_naive, _round_schedule_naive),
-        (PleConfig(window_seconds, max_references, progressive=True),
+        (PleConfig(window_seconds, max_references, frequency=frequency),
+         ple.schedule_naive, _round_schedule_naive),
+        (PleConfig(window_seconds, max_references, progressive=True, frequency=frequency),
          ple.schedule_progressive, _round_schedule_progressive),
     ):
-        flat = [entry for entries in rounds(labeled, length, cfg, frequency) for entry in entries]
-        plan = schedule(labeled, length, cfg, frequency)
+        flat = [entry for entries in rounds(labeled, length, cfg) for entry in entries]
+        plan = schedule(labeled, length, cfg)
         assert len(flat) == len(plan)
         assert plan == dict(flat)
 
@@ -310,10 +311,12 @@ def test_plans_equal_the_flattened_round_schedules(case):
 @given(_schedule_case())
 def test_every_reference_sits_at_a_smaller_offset(case):
     labeled, length, window_seconds, max_references, frequency = case
-    for cfg, schedule in ((PleConfig(window_seconds, max_references), ple.schedule_naive),
-                          (PleConfig(window_seconds, max_references, progressive=True),
+    for cfg, schedule in ((PleConfig(window_seconds, max_references, frequency=frequency),
+                           ple.schedule_naive),
+                          (PleConfig(window_seconds, max_references, progressive=True,
+                                     frequency=frequency),
                            ple.schedule_progressive)):
-        for f, refs in schedule(labeled, length, cfg, frequency).items():
+        for f, refs in schedule(labeled, length, cfg).items():
             assert all(_offset(labeled, g) < _offset(labeled, f) for g in refs), (f, refs)
 
 
@@ -322,10 +325,11 @@ def test_every_reference_sits_at_a_smaller_offset(case):
 def test_schedules_target_the_same_frames(case):
     labeled, length, window_seconds, max_references, frequency = case
     naive = ple.schedule_naive(
-        labeled, length, PleConfig(window_seconds, max_references), frequency
+        labeled, length, PleConfig(window_seconds, max_references, frequency=frequency)
     )
     prog = ple.schedule_progressive(
-        labeled, length, PleConfig(window_seconds, max_references, progressive=True), frequency
+        labeled, length,
+        PleConfig(window_seconds, max_references, progressive=True, frequency=frequency),
     )
     # no naive target references another, so the plan runs as one round
     assert not {g for refs in naive.values() for g in refs} & set(naive)
@@ -336,9 +340,9 @@ def test_schedules_target_the_same_frames(case):
 @given(_schedule_case())
 def test_progressive_references_stay_in_root_window_and_precede_round(case):
     labeled, length, window_seconds, max_references, frequency = case
-    cfg = PleConfig(window_seconds, max_references, progressive=True)
-    window = cfg.window_frames(frequency)
-    plan = ple.schedule_progressive(labeled, length, cfg, frequency)
+    cfg = PleConfig(window_seconds, max_references, progressive=True, frequency=frequency)
+    window = cfg.window_frames
+    plan = ple.schedule_progressive(labeled, length, cfg)
     for f, refs in plan.items():
         root = ple.chain_root(labeled, f)
         # frames labeled before f's round: ground truth and smaller offsets
@@ -354,9 +358,9 @@ def test_progressive_references_stay_in_root_window_and_precede_round(case):
 @given(_schedule_case())
 def test_naive_references_are_ground_truth_in_window(case):
     labeled, length, window_seconds, max_references, frequency = case
-    cfg = PleConfig(window_seconds, max_references)
-    window = cfg.window_frames(frequency)
-    for f, refs in ple.schedule_naive(labeled, length, cfg, frequency).items():
+    cfg = PleConfig(window_seconds, max_references, frequency=frequency)
+    window = cfg.window_frames
+    for f, refs in ple.schedule_naive(labeled, length, cfg).items():
         assert f not in labeled
         assert 1 <= len(refs) <= max_references
         for g in refs:
@@ -480,7 +484,7 @@ def _round_order_run(source, split: dict, cfg: PleConfig, schedule) -> dict:
         labeled = set(split.get(seq, ()))
         if not labeled:
             continue
-        plan = schedule(labeled, source.frame_count(seq), cfg, source.frequency(seq))
+        plan = schedule(labeled, source.frame_count(seq), cfg)
         for f in sorted(plan, key=lambda f: (_offset(labeled, f), f)):
             target_pose = source.pose(seq, f)
             references = []
@@ -525,7 +529,7 @@ def _cross_chain_references(labeled: set, plan: dict) -> int:
 
 def test_every_tenth_frame_labeled_has_cross_chain_references():
     labeled = set(range(0, 40, 10))
-    plan = ple.schedule_progressive(labeled, 40, PleConfig(progressive=True), 10.0)
+    plan = ple.schedule_progressive(labeled, 40, PleConfig(progressive=True))
     assert _cross_chain_references(labeled, plan) == 19
 
 
@@ -614,7 +618,7 @@ def test_long_sparse_run_holds_a_bounded_live_set(long_sparse, monkeypatch, prog
     run(ple.ManifestSource(long_sparse), {"00": labeled}, cfg,
         emit=lambda key, pmap: emitted.update([key]))
     schedule = ple.schedule_progressive if progressive else ple.schedule_naive
-    assert sorted(emitted) == [("00", f) for f in sorted(schedule(set(labeled), 300, cfg, 10.0))]
+    assert sorted(emitted) == [("00", f) for f in sorted(schedule(set(labeled), 300, cfg))]
     assert set(emitted.values()) == {1}
     assert set(reads.values()) == {1}
     # Stated bound: at most 2 * (window + max_refs) estimates, scans and
@@ -622,7 +626,7 @@ def test_long_sparse_run_holds_a_bounded_live_set(long_sparse, monkeypatch, prog
     # estimate but the one being made. Measured here: at most 9 estimates
     # and 10 scans, where a run that keeps every estimate ends with 66 to
     # 275 of them.
-    bound = 2 * (cfg.window_frames(10.0) + max_references)
+    bound = 2 * (cfg.window_frames + max_references)
     assert peak["estimate"] <= (bound if progressive else 1)
     assert peak["scan"] <= bound
     assert peak["labels"] + peak["estimate"] <= bound

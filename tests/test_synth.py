@@ -158,8 +158,7 @@ def test_box_has_no_bottom_face():
 
 def test_export_round_trip(tmp_path, one_box_dataset):
     export(one_box_dataset, tmp_path)
-    manifest = lidar_io.build_manifest(tmp_path, scan_frequency_hz=10.0)
-    (seq,) = manifest.sequences
+    (seq,) = lidar_io.build_manifest(tmp_path)
     assert seq.sequence_id == "00"
     assert seq.frame_count == len(one_box_dataset)
     for t in (0, 3, 20):
