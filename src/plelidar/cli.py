@@ -210,8 +210,8 @@ def _eval_frames(ple_dir: Path, source) -> list:
             stem = f.stem
             if not (stem.isascii() and stem.isdigit() and stem == f"{int(stem):06d}"
                     and f.is_file()):
-                raise DataError(f"{f}: an estimate is a file named by its six-digit frame "
-                                "number, as ple writes it")
+                raise DataError(f"{f}: an estimate is a file named "
+                                f"<frame:06d>{ple.PLE_SUFFIX}, as ple writes it")
             frame = int(stem)
             if frame >= count:
                 raise DataError(f"{f}: frame {frame} is outside 0..{count - 1} "
