@@ -327,8 +327,8 @@ def cmd_train(args) -> int:
         source, labeled, ple_maps, max_points=args.max_points, seed=args.seed
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_run_config(out / "train.config", args)
+    # only a finished run leaves a train.config, also over an earlier run's files
+    (out / "train.config").unlink(missing_ok=True)
     if args.threshold_sweep:
         rows = []
         for tau in TAU_SWEEP:
@@ -338,13 +338,17 @@ def cmd_train(args) -> int:
             _warn_if_unscored(scored, tau)
             rows.append((tau, acc))
             log.info("sweep tau=%.2f accuracy=%.4f", tau, acc)
+        out.mkdir(parents=True, exist_ok=True)
         evaluation.write_rows(out / "sweep.csv", "csv", "sweep", SWEEP_COLUMNS, rows)
+        _write_run_config(out / "train.config", args)
         print("sweep=" + " ".join(f"{tau:g}:{acc:.4f}" for tau, acc in rows))
         return EXIT_OK
     student, teacher, history = ssl_mini.train_loop(data, cfg, args.single_branch)
+    out.mkdir(parents=True, exist_ok=True)
     ssl_mini.write_history(history, out / "history.csv")
     ssl_mini.save_model(student, out / "student.model")
     ssl_mini.save_model(teacher, out / "teacher.model")
+    _write_run_config(out / "train.config", args)
     final_acc = history[-1][-1] if history else 0.0
     if history:
         _warn_if_unscored(ssl_mini.pseudo_label_score(teacher, data, cfg.tau)[1], cfg.tau)

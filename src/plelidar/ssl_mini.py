@@ -139,14 +139,26 @@ class TrainBatch:
         return len(self.labels)
 
 
+def _class_major(values) -> np.ndarray:
+    """(points, classes) values as a C-ordered (classes, points) float64
+    array. A reduction over the classes then runs over contiguous rows of
+    points: with a few classes several times faster than one short reduction
+    per point, and below 8 classes it adds in the same order."""
+    return np.ascontiguousarray(np.asarray(values, dtype=np.float64).T)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the classes of (points, classes) logits, computed class-
+    major; the result is a transposed view of a class-major array."""
+    z = _class_major(logits)
+    e = np.exp(z - z.max(axis=0))
+    e /= e.sum(axis=0)
+    return e.T
 
 
 def _forward_cache(net: DualHeadNet, features: np.ndarray) -> dict:
+    """Trunk activations and the c-head logits; the n-head is left to the
+    callers that use it."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.feature_dim:
         raise ShapeError(
@@ -157,27 +169,22 @@ def _forward_cache(net: DualHeadNet, features: np.ndarray) -> dict:
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ p["w2"] + p["b2"]
     a2 = np.maximum(z2, 0.0)
-    return {
-        "x": x,
-        "z1": z1,
-        "a1": a1,
-        "z2": z2,
-        "a2": a2,
-        "c_logits": a2 @ p["wc"] + p["bc"],
-        "n_logits": a2 @ p["wn"] + p["bn"],
-    }
+    return {"x": x, "z1": z1, "a1": a1, "z2": z2, "a2": a2, "c_logits": a2 @ p["wc"] + p["bc"]}
 
 
 def forward(net: DualHeadNet, features: np.ndarray):
     """Logits of both heads plus the shared trunk activations."""
     cache = _forward_cache(net, features)
-    return cache["c_logits"], cache["n_logits"], cache["a2"]
+    a2 = cache["a2"]
+    return cache["c_logits"], a2 @ net.params["wn"] + net.params["bn"], a2
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray, ignore: int = IGNORE_LABEL):
-    """Mean negative log-probability of the true class over non-ignored points.
+def cross_entropy(logits: np.ndarray, labels: np.ndarray, ignore: int = IGNORE_LABEL):
+    """Mean negative log-softmax of the true class over non-ignored points.
 
-    Returns (loss, count); count 0 means nothing contributed and loss is 0.
+    Taken from the logits, so a confidently wrong point costs its logit gap
+    where the log of an underflowed probability would be inf. Returns
+    (loss, count); count 0 means nothing contributed and loss is 0.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     include = labels != ignore
@@ -185,18 +192,10 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray, ignore: int = IGNORE_LA
     if count == 0:
         return 0.0, 0
     rows = np.flatnonzero(include)
-    picked = probs[rows, labels[rows]]
-    return float(-np.log(picked).mean()), count
-
-
-def _lovasz_weights(fg_sorted: np.ndarray) -> np.ndarray:
-    gts = fg_sorted.sum()
-    intersection = gts - np.cumsum(fg_sorted)
-    union = gts + np.cumsum(~fg_sorted)
-    jaccard = 1.0 - intersection / union
-    weights = jaccard.copy()
-    weights[1:] = jaccard[1:] - jaccard[:-1]
-    return weights
+    z = _class_major(np.asarray(logits)[rows])
+    z -= z.max(axis=0)
+    costs = np.log(np.exp(z).sum(axis=0)) - z[labels[rows], np.arange(count)]
+    return float(costs.mean()), count
 
 
 def _lovasz_with_grad(probs: np.ndarray, labels: np.ndarray, ignore: int = IGNORE_LABEL):
@@ -205,29 +204,38 @@ def _lovasz_with_grad(probs: np.ndarray, labels: np.ndarray, ignore: int = IGNOR
     Per present class: errors are 1 - p(class) on its points and p(class)
     elsewhere; sorted descending, weighted by the discrete Jaccard-loss
     differences, summed, then averaged over the present classes. The sorting
-    permutation is treated as locally constant for the gradient.
+    permutation is treated as locally constant for the gradient. All present
+    classes sort at once, one stable argsort over a (classes, points) error
+    matrix.
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     include = labels != ignore
-    grad = np.zeros_like(probs)
     if not include.any():
-        return 0.0, grad
+        return 0.0, np.zeros_like(probs)
     rows = np.flatnonzero(include)
-    p = probs[rows]
     y = labels[rows]
-    present = np.unique(y)
-    total = 0.0
-    for c in present:
-        fg = y == c
-        m = np.where(fg, 1.0 - p[:, c], p[:, c])
-        order = np.argsort(-m, kind="stable")
-        weights = _lovasz_weights(fg[order])
-        total += float(m[order] @ weights)
-        dm = np.empty(len(m))
-        dm[order] = weights
-        grad[rows, c] += np.where(fg, -dm, dm)
+    counts = np.bincount(y)
+    present = np.flatnonzero(counts)
+    n = len(y)
+    fg = y == present[:, None]
+    p = probs[rows][:, present].T
+    errors = np.where(fg, 1.0 - p, p)
+    # each row's sorting permutation, as indices into the flattened matrix
+    order = np.argsort(-errors, axis=1, kind="stable")
+    order += n * np.arange(len(present))[:, None]
+    hits = fg.ravel()[order].cumsum(axis=1)
+    gts = counts[present][:, None]
+    jaccard = 1.0 - (gts - hits) / (gts + np.arange(1, n + 1) - hits)
+    weights = jaccard.copy()
+    weights[:, 1:] = jaccard[:, 1:] - jaccard[:, :-1]
+    per_class = np.matmul(errors.ravel()[order][:, None, :], weights[:, :, None])
+    derrors = np.empty(fg.shape)
+    derrors.ravel()[order] = weights
+    grad = np.zeros((probs.shape[1], len(probs)))
+    grad[present[:, None], rows] += np.where(fg, -derrors, derrors)
     grad /= len(present)
-    return total / len(present), grad
+    # the classes' losses summed one after another, as a running total
+    return float(np.cumsum(per_class)[-1]) / len(present), grad.T
 
 
 def mt_consistency(student_probs: np.ndarray, teacher_probs: np.ndarray) -> float:
@@ -243,10 +251,8 @@ def mt_consistency(student_probs: np.ndarray, teacher_probs: np.ndarray) -> floa
 
 def pseudo_label(probs: np.ndarray, tau: float):
     """Argmax labels and a confidence mask (max probability >= tau)."""
-    p = np.asarray(probs, dtype=np.float64)
-    labels = np.argmax(p, axis=-1).astype(np.int64)
-    mask = p.max(axis=-1) >= tau
-    return labels, mask
+    p = _class_major(probs)
+    return np.argmax(p, axis=0), p.max(axis=0) >= tau
 
 
 def ema_update(teacher: DualHeadNet, student: DualHeadNet, alpha: float) -> DualHeadNet:
@@ -266,15 +272,18 @@ def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     return probs * (dprobs - inner)
 
 
-def _backward(net: DualHeadNet, cache: dict, dzc: np.ndarray, dzn: np.ndarray) -> dict:
+def _backward(net: DualHeadNet, cache: dict, dzc: np.ndarray, dzn=None) -> dict:
+    """Parameter gradients from the logit gradients of the two heads; dzn
+    None stands for an n-head gradient of zero."""
     p = net.params
-    grads = {
-        "wc": cache["a2"].T @ dzc,
-        "bc": dzc.sum(axis=0),
-        "wn": cache["a2"].T @ dzn,
-        "bn": dzn.sum(axis=0),
-    }
-    da2 = dzc @ p["wc"].T + dzn @ p["wn"].T
+    a2 = cache["a2"]
+    grads = {"wc": a2.T @ dzc, "bc": dzc.sum(axis=0)}
+    da2 = dzc @ p["wc"].T
+    if dzn is None:
+        grads["wn"], grads["bn"] = np.zeros_like(p["wn"]), np.zeros_like(p["bn"])
+    else:
+        grads["wn"], grads["bn"] = a2.T @ dzn, dzn.sum(axis=0)
+        da2 += dzn @ p["wn"].T
     dz2 = da2 * (cache["z2"] > 0.0)
     grads["w2"] = cache["a1"].T @ dz2
     grads["b2"] = dz2.sum(axis=0)
@@ -285,15 +294,68 @@ def _backward(net: DualHeadNet, cache: dict, dzc: np.ndarray, dzn: np.ndarray) -
     return grads
 
 
-def _ce_logit_grad(probs: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(mean CE over rows)/d(logits), zero outside the given rows."""
-    dz = np.zeros_like(probs)
-    if len(rows) == 0:
-        return dz
-    dz[rows] = probs[rows]
-    dz[rows, labels] -= 1.0
-    dz[rows] /= len(rows)
+def _ce_logit_grad(probs: np.ndarray, labels: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """d(mean CE over rows)/d(logits) of all n points, zero outside the
+    given rows; `probs` and `labels` hold those rows only."""
+    dz = np.zeros((n, probs.shape[1]))
+    if len(rows):
+        g = probs.copy()
+        g[np.arange(len(rows)), labels] -= 1.0
+        dz[rows] = g / len(rows)
     return dz
+
+
+def _logit_terms(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
+                 cfg: SSLConfig, single_branch: bool):
+    """The student's forward pass, the loss values, and each term's gradient
+    with respect to the logits of the head it trains.
+
+    Returns (cache, losses, dz). losses is as loss_terms returns it. dz maps
+    each term to its unweighted (points, classes) logit gradient: ce_pseudo's
+    is the n-head's unless single_branch is set, and None when no point
+    takes a pseudo-label; the others are the c-head's. The teacher runs only
+    its trunk and c-head, and the n-head only on the points that take a
+    pseudo-label.
+    """
+    cache = _forward_cache(student, batch.features)
+    c_probs = softmax(cache["c_logits"])
+    t_probs = softmax(_forward_cache(teacher, batch.features)["c_logits"])
+    n = len(c_probs)
+    clean = batch.label_kind != KIND_NONE
+    clean_rows = np.flatnonzero(clean)
+    clean_labels = batch.labels[clean_rows]
+    clean_probs = c_probs[clean_rows]
+    losses: dict = {}
+    dz: dict = {}
+
+    losses["ce_clean"], _ = cross_entropy(cache["c_logits"][clean_rows], clean_labels)
+    dz["ce_clean"] = _ce_logit_grad(clean_probs, clean_labels, clean_rows, n)
+
+    losses["lovasz"], dprob_sub = _lovasz_with_grad(clean_probs, clean_labels)
+    dprobs = np.zeros_like(c_probs)
+    dprobs[clean_rows] = dprob_sub
+    dz["lovasz"] = _softmax_backward(c_probs, dprobs)
+
+    t_labels, t_mask = pseudo_label(t_probs, cfg.tau)
+    taken = np.flatnonzero(t_mask & ~clean)
+    taken_labels = t_labels[taken]
+    losses["ce_pseudo"], dz["ce_pseudo"] = 0.0, None
+    if len(taken):
+        if single_branch:
+            logits = cache["c_logits"][taken]
+        else:
+            logits = cache["a2"][taken] @ student.params["wn"] + student.params["bn"]
+        losses["ce_pseudo"], _ = cross_entropy(logits, taken_labels)
+        dz["ce_pseudo"] = _ce_logit_grad(softmax(logits), taken_labels, taken, n)
+
+    losses["consistency"] = mt_consistency(c_probs, t_probs)
+    dz["consistency"] = _softmax_backward(c_probs, 2.0 * (c_probs - t_probs) / c_probs.size)
+
+    losses["total"] = (
+        losses["ce_clean"] + losses["lovasz"] + losses["ce_pseudo"]
+        + cfg.lambda_mt * losses["consistency"]
+    )
+    return cache, losses, dz
 
 
 def loss_terms(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
@@ -302,53 +364,19 @@ def loss_terms(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
 
     Returns (losses, grads) where losses maps term name to its value (the
     consistency entry is the raw mean squared error) and grads maps term name
-    to a full parameter-gradient dict. The total objective is
-    ce_clean + lovasz + ce_pseudo + lambda_mt * consistency.
+    to a full parameter-gradient dict, each term back-propagated on its own.
+    The total objective is ce_clean + lovasz + ce_pseudo + lambda_mt *
+    consistency; total_gradient of these grads is what train_step descends.
     """
-    cache = _forward_cache(student, batch.features)
-    c_probs = softmax(cache["c_logits"])
-    n_probs = softmax(cache["n_logits"])
-    t_cache = _forward_cache(teacher, batch.features)
-    t_probs = softmax(t_cache["c_logits"])
-
-    clean = batch.label_kind != KIND_NONE
-    clean_rows = np.flatnonzero(clean)
-    unlabeled_rows = np.flatnonzero(~clean)
-    zeros = np.zeros_like(c_probs)
-    losses: dict = {}
-    grads: dict = {}
-
-    ce_val, _ = cross_entropy(c_probs[clean_rows], batch.labels[clean_rows])
-    losses["ce_clean"] = ce_val
-    dzc = _ce_logit_grad(c_probs, clean_rows, batch.labels[clean_rows])
-    grads["ce_clean"] = _backward(student, cache, dzc, zeros)
-
-    lov_val, dprob_sub = _lovasz_with_grad(c_probs[clean_rows], batch.labels[clean_rows])
-    losses["lovasz"] = lov_val
-    dprobs = np.zeros_like(c_probs)
-    dprobs[clean_rows] = dprob_sub
-    grads["lovasz"] = _backward(student, cache, _softmax_backward(c_probs, dprobs), zeros)
-
-    t_labels, t_mask = pseudo_label(t_probs[unlabeled_rows], cfg.tau)
-    taken = unlabeled_rows[t_mask]
-    taken_labels = t_labels[t_mask]
-    head_probs = c_probs if single_branch else n_probs
-    pseudo_val, _ = cross_entropy(head_probs[taken], taken_labels)
-    dz_pseudo = _ce_logit_grad(head_probs, taken, taken_labels)
-    losses["ce_pseudo"] = pseudo_val
-    if single_branch:
-        grads["ce_pseudo"] = _backward(student, cache, dz_pseudo, zeros)
-    else:
-        grads["ce_pseudo"] = _backward(student, cache, zeros, dz_pseudo)
-
-    losses["consistency"] = mt_consistency(c_probs, t_probs)
-    dmse = 2.0 * (c_probs - t_probs) / c_probs.size
-    grads["consistency"] = _backward(student, cache, _softmax_backward(c_probs, dmse), zeros)
-
-    losses["total"] = (
-        losses["ce_clean"] + losses["lovasz"] + losses["ce_pseudo"]
-        + cfg.lambda_mt * losses["consistency"]
-    )
+    cache, losses, dz = _logit_terms(student, teacher, batch, cfg, single_branch)
+    zeros = np.zeros_like(cache["c_logits"])
+    grads = {}
+    for term, g in dz.items():
+        g = zeros if g is None else g
+        if term == "ce_pseudo" and not single_branch:
+            grads[term] = _backward(student, cache, zeros, g)
+        else:
+            grads[term] = _backward(student, cache, g)
     return losses, grads
 
 
@@ -368,14 +396,20 @@ def train_step(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
                cfg: SSLConfig, single_branch: bool = False):
     """One gradient-descent step on the student followed by the teacher EMA.
 
-    Returns (student, teacher, losses). An empty batch is a no-op with zero
-    losses.
+    The loss terms are weighted at the logits and summed per head, and one
+    backward pass takes the sum to the parameters. Returns (student,
+    teacher, losses). An empty batch is a no-op with zero losses.
     """
     if len(batch) == 0:
         zero = {k: 0.0 for k in ("ce_clean", "lovasz", "ce_pseudo", "consistency", "total")}
         return student, teacher, zero
-    losses, grads = loss_terms(student, teacher, batch, cfg, single_branch)
-    total = total_gradient(grads, cfg)
+    cache, losses, dz = _logit_terms(student, teacher, batch, cfg, single_branch)
+    dzc = dz["ce_clean"] + dz["lovasz"] + cfg.lambda_mt * dz["consistency"]
+    dzn = dz["ce_pseudo"]
+    if single_branch and dzn is not None:
+        dzc += dzn
+        dzn = None
+    total = _backward(student, cache, dzc, dzn)
     new_student = DualHeadNet(
         {k: student.params[k] - cfg.learning_rate * total[k] for k in PARAM_NAMES}
     )
@@ -452,8 +486,15 @@ def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):
     for step in range(1, cfg.steps + 1):
         idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
         batch = TrainBatch(data.features[idx], data.labels[idx], data.label_kind[idx])
-        student, teacher, losses = train_step(student, teacher, batch, cfg, single_branch)
+        # a step too large overflows, and the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            student, teacher, losses = train_step(student, teacher, batch, cfg, single_branch)
         if step % CHECKPOINT_EVERY == 0 or step == cfg.steps:
+            if not all(np.isfinite(net.params[k]).all()
+                       for net in (student, teacher) for k in PARAM_NAMES):
+                raise ConfigError(
+                    f"training diverged: parameters are not finite at step {step}; "
+                    f"lower --lr ({cfg.learning_rate:g}) or --lambda-mt ({cfg.lambda_mt:g})")
             acc = pseudo_label_accuracy(teacher, data, cfg.tau)
             history.append(
                 (step, losses["ce_clean"], losses["lovasz"], losses["ce_pseudo"],

@@ -954,6 +954,40 @@ def test_train_writes_models_and_history(workspace, tmp_path, capsys):
     assert [int(row["step"]) for row in _csv_rows(out / "history.csv")] == [12]
 
 
+def _train_argv(workspace, out, *flags) -> list:
+    return ["train", "--root", str(workspace["data"]), "--split", str(workspace["split"]),
+            "--max-points", "2000", "--batch-size", "64", "--hidden", "8", "--out", str(out),
+            *flags]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--lr", "1e300"], ["--lambda-mt", "1e308"]],
+                         ids=lambda v: " ".join(v))
+def test_diverging_train_exits_config_and_writes_nothing(workspace, tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert cli.main(_train_argv(workspace, out, "--steps", "3", *flags)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged") and "step 3" in err
+    assert "--lr" in err and "--lambda-mt" in err
+    assert not out.exists()
+    # over a finished run, the missing train.config marks the run unfinished
+    assert cli.main(_train_argv(workspace, out, "--steps", "3")) == 0
+    assert (out / "train.config").is_file()
+    assert cli.main(_train_argv(workspace, out, "--steps", "3", *flags)) == 2
+    assert not (out / "train.config").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_history_holds_finite_cross_entropy(workspace, tmp_path):
+    # at this step size some clean point is so confidently wrong that its
+    # true class's probability underflows to 0; its cost is still finite
+    out = tmp_path / "run"
+    assert cli.main(_train_argv(workspace, out, "--lr", "100", "--steps", "50")) == 0
+    (row,) = _csv_rows(out / "history.csv")
+    assert all(np.isfinite(float(v)) for v in row.values())
+    assert float(row["ce_clean"]) > 100.0
+
+
 def test_train_unknown_estimate_class_exits_data(workspace, tmp_path, capsys):
     labeled = split_mod.read_split(workspace["split"])["00"]
     (seq,) = lidar_io.build_manifest(workspace["data"])

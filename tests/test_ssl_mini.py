@@ -23,6 +23,9 @@ from plelidar.ssl_mini import (
     TrainData,
 )
 
+# a numpy warning from training is a failure, not a line on stderr
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def _net(feature_dim=3, hidden=4, classes=3, seed=0):
     return DualHeadNet.init(feature_dim, hidden, classes, seed=seed)
@@ -68,29 +71,38 @@ class TestForward:
 
 
 class TestCrossEntropy:
+    # cross_entropy takes logits; the log of a row of probabilities is a
+    # row of logits whose softmax is that row
+
     def test_uniform(self):
-        probs = np.full((5, 4), 0.25)
-        loss, count = ssl.cross_entropy(probs, np.zeros(5, dtype=int))
+        loss, count = ssl.cross_entropy(np.zeros((5, 4)), np.zeros(5, dtype=int))
         assert loss == pytest.approx(math.log(4))
         assert count == 5
 
     def test_hand_case(self):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]])
-        loss, count = ssl.cross_entropy(probs, np.array([0, 1, 2]))
+        loss, count = ssl.cross_entropy(np.log(probs), np.array([0, 1, 2]))
         want = -(math.log(0.7) + math.log(0.8) + math.log(0.5)) / 3
         assert loss == pytest.approx(want)
         assert count == 3
 
     def test_ignore_rows(self):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]])
-        loss, count = ssl.cross_entropy(probs, np.array([0, -1, 2]))
+        loss, count = ssl.cross_entropy(np.log(probs), np.array([0, -1, 2]))
         assert loss == pytest.approx(-(math.log(0.7) + math.log(0.5)) / 2)
         assert count == 2
 
     def test_all_ignored(self):
-        loss, count = ssl.cross_entropy(np.full((2, 3), 1 / 3), np.array([-1, -1]))
+        loss, count = ssl.cross_entropy(np.zeros((2, 3)), np.array([-1, -1]))
         assert loss == 0.0
         assert count == 0
+
+    def test_confidently_wrong_point_costs_its_logit_gap(self):
+        # the true class's probability, exp(-1000), underflows to 0
+        assert ssl.softmax(np.array([[0.0, 1000.0]]))[0, 0] == 0.0
+        loss, count = ssl.cross_entropy(np.array([[0.0, 1000.0]]), np.array([0]))
+        assert loss == pytest.approx(1000.0)
+        assert count == 1
 
 
 class TestLovasz:
@@ -119,6 +131,68 @@ class TestLovasz:
         probs = np.array([[0.6, 0.4], [0.1, 0.9]])
         labels = np.array([0, -1])
         assert ssl._lovasz_with_grad(probs, labels)[0] == pytest.approx(0.4)
+
+
+def _per_class_lovasz(probs, labels, ignore=ssl.IGNORE_LABEL):
+    """Reference _lovasz_with_grad: one stable sort per present class, in a
+    Python loop over the classes."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    include = labels != ignore
+    grad = np.zeros_like(probs)
+    if not include.any():
+        return 0.0, grad
+    rows = np.flatnonzero(include)
+    p = probs[rows]
+    y = labels[rows]
+    present = np.unique(y)
+    total = 0.0
+    for c in present:
+        fg = y == c
+        m = np.where(fg, 1.0 - p[:, c], p[:, c])
+        order = np.argsort(-m, kind="stable")
+        fg_sorted = fg[order]
+        gts = fg_sorted.sum()
+        jaccard = 1.0 - (gts - np.cumsum(fg_sorted)) / (gts + np.cumsum(~fg_sorted))
+        weights = jaccard.copy()
+        weights[1:] = jaccard[1:] - jaccard[:-1]
+        total += float(m[order] @ weights)
+        dm = np.empty(len(m))
+        dm[order] = weights
+        grad[rows, c] += np.where(fg, -dm, dm)
+    grad /= len(present)
+    return total / len(present), grad
+
+
+def _lovasz_batch(kind, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
+    n, classes = int(rng.integers(1, 300)), int(rng.integers(2, 6))
+    probs = ssl.softmax(rng.normal(0.0, 3.0, (n, classes)))
+    labels = rng.integers(0, classes, n)
+    if kind == "ties":
+        probs = np.round(probs, 1)
+    elif kind == "point-major":
+        probs = np.ascontiguousarray(probs)
+    elif kind == "one class":
+        labels[:] = classes - 1
+    elif kind == "absent class":
+        labels[labels == 0] = 1
+    elif kind == "some ignored":
+        labels[rng.random(n) < 0.3] = ssl.IGNORE_LABEL
+    elif kind == "all ignored":
+        labels[:] = ssl.IGNORE_LABEL
+    return probs, labels
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "point-major", "one class",
+                                  "absent class", "some ignored", "all ignored"])
+def test_lovasz_equals_per_class_loop_bit_for_bit(kind):
+    for seed in range(30):
+        probs, labels = _lovasz_batch(kind, seed)
+        want_loss, want_grad = _per_class_lovasz(probs, labels)
+        loss, grad = ssl._lovasz_with_grad(probs, labels)
+        assert loss == want_loss
+        assert grad.shape == want_grad.shape
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestSmallPieces:
@@ -243,6 +317,49 @@ class TestGradients:
         assert losses["ce_pseudo"] == 0.0
         for name in ssl.PARAM_NAMES:
             assert np.all(grads["ce_pseudo"][name] == 0.0)
+
+
+class TestTrainStep:
+    """train_step back-propagates the weighted sum of the terms' logit
+    gradients once; total_gradient of loss_terms, which back-propagates each
+    term on its own, is the reference it is held to."""
+
+    def _problem(self, tau):
+        student, teacher = _net(hidden=8, classes=4, seed=3), _net(hidden=8, classes=4, seed=8)
+        batch = _batch(seed=5, n=40, classes=4, unlabeled=15)
+        cfg = SSLConfig(lambda_mt=250.0, tau=tau, learning_rate=0.1, alpha_ema=0.9, steps=1)
+        return student, teacher, batch, cfg
+
+    @pytest.mark.parametrize("single", [False, True], ids=["dual", "single"])
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_step_descends_the_summed_per_term_gradients(self, single, tau):
+        student, teacher, batch, cfg = self._problem(tau)
+        losses, grads = ssl.loss_terms(student, teacher, batch, cfg, single)
+        # tau 0 gives every unlabeled point a pseudo-label, tau 1 none
+        assert (losses["ce_pseudo"] > 0.0) == (tau == 0.0)
+        total = ssl.total_gradient(grads, cfg)
+        largest = max(np.abs(g).max() for g in total.values())
+        new_student, new_teacher, step_losses = ssl.train_step(student, teacher, batch, cfg,
+                                                               single)
+        assert step_losses == losses
+        for k in ssl.PARAM_NAMES:
+            want = student.params[k] - cfg.learning_rate * total[k]
+            assert np.abs(new_student.params[k] - want).max() <= 1e-12 * largest, k
+            want = ssl.ema_update(teacher, new_student, cfg.alpha_ema).params[k]
+            assert np.array_equal(new_teacher.params[k], want)
+
+    @pytest.mark.parametrize("single", [False, True], ids=["dual", "single"])
+    def test_step_back_propagates_once(self, monkeypatch, single):
+        student, teacher, batch, cfg = self._problem(0.0)
+        calls = []
+
+        def backward(*args, _real=ssl._backward):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(ssl, "_backward", backward)
+        ssl.train_step(student, teacher, batch, cfg, single)
+        assert len(calls) == 1
 
 
 class TestTrainLoop:
