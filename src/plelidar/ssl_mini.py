@@ -320,7 +320,7 @@ def _logit_terms(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
     cache = _forward_cache(student, batch.features)
     c_probs = softmax(cache["c_logits"])
     t_probs = softmax(_forward_cache(teacher, batch.features)["c_logits"])
-    n = len(c_probs)
+    n = len(batch)
     clean = batch.label_kind != KIND_NONE
     clean_rows = np.flatnonzero(clean)
     clean_labels = batch.labels[clean_rows]
@@ -457,7 +457,7 @@ def pseudo_label_score(teacher: DualHeadNet, data: TrainData, tau: float) -> tup
     rows = np.flatnonzero(data.label_kind == KIND_NONE)
     if len(rows) == 0:
         return 0.0, 0
-    probs = softmax(forward(teacher, data.features[rows])[0])
+    probs = softmax(_forward_cache(teacher, data.features[rows])["c_logits"])
     labels, mask = pseudo_label(probs, tau)
     if not mask.any():
         return 0.0, 0
@@ -474,7 +474,9 @@ def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):
 
     History rows follow HISTORY_COLUMNS, recorded every CHECKPOINT_EVERY
     steps and at the final step. With single_branch the n-head never receives
-    gradients and pseudo-label cross-entropy flows through the c-head.
+    gradients and pseudo-label cross-entropy flows through the c-head. A
+    student or teacher parameter that is not finite at a history row raises
+    ConfigError: the step size diverged.
     """
     student = DualHeadNet.init(data.features.shape[1], cfg.hidden, data.num_classes, cfg.seed)
     teacher = student.copy()

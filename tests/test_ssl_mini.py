@@ -165,7 +165,8 @@ def _per_class_lovasz(probs, labels, ignore=ssl.IGNORE_LABEL):
 
 def _lovasz_batch(kind, seed):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(11,)))
-    n, classes = int(rng.integers(1, 300)), int(rng.integers(2, 6))
+    # up to 12 classes: from 8 on, numpy's sum no longer adds one after another
+    n, classes = int(rng.integers(1, 300)), int(rng.integers(2, 13))
     probs = ssl.softmax(rng.normal(0.0, 3.0, (n, classes)))
     labels = rng.integers(0, classes, n)
     if kind == "ties":
