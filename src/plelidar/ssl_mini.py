@@ -9,7 +9,9 @@ shared trunk still sees both). The teacher is an exponential moving average
 of the student and also provides a consistency target.
 
 Everything is plain numpy with hand-derived gradients; the finite-difference
-oracle in the tests holds these to a relative 1e-4.
+oracle in the tests holds these to a relative 1e-4. A net keeps its parameters
+in one flat buffer, so the update, the EMA and a copy are each one array
+operation over it.
 
 Losses per step over one batch:
   ce_clean      cross-entropy of student c-head on clean points
@@ -40,6 +42,8 @@ KIND_GROUND_TRUTH = 1
 KIND_PLE = 2
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "wc", "bc", "wn", "bn")
+# each parameter's axes: f features, h hidden units, c classes
+_AXES = ("fh", "h", "hh", "h", "hc", "c", "hc", "c")
 MODEL_MAGIC = "dualheadnet 1"
 HISTORY_COLUMNS = ("step", "ce_clean", "lovasz", "ce_pseudo", "consistency",
                    "pseudo_label_accuracy")
@@ -47,36 +51,58 @@ CHECKPOINT_EVERY = 100
 VOXEL_SIZE = 1.0
 
 
-@dataclass(eq=False)
 class DualHeadNet:
-    params: dict
+    """The parameters in one float64 buffer, `flat`, in PARAM_NAMES order;
+    `params` maps each name to its reshaped view of `flat`, and `dims` is
+    (features, hidden, classes). DualHeadNet(params) copies a mapping from
+    name to array into a new buffer, and raises ShapeError naming a parameter
+    that is missing, unknown, or does not fit one net with the ones before it.
+    """
+
+    def __init__(self, params):
+        for name in (*PARAM_NAMES, *params):
+            if (name in params) != (name in PARAM_NAMES):
+                raise ShapeError(f"parameter {name} is "
+                                 + ("missing" if name in PARAM_NAMES else "unknown"))
+        arrays = [np.asarray(params[name], dtype=np.float64) for name in PARAM_NAMES]
+        sizes, layout, start = {}, [], 0
+        for name, axes, a in zip(PARAM_NAMES, _AXES, arrays):
+            # each axis letter takes the size it first meets
+            fitted = tuple(sizes.setdefault(x, n) for x, n in zip(axes, a.shape))
+            if a.ndim != len(axes) or fitted != a.shape:
+                raise ShapeError(f"parameter {name} has shape {a.shape}, which does not fit "
+                                 "one (features, hidden, classes) net with the ones before it")
+            layout.append((name, slice(start, start + a.size), a.shape))
+            start += a.size
+        self._view(np.concatenate([a.ravel() for a in arrays]),
+                   (sizes["f"], sizes["h"], sizes["c"]), tuple(layout))
+
+    def _view(self, flat: np.ndarray, dims: tuple, layout: tuple) -> None:
+        self.flat, self.dims, self._layout = flat, dims, layout
+        self.params = {name: flat[part].reshape(shape) for name, part, shape in layout}
+
+    def _with(self, flat: np.ndarray) -> "DualHeadNet":
+        """A net over `flat`, a buffer laid out as this net's, unchecked."""
+        net = object.__new__(DualHeadNet)
+        net._view(flat, self.dims, self._layout)
+        return net
 
     @classmethod
     def init(cls, feature_dim: int, hidden: int, classes: int, seed: int = 0) -> "DualHeadNet":
         if feature_dim < 1 or hidden < 1 or classes < 2:
             raise ConfigError("need feature_dim >= 1, hidden >= 1, classes >= 2")
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-        params = {
-            "w1": rng.standard_normal((feature_dim, hidden)) * np.sqrt(2.0 / feature_dim),
-            "b1": np.zeros(hidden),
-            "w2": rng.standard_normal((hidden, hidden)) * np.sqrt(2.0 / hidden),
-            "b2": np.zeros(hidden),
-            "wc": rng.standard_normal((hidden, classes)) * np.sqrt(1.0 / hidden),
-            "bc": np.zeros(classes),
-            "wn": rng.standard_normal((hidden, classes)) * np.sqrt(1.0 / hidden),
-            "bn": np.zeros(classes),
-        }
+        sizes, params = {"f": feature_dim, "h": hidden, "c": classes}, {}
+        for name, axes in zip(PARAM_NAMES, _AXES):
+            shape = tuple(sizes[x] for x in axes)
+            # zero biases; weights scaled by fan-in, with the ReLU gain 2 in the trunk
+            gain = 2.0 if name in ("w1", "w2") else 1.0
+            params[name] = (rng.standard_normal(shape) * np.sqrt(gain / shape[0])
+                            if len(shape) == 2 else np.zeros(shape))
         return cls(params)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.params["w1"].shape[0]
-
     def copy(self) -> "DualHeadNet":
-        return DualHeadNet({k: v.copy() for k, v in self.params.items()})
-
-    def shapes(self) -> dict:
-        return {k: v.shape for k, v in self.params.items()}
+        return self._with(self.flat.copy())
 
 
 @dataclass(frozen=True)
@@ -160,23 +186,14 @@ def _forward_cache(net: DualHeadNet, features: np.ndarray) -> dict:
     """Trunk activations and the c-head logits; the n-head is left to the
     callers that use it."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.feature_dim:
-        raise ShapeError(
-            f"features of shape {x.shape} do not match input dimension {net.feature_dim}"
-        )
+    if x.ndim != 2 or x.shape[1] != net.dims[0]:
+        raise ShapeError(f"features of shape {x.shape} do not match input dimension {net.dims[0]}")
     p = net.params
     z1 = x @ p["w1"] + p["b1"]
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ p["w2"] + p["b2"]
     a2 = np.maximum(z2, 0.0)
     return {"x": x, "z1": z1, "a1": a1, "z2": z2, "a2": a2, "c_logits": a2 @ p["wc"] + p["bc"]}
-
-
-def forward(net: DualHeadNet, features: np.ndarray):
-    """Logits of both heads plus the shared trunk activations."""
-    cache = _forward_cache(net, features)
-    a2 = cache["a2"]
-    return cache["c_logits"], a2 @ net.params["wn"] + net.params["bn"], a2
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray, ignore: int = IGNORE_LABEL):
@@ -257,14 +274,9 @@ def pseudo_label(probs: np.ndarray, tau: float):
 
 def ema_update(teacher: DualHeadNet, student: DualHeadNet, alpha: float) -> DualHeadNet:
     """New teacher with every parameter at alpha*teacher + (1-alpha)*student."""
-    if teacher.shapes() != student.shapes():
-        raise ShapeError("teacher and student architectures differ")
-    return DualHeadNet(
-        {
-            k: alpha * teacher.params[k] + (1.0 - alpha) * student.params[k]
-            for k in teacher.params
-        }
-    )
+    if teacher.dims != student.dims:
+        raise ShapeError(f"teacher {teacher.dims} and student {student.dims} architectures differ")
+    return teacher._with(alpha * teacher.flat + (1.0 - alpha) * student.flat)
 
 
 def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -272,26 +284,28 @@ def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     return probs * (dprobs - inner)
 
 
-def _backward(net: DualHeadNet, cache: dict, dzc: np.ndarray, dzn=None) -> dict:
-    """Parameter gradients from the logit gradients of the two heads; dzn
-    None stands for an n-head gradient of zero."""
+def _backward(net: DualHeadNet, cache: dict, dzc: np.ndarray, dzn=None) -> DualHeadNet:
+    """Parameter gradients, laid out as `net`, from the logit gradients of
+    the two heads; dzn None stands for an n-head gradient of zero."""
     p = net.params
+    grad = net._with(np.zeros_like(net.flat))
+    g = grad.params
     a2 = cache["a2"]
-    grads = {"wc": a2.T @ dzc, "bc": dzc.sum(axis=0)}
+    g["wc"][...] = a2.T @ dzc
+    g["bc"][...] = dzc.sum(axis=0)
     da2 = dzc @ p["wc"].T
-    if dzn is None:
-        grads["wn"], grads["bn"] = np.zeros_like(p["wn"]), np.zeros_like(p["bn"])
-    else:
-        grads["wn"], grads["bn"] = a2.T @ dzn, dzn.sum(axis=0)
+    if dzn is not None:
+        g["wn"][...] = a2.T @ dzn
+        g["bn"][...] = dzn.sum(axis=0)
         da2 += dzn @ p["wn"].T
     dz2 = da2 * (cache["z2"] > 0.0)
-    grads["w2"] = cache["a1"].T @ dz2
-    grads["b2"] = dz2.sum(axis=0)
+    g["w2"][...] = cache["a1"].T @ dz2
+    g["b2"][...] = dz2.sum(axis=0)
     da1 = dz2 @ p["w2"].T
     dz1 = da1 * (cache["z1"] > 0.0)
-    grads["w1"] = cache["x"].T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    return grads
+    g["w1"][...] = cache["x"].T @ dz1
+    g["b1"][...] = dz1.sum(axis=0)
+    return grad
 
 
 def _ce_logit_grad(probs: np.ndarray, labels: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -372,11 +386,10 @@ def loss_terms(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
     zeros = np.zeros_like(cache["c_logits"])
     grads = {}
     for term, g in dz.items():
-        g = zeros if g is None else g
         if term == "ce_pseudo" and not single_branch:
-            grads[term] = _backward(student, cache, zeros, g)
+            grads[term] = _backward(student, cache, zeros, g).params
         else:
-            grads[term] = _backward(student, cache, g)
+            grads[term] = _backward(student, cache, zeros if g is None else g).params
     return losses, grads
 
 
@@ -409,10 +422,8 @@ def train_step(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
     if single_branch and dzn is not None:
         dzc += dzn
         dzn = None
-    total = _backward(student, cache, dzc, dzn)
-    new_student = DualHeadNet(
-        {k: student.params[k] - cfg.learning_rate * total[k] for k in PARAM_NAMES}
-    )
+    grad = _backward(student, cache, dzc, dzn)
+    new_student = student._with(student.flat - cfg.learning_rate * grad.flat)
     new_teacher = ema_update(teacher, new_student, cfg.alpha_ema)
     return new_student, new_teacher, losses
 
@@ -455,8 +466,6 @@ def pseudo_label_score(teacher: DualHeadNet, data: TrainData, tau: float) -> tup
     that match the oracle over unlabeled points, and how many points were
     confident. Accuracy is 0.0 when nothing clears the threshold."""
     rows = np.flatnonzero(data.label_kind == KIND_NONE)
-    if len(rows) == 0:
-        return 0.0, 0
     probs = softmax(_forward_cache(teacher, data.features[rows])["c_logits"])
     labels, mask = pseudo_label(probs, tau)
     if not mask.any():
@@ -481,8 +490,6 @@ def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):
     student = DualHeadNet.init(data.features.shape[1], cfg.hidden, data.num_classes, cfg.seed)
     teacher = student.copy()
     history: list = []
-    if cfg.steps == 0:
-        return student, teacher, history
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
     n = len(data)
     for step in range(1, cfg.steps + 1):
@@ -492,8 +499,7 @@ def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):
         with np.errstate(over="ignore", invalid="ignore"):
             student, teacher, losses = train_step(student, teacher, batch, cfg, single_branch)
         if step % CHECKPOINT_EVERY == 0 or step == cfg.steps:
-            if not all(np.isfinite(net.params[k]).all()
-                       for net in (student, teacher) for k in PARAM_NAMES):
+            if not (np.isfinite(student.flat).all() and np.isfinite(teacher.flat).all()):
                 raise ConfigError(
                     f"training diverged: parameters are not finite at step {step}; "
                     f"lower --lr ({cfg.learning_rate:g}) or --lambda-mt ({cfg.lambda_mt:g})")
@@ -511,18 +517,12 @@ def write_history(history, path) -> None:
 
 
 def save_model(net: DualHeadNet, path) -> None:
-    """Text header naming parameter shapes, then the flat little-endian
-    float64 parameter data in header order."""
-    header = [MODEL_MAGIC]
-    for name in PARAM_NAMES:
-        dims = " ".join(str(d) for d in net.params[name].shape)
-        header.append(f"{name} {dims}")
-    header.append("end")
-    blob = b"".join(
-        np.ascontiguousarray(net.params[name], dtype="<f8").tobytes()
-        for name in PARAM_NAMES
-    )
-    Path(path).write_bytes(("\n".join(header) + "\n").encode("ascii") + blob)
+    """Text header naming parameter shapes, then the net's buffer as
+    little-endian float64, which holds the parameters in header order."""
+    header = [MODEL_MAGIC, *(f"{name} {' '.join(map(str, v.shape))}"
+                             for name, v in net.params.items()), "end"]
+    Path(path).write_bytes(("\n".join(header) + "\n").encode("ascii")
+                           + net.flat.astype("<f8").tobytes())
 
 
 def _voxel_keys(points: np.ndarray) -> np.ndarray:

@@ -54,8 +54,9 @@ class TestForward:
 
     def test_zero_weights_give_uniform(self):
         net = DualHeadNet({k: np.zeros_like(v) for k, v in _net().params.items()})
-        c_logits, n_logits, _ = ssl.forward(net, np.ones((2, 3)))
-        assert np.allclose(ssl.softmax(c_logits), 1 / 3)
+        cache = ssl._forward_cache(net, np.ones((2, 3)))
+        n_logits = cache["a2"] @ net.params["wn"] + net.params["bn"]
+        assert np.allclose(ssl.softmax(cache["c_logits"]), 1 / 3)
         assert np.allclose(ssl.softmax(n_logits), 1 / 3)
 
     def test_init_is_deterministic(self):
@@ -67,7 +68,84 @@ class TestForward:
 
     def test_forward_rejects_wrong_feature_dim(self):
         with pytest.raises(ShapeError):
-            ssl.forward(_net(feature_dim=3), np.ones((2, 4)))
+            ssl._forward_cache(_net(feature_dim=3), np.ones((2, 4)))
+
+
+class TestNetBuffer:
+    """A net holds its parameters in one buffer; params are views into it."""
+
+    def test_params_are_views_of_one_buffer_in_name_order(self):
+        net = _net(feature_dim=5, hidden=7, classes=4, seed=2)
+        assert net.dims == (5, 7, 4)
+        assert net.flat.dtype == np.float64 and net.flat.ndim == 1
+        assert list(net.params) == list(ssl.PARAM_NAMES)
+        for v in net.params.values():
+            assert np.shares_memory(v, net.flat)
+        want = np.concatenate([net.params[k].ravel() for k in ssl.PARAM_NAMES])
+        assert np.array_equal(net.flat, want)
+
+    def test_built_from_a_mapping_copies_it(self):
+        params = {k: v.copy() for k, v in _net().params.items()}
+        net = DualHeadNet(params)
+        before = params["w1"].copy()
+        params["w1"][0, 0] += 1.0
+        assert np.array_equal(net.params["w1"], before)
+
+    def test_missing_parameter_rejected(self):
+        params = dict(_net().params)
+        del params["bn"]
+        with pytest.raises(ShapeError, match="parameter bn is missing"):
+            DualHeadNet(params)
+        with pytest.raises(ShapeError, match="parameter w1 is missing"):
+            DualHeadNet({})
+
+    def test_unknown_parameter_rejected(self):
+        params = {**_net().params, "w3": np.zeros((4, 4))}
+        with pytest.raises(ShapeError, match="parameter w3 is unknown"):
+            DualHeadNet(params)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("w1", (3,)),       # not 2-D
+        ("w1", ()),         # a scalar
+        ("b1", (4, 1)),     # a bias of two axes
+        ("w2", (4, 5)),     # hidden units disagree with w1's
+        ("wc", (5, 3)),     # hidden units disagree with w1's
+        ("bc", (2,)),       # classes disagree with wc's
+        ("wn", (4, 2)),     # n-head classes disagree with the c-head's
+        ("bn", (3, 1)),     # a bias of two axes
+    ])
+    def test_shapes_that_form_no_net_rejected(self, name, shape):
+        params = {**_net(feature_dim=3, hidden=4, classes=3).params, name: np.zeros(shape)}
+        with pytest.raises(ShapeError, match=f"parameter {name} has shape"):
+            DualHeadNet(params)
+
+    def test_ema_rejects_another_architecture_of_equal_size(self):
+        # (1, 1, 5) and (2, 2, 2) both hold 24 parameters, so a check on the
+        # buffer size alone would let the EMA mix them
+        a = DualHeadNet.init(1, 1, 5, seed=0)
+        b = DualHeadNet.init(2, 2, 2, seed=0)
+        assert a.flat.size == b.flat.size == 24
+        with pytest.raises(ShapeError, match="architectures differ"):
+            ssl.ema_update(a, b, 0.5)
+        with pytest.raises(ShapeError, match="architectures differ"):
+            ssl.ema_update(b, a, 0.5)
+
+    @pytest.mark.parametrize("operation", ["copy", "ema_update", "train_step"])
+    def test_operations_leave_inputs_alone_and_share_no_memory(self, operation):
+        student, teacher = _net(seed=1), _net(seed=2)
+        before = {id(net): net.flat.copy() for net in (student, teacher)}
+        cfg = SSLConfig(tau=0.0, steps=1, learning_rate=0.1, alpha_ema=0.9)
+        results = {
+            "copy": lambda: [student.copy()],
+            "ema_update": lambda: [ssl.ema_update(teacher, student, 0.9)],
+            "train_step": lambda: ssl.train_step(student, teacher, _batch(seed=3), cfg)[:2],
+        }[operation]()
+        for net in (student, teacher):
+            assert np.array_equal(net.flat, before[id(net)])
+        for result in results:
+            for net in (student, teacher):
+                assert not np.shares_memory(result.flat, net.flat)
+                assert not any(np.shares_memory(v, net.flat) for v in result.params.values())
 
 
 class TestCrossEntropy:
@@ -223,6 +301,13 @@ class TestSmallPieces:
         merged = ssl.ema_update(teacher, student, 0.5)
         for k in ssl.PARAM_NAMES:
             assert np.all(merged.params[k] == 3.0)
+
+    def test_ema_update_equals_per_parameter_reference_bit_for_bit(self):
+        teacher, student = _net(seed=1), _net(seed=2)
+        merged = ssl.ema_update(teacher, student, 0.99)
+        for k in ssl.PARAM_NAMES:
+            want = 0.99 * teacher.params[k] + (1.0 - 0.99) * student.params[k]
+            assert merged.params[k].tobytes() == want.tobytes()
 
     def test_ema_alpha_one_keeps_teacher(self):
         teacher, student = _net(seed=1), _net(seed=2)
