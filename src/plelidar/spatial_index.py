@@ -2,9 +2,9 @@
 
 ``KdTree`` answers single-nearest-neighbor queries exactly (no approximation)
 and deterministically: among equidistant candidates the lowest original point
-index wins. ``nearest_brute`` is the reference implementation; both compute
-squared distances through ``_squared_distances``, so results agree bit for
-bit on identical inputs.
+index wins. ``nearest_brute`` is the reference implementation. Both sum the
+squared distance of a pair in the order ``(dx*dx + dz*dz) + dy*dy``, so
+results agree bit for bit on identical inputs.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ import numpy as np
 
 from .errors import DataError, EmptyIndexError, ShapeError
 
-DEFAULT_LEAF_SIZE = 256
+DEFAULT_LEAF_SIZE = 32
 # Phase 2 of a query halves its set of queries until the (query, node) pairs
 # it holds at once stay within this many, so queries far from every point,
 # which reach every leaf, stay in bounded memory.
 _PAIR_BUDGET = 1 << 16
-# A leaf scores at most this many queries at once, so its (queries x leaf
-# points) distance block stays within a few MiB however many share the leaf.
-_LEAF_ROWS = 4096
+# (query, leaf) pairs are scored at most this many at a time, so the gathered
+# (3, pairs, leaf width) block stays within a few hundred KiB.
+_LEAF_ROWS = 1024
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -71,22 +71,31 @@ def nearest_brute(points, queries):
 
 
 class KdTree:
-    """Median-split kd-tree over (N, 3) float64 points.
+    """Median-split kd-tree of fixed depth over (N, 3) float64 points.
 
-    Each leaf holds its points in ascending original index, stored
-    contiguously per axis, so a leaf visit reads three slices and the first
-    minimum along a row is already the lowest-index one.
+    Every leaf sits at depth ``D``, the smallest depth with
+    ``ceil(n / 2**D) <= leaf_size``. Node ``j`` of a level has children
+    ``2j`` and ``2j + 1`` on the next, so the tree is one axis array and one
+    split array per level (``_axis[d]``, ``_split[d]``). The points are
+    padded to ``2**D`` leaves of ``ceil(n / 2**D)`` slots with a padding
+    point at +inf, index ``n``. Each node partitions its slots along its
+    widest axis at the middle slot, with the padding sorted last, so every
+    leaf holds at most ``leaf_size`` points and the padding fills the last
+    slots of the last leaves. A leaf's
+    indices ascend, padding last, in a row of ``_leaf_idx``, and
+    ``_leaf_xyz`` holds their coordinates as one (3, leaves, width) block,
+    so the first minimum along a row is the lowest index.
 
     A query runs in two phases, each one numpy step per tree level for all
     queries together. Phase 1 walks every query to its home leaf, keeping
     the smallest squared distance to a split plane on its path (its home
-    cell's nearest face), and scores each leaf's queries in one block, in
-    slices of at most ``_LEAF_ROWS`` queries. Only a query whose best
-    squared distance reaches that face goes on to phase 2, which expands
-    (query, node) pairs with the plane test ``signed**2 <= best`` and
-    scores the new (query, leaf) pairs one batch per leaf. A point beyond a
-    plane is at least ``signed**2`` away even in floating point, because
-    rounding is monotone, so the search is exact.
+    cell's nearest face), and scores each query against its home leaf by
+    one gather of the leaf rows. Only a query whose best squared distance
+    reaches that face goes on to phase 2, which expands (query, node) pairs
+    with the plane test ``signed**2 <= best`` and scores the new
+    (query, leaf) pairs by the same gather. A point beyond a plane is at
+    least ``signed**2`` away even in floating point, because rounding is
+    monotone, so the search is exact.
     """
 
     def __init__(self, points, leaf_size: int = DEFAULT_LEAF_SIZE):
@@ -95,48 +104,48 @@ class KdTree:
             raise EmptyIndexError("cannot index zero points")
         if leaf_size < 1:
             raise ShapeError(f"leaf_size must be positive, got {leaf_size}")
-        self._leaf_size = int(leaf_size)
-        self._build(pts)
+        self._build(pts, int(leaf_size))
 
     def __len__(self) -> int:
-        return len(self._perm)
+        return self._n
 
-    def _build(self, pts: np.ndarray) -> None:
-        n = len(pts)
-        xyz = np.ascontiguousarray(pts.T)
-        perm = np.arange(n, dtype=np.int64)
-        # Flat node arrays; children index into them, leaves store perm ranges.
-        axis, split, left, right, start, end = [-1], [0.0], [-1], [-1], [0], [0]
-        stack = [(0, 0, n)]
-        while stack:
-            node, lo, hi = stack.pop()
-            if hi - lo <= self._leaf_size:
-                perm[lo:hi].sort()
-                start[node], end[node] = lo, hi
-                continue
-            members = perm[lo:hi]
-            coords = xyz.take(members, axis=1)
-            ax = int(np.argmax(coords.max(axis=1) - coords.min(axis=1)))
-            mid = (lo + hi) // 2
-            perm[lo:hi] = members[np.argpartition(coords[ax], mid - lo)]
-            axis[node] = ax
-            split[node] = xyz[ax, perm[mid]]
-            left[node], right[node] = len(axis), len(axis) + 1
-            for lst, fill in ((axis, -1), (split, 0.0), (left, -1), (right, -1),
-                              (start, 0), (end, 0)):
-                lst.extend((fill, fill))
-            stack.append((left[node], lo, mid))
-            stack.append((right[node], mid, hi))
-
-        self._perm = perm
-        # x, y and z rows in perm order: a leaf's points are one column slice.
-        self._leaf_xyz = xyz.take(perm, axis=1)
-        self._axis = np.array(axis, dtype=np.int64)
-        self._split = np.array(split, dtype=np.float64)
-        self._left = np.array(left, dtype=np.int64)
-        self._right = np.array(right, dtype=np.int64)
-        self._start = np.array(start, dtype=np.int64)
-        self._end = np.array(end, dtype=np.int64)
+    def _build(self, pts: np.ndarray, leaf_size: int) -> None:
+        n = self._n = len(pts)
+        depth = 0
+        while -(-n // (1 << depth)) > leaf_size:
+            depth += 1
+        width = -(-n // (1 << depth))
+        # Column n is the padding point, NaN while building, which fmin and
+        # fmax skip. Level d is a (2**d, slots) matrix of point indices, one
+        # row per node; halving a partitioned row gives its children's rows.
+        xyz = np.full((3, n + 1), np.nan)
+        xyz[:, :n] = pts.T
+        idx = np.full((1, width << depth), n, dtype=np.int64)
+        idx[0, :n] = np.arange(n)
+        self._axis, self._split = [], []
+        for _ in range(depth):
+            rows, w = idx.shape
+            # one axis at a time: holding a (3, rows, w) block of coordinates
+            # raised `ple`'s peak RSS by about 5 MB on 290k-point pools
+            spread = [np.fmax.reduce(c, axis=1) - np.fmin.reduce(c, axis=1)
+                      for c in (row.take(idx) for row in xyz)]
+            axis = np.argmax(spread, axis=0)
+            key = np.empty((rows, w))
+            for k in range(3):
+                on_k = axis == k
+                key[on_k] = xyz[k].take(idx[on_k])
+            np.fmin(key, np.inf, out=key)  # padding at +inf sorts last
+            part = np.argpartition(key, w // 2, axis=1)
+            part += (np.arange(rows) * w)[:, None]
+            self._axis.append(axis)
+            self._split.append(key.take(part[:, w // 2]))
+            idx = idx.take(part).reshape(2 * rows, w // 2)
+        idx.sort(axis=1)
+        self._leaf_idx = idx
+        xyz[:, n] = np.inf
+        self._leaf_xyz = np.empty((3, *idx.shape))
+        for k in range(3):
+            xyz[k].take(idx, out=self._leaf_xyz[k])
 
     def nearest(self, queries):
         """Exact nearest neighbor for each query row.
@@ -146,27 +155,17 @@ class KdTree:
         """
         qry = _as_points(queries, "queries")
         m = len(qry)
+        q = np.ascontiguousarray(qry.T)
+        every = np.arange(m)
 
         # phase 1: every query down to its home leaf, one level per step
         home = np.zeros(m, dtype=np.int64)
         face_d2 = np.full(m, np.inf)
-        live = np.flatnonzero(self._axis[home] >= 0)
-        while len(live):
-            node = home[live]
-            signed = qry[live, self._axis[node]] - self._split[node]
-            face_d2[live] = np.minimum(face_d2[live], signed * signed)
-            node = np.where(signed < 0.0, self._left[node], self._right[node])
-            home[live] = node
-            live = live[self._axis[node] >= 0]
-
-        # queries sorted by home leaf, so each leaf's block is one slice
-        order = np.argsort(home, kind="stable")
-        home, face_d2 = home[order], face_d2[order]
-        q = qry.T.take(order, axis=1)
-        best_d2 = np.empty(m)
-        best_idx = np.empty(m, dtype=np.int64)
-        for leaf, a, b in _runs(home):
-            best_d2[a:b], best_idx[a:b] = self._leaf_nearest(q[:, a:b], leaf)
+        for axis, split in zip(self._axis, self._split):
+            signed = q[axis[home], every] - split[home]
+            np.minimum(face_d2, signed * signed, out=face_d2)
+            home = 2 * home + (signed >= 0.0)
+        best_d2, best_idx = self._leaf_nearest(q, every, home)
 
         # phase 2: only queries whose best reaches their home cell's face; a
         # set of them whose pairs outgrow _PAIR_BUDGET is halved and redone
@@ -180,34 +179,35 @@ class KdTree:
                 pending += [rows[half:], rows[:half]]
                 continue
             pair_rows, pair_leaves = pairs
-            by_leaf = np.argsort(pair_leaves, kind="stable")
-            for leaf, a, b in _runs(pair_leaves[by_leaf]):
-                r = pair_rows[by_leaf[a:b]]
-                d2, idx = self._leaf_nearest(q[:, r], leaf)
-                cur_d2, cur_idx = best_d2[r], best_idx[r]
-                win = (d2 < cur_d2) | ((d2 == cur_d2) & (idx < cur_idx))
-                best_d2[r[win]] = d2[win]
-                best_idx[r[win]] = idx[win]
+            d2, idx = self._leaf_nearest(q, pair_rows, pair_leaves)
+            before = best_d2[rows]
+            np.minimum.at(best_d2, pair_rows, d2)
+            # a query whose best fell drops its phase-1 index; among the
+            # pairs that reach its best, the lowest index wins
+            best_idx[rows[best_d2[rows] < before]] = self._n
+            tied = d2 == best_d2[pair_rows]
+            np.minimum.at(best_idx, pair_rows[tied], idx[tied])
+        return best_idx, np.sqrt(best_d2)
 
-        indices = np.empty(m, dtype=np.int64)
-        indices[order] = best_idx
-        dists = np.empty(m)
-        dists[order] = np.sqrt(best_d2)
-        return indices, dists
-
-    def _leaf_nearest(self, q: np.ndarray, leaf: int):
-        """Nearest point of one leaf for per-axis queries ``q`` (3, M),
-        scored at most ``_LEAF_ROWS`` queries at a time."""
-        if q.shape[1] > _LEAF_ROWS:
-            parts = [self._leaf_nearest(q[:, a:a + _LEAF_ROWS], leaf)
-                     for a in range(0, q.shape[1], _LEAF_ROWS)]
-            return tuple(np.concatenate(p) for p in zip(*parts))
-        lo, hi = self._start[leaf], self._end[leaf]
-        d2 = _squared_distances(q, self._leaf_xyz[:, lo:hi])
-        # Leaf points ascend in original index, so argmin's first-occurrence
-        # rule yields the lowest index on ties.
-        col = d2.argmin(axis=1)
-        return d2[np.arange(len(col)), col], self._perm[lo + col]
+    def _leaf_nearest(self, q, rows, leaves):
+        """(squared distance, index) of the nearest point of leaf
+        ``leaves[i]`` to query ``rows[i]``, at most ``_LEAF_ROWS`` pairs at
+        a time, for per-axis queries ``q`` (3, M)."""
+        best_d2 = np.empty(len(rows))
+        best_idx = np.empty(len(rows), dtype=np.int64)
+        for a in range(0, len(rows), _LEAF_ROWS):
+            r, leaf = rows[a:a + _LEAF_ROWS], leaves[a:a + _LEAF_ROWS]
+            # p - q squares to the same bits as q - p; the sum order is
+            # _squared_distances'
+            d = self._leaf_xyz.take(leaf, axis=1)
+            d -= q.take(r, axis=1)[:, :, None]
+            d *= d
+            d2 = d[0] + d[2]
+            d2 += d[1]
+            col = d2.argmin(axis=1)
+            best_d2[a:a + _LEAF_ROWS] = d2[np.arange(len(col)), col]
+            best_idx[a:a + _LEAF_ROWS] = self._leaf_idx[leaf, col]
+        return best_d2, best_idx
 
     def _far_leaves(self, q, rows, home, best_d2):
         """(query, leaf) pairs that may hold a point within ``best_d2``.
@@ -221,34 +221,14 @@ class KdTree:
         """
         several = len(rows) > 1
         node = np.zeros(len(rows), dtype=np.int64)
-        found_rows, found_leaves = [], []
-        held = 0
-        while len(rows):
-            if several and len(rows) + held > _PAIR_BUDGET:
-                return None
-            ax = self._axis[node]
-            at_leaf = ax < 0
-            if at_leaf.any():
-                keep = at_leaf & (node != home[rows])
-                found_rows.append(rows[keep])
-                found_leaves.append(node[keep])
-                held += len(found_rows[-1])
-                inner = ~at_leaf
-                rows, node, ax = rows[inner], node[inner], ax[inner]
-            signed = q[ax, rows] - self._split[node]
-            go_left = signed < 0.0
+        for axis, split in zip(self._axis, self._split):
+            signed = q[axis[node], rows] - split[node]
+            right = signed >= 0.0
             cross = signed * signed <= best_d2[rows]
-            near = np.where(go_left, self._left[node], self._right[node])
-            far = np.where(go_left, self._right[node], self._left[node])
+            node = 2 * node
             rows = np.concatenate((rows, rows[cross]))
-            node = np.concatenate((near, far[cross]))
-        return np.concatenate(found_rows), np.concatenate(found_leaves)
-
-
-def _runs(sorted_values: np.ndarray):
-    """(value, start, stop) for each run of equal entries of a sorted array."""
-    if len(sorted_values) == 0:
-        return []
-    cut = (np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1).tolist()
-    starts, stops = [0, *cut], [*cut, len(sorted_values)]
-    return zip(sorted_values[starts].tolist(), starts, stops)
+            node = np.concatenate((node + right, (node + ~right)[cross]))
+            if several and len(rows) > _PAIR_BUDGET:
+                return None
+        keep = node != home[rows]
+        return rows[keep], node[keep]

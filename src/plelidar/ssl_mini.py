@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -53,10 +54,12 @@ VOXEL_SIZE = 1.0
 
 class DualHeadNet:
     """The parameters in one float64 buffer, `flat`, in PARAM_NAMES order;
-    `params` maps each name to its reshaped view of `flat`, and `dims` is
-    (features, hidden, classes). DualHeadNet(params) copies a mapping from
-    name to array into a new buffer, and raises ShapeError naming a parameter
-    that is missing, unknown, or does not fit one net with the ones before it.
+    `params` is a read-only mapping from each name to its reshaped view of
+    `flat`, so a name cannot be rebound to an array outside the buffer, and
+    writing into a view writes `flat`. `dims` is (features, hidden,
+    classes). DualHeadNet(params) copies a mapping from name to array into a
+    new buffer, and raises ShapeError naming a parameter that is missing,
+    unknown, or does not fit one net with the ones before it.
     """
 
     def __init__(self, params):
@@ -79,7 +82,8 @@ class DualHeadNet:
 
     def _view(self, flat: np.ndarray, dims: tuple, layout: tuple) -> None:
         self.flat, self.dims, self._layout = flat, dims, layout
-        self.params = {name: flat[part].reshape(shape) for name, part, shape in layout}
+        self.params = MappingProxyType(
+            {name: flat[part].reshape(shape) for name, part, shape in layout})
 
     def _with(self, flat: np.ndarray) -> "DualHeadNet":
         """A net over `flat`, a buffer laid out as this net's, unchecked."""

@@ -1,5 +1,5 @@
 """KdTree against the brute-force reference on varied point distributions,
-and its tree arrays against the node-at-a-time build it replaced."""
+and its tree arrays against a node-at-a-time build of the same layout."""
 
 from __future__ import annotations
 
@@ -16,70 +16,100 @@ from plelidar.spatial_index import DEFAULT_LEAF_SIZE, KdTree, nearest_brute
 
 from conftest import one_box_config
 
-TREE_ARRAYS = ("_perm", "_axis", "_split", "_left", "_right", "_start", "_end", "_leaf_xyz")
-
 
 def oracle_build(pts, leaf_size):
-    """The tree arrays of the original build, which gathers each node's
-    (k, 3) rows and partitions a strided column."""
+    """The tree arrays of the fixed-depth build, one node at a time.
+
+    A node is a row of point indices, padded with index n. It splits along
+    its widest axis at its middle slot, by one argpartition of its row with
+    the padding at +inf, and the two halves of the partitioned row are its
+    children's rows. The last level's rows, sorted, are the leaves.
+    """
     n = len(pts)
-    perm = np.arange(n, dtype=np.int64)
-    axis, split = [], []
-    left, right = [], []
-    start, end = [], []
-
-    def new_node() -> int:
-        for lst, fill in ((axis, -1), (left, -1), (right, -1), (start, 0), (end, 0)):
-            lst.append(fill)
-        split.append(0.0)
-        return len(axis) - 1
-
-    stack = [(new_node(), 0, n)]
-    while stack:
-        node, lo, hi = stack.pop()
-        if hi - lo <= leaf_size:
-            perm[lo:hi].sort()
-            start[node], end[node] = lo, hi
-            continue
-        coords = pts[perm[lo:hi]]
-        spread = coords.max(axis=0) - coords.min(axis=0)
-        ax = int(np.argmax(spread))
-        mid = (lo + hi) // 2
-        order = np.argpartition(coords[:, ax], mid - lo)
-        perm[lo:hi] = perm[lo:hi][order]
-        axis[node] = ax
-        split[node] = pts[perm[mid], ax]
-        left[node], right[node] = new_node(), new_node()
-        stack.append((left[node], lo, mid))
-        stack.append((right[node], mid, hi))
-
+    depth = 0
+    while -(-n // 2**depth) > leaf_size:
+        depth += 1
+    width = -(-n // 2**depth)
+    padded = np.vstack([pts, np.full((1, 3), np.inf)])
+    level = [np.concatenate([np.arange(n), np.full((width << depth) - n, n)])]
+    axes, splits = [], []
+    for _ in range(depth):
+        axis, split, children = [], [], []
+        for row in level:
+            real = pts[row[row < n]]
+            ax = int(np.argmax(real.max(axis=0) - real.min(axis=0))) if len(real) else 0
+            key = padded[row, ax]
+            mid = len(row) // 2
+            row = row[np.argpartition(key, mid)]
+            axis.append(ax)
+            split.append(padded[row[mid], ax])
+            children += [row[:mid], row[mid:]]
+        axes.append(np.array(axis, dtype=np.int64))
+        splits.append(np.array(split, dtype=np.float64))
+        level = children
+    leaf_idx = np.sort(np.array(level, dtype=np.int64), axis=1)
     return {
-        "_perm": perm,
-        "_leaf_xyz": np.ascontiguousarray(pts[perm].T),
-        "_axis": np.array(axis, dtype=np.int64),
-        "_split": np.array(split, dtype=np.float64),
-        "_left": np.array(left, dtype=np.int64),
-        "_right": np.array(right, dtype=np.int64),
-        "_start": np.array(start, dtype=np.int64),
-        "_end": np.array(end, dtype=np.int64),
+        "_axis": axes,
+        "_split": splits,
+        "_leaf_idx": leaf_idx,
+        "_leaf_xyz": np.ascontiguousarray(padded[leaf_idx].transpose(2, 0, 1)),
     }
 
 
 def assert_tree_equals_oracle(points, leaf_size):
     tree = KdTree(points, leaf_size=leaf_size)
     expected = oracle_build(np.asarray(points, dtype=np.float64), leaf_size)
-    for name in TREE_ARRAYS:
+    for name in ("_axis", "_split"):
+        got = getattr(tree, name)
+        assert len(got) == len(expected[name]), name
+        for level, (g, e) in enumerate(zip(got, expected[name])):
+            assert g.dtype == e.dtype and np.array_equal(g, e), (name, level)
+    for name in ("_leaf_idx", "_leaf_xyz"):
         got = getattr(tree, name)
         assert got.dtype == expected[name].dtype, name
         assert np.array_equal(got, expected[name]), name
+
+
+def assert_tree_invariants(points, leaf_size):
+    """The layout every tree must have, whatever the points."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    tree = KdTree(pts, leaf_size=leaf_size)
+    depth = len(tree._axis)
+    # every leaf at one depth: the smallest at which ceil(n / 2**depth) fits
+    assert -(-n // 2**depth) <= leaf_size
+    assert depth == 0 or -(-n // 2 ** (depth - 1)) > leaf_size
+    idx, xyz = tree._leaf_idx, tree._leaf_xyz
+    assert idx.shape == (2**depth, -(-n // 2**depth)) and xyz.shape == (3, *idx.shape)
+    for level in range(depth):
+        assert tree._axis[level].shape == tree._split[level].shape == (2**level,)
+    pad = idx == n
+    # each point in one leaf, at most leaf_size per leaf, in ascending index,
+    # and the padding exactly the tail of its row
+    assert sorted(idx[~pad].tolist()) == list(range(n))
+    assert (~pad).sum(axis=1).max() <= leaf_size
+    assert (pad[:, :-1] <= pad[:, 1:]).all()
+    assert ((idx[:, :-1] < idx[:, 1:]) | pad[:, 1:]).all()
+    coords = pts[np.minimum(idx, n - 1)].transpose(2, 0, 1)
+    assert np.array_equal(xyz, np.where(pad, np.inf, coords))
+    # every point under a left child is <= its node's split, every point
+    # under a right child >= it
+    for level in range(depth):
+        nodes = np.arange(2**level)
+        coord = xyz.reshape(3, 2**level, 2, -1)[tree._axis[level], nodes]
+        hidden = pad.reshape(2**level, 2, -1)
+        split = tree._split[level][:, None]
+        assert (np.where(hidden[:, 0], -np.inf, coord[:, 0]) <= split).all()
+        assert (np.where(hidden[:, 1], np.inf, coord[:, 1]) >= split).all()
+    return tree
 
 
 def assert_matches_brute(points, queries, leaf_size=16):
     tree = KdTree(points, leaf_size=leaf_size)
     ti, td = tree.nearest(queries)
     bi, bd = nearest_brute(points, queries)
-    assert np.array_equal(ti, bi)
-    assert np.array_equal(td, bd)
+    assert ti.tobytes() == bi.tobytes()
+    assert td.tobytes() == bd.tobytes()
 
 
 def test_single_point():
@@ -168,17 +198,11 @@ def test_scan_pair_matches_brute_at_default_leaf_size():
 def test_leaf_indices_ascend():
     rng = np.random.default_rng(5)
     pts = rng.integers(-3, 4, (500, 3)).astype(np.float64)
-    tree = KdTree(pts, leaf_size=16)
-    leaves = np.flatnonzero(tree._axis < 0)
-    assert len(leaves) > 1
-    covered = []
-    for node in leaves:
-        idx = tree._perm[tree._start[node]:tree._end[node]]
-        assert (np.diff(idx) > 0).all()
-        covered.extend(idx.tolist())
-    assert sorted(covered) == list(range(len(pts)))
-    # the per-axis leaf storage holds those points in that order
-    assert np.array_equal(tree._leaf_xyz.T, pts[tree._perm])
+    tree = assert_tree_invariants(pts, 16)
+    assert len(tree._leaf_idx) > 1
+    # the per-axis leaf block holds those points in that order
+    real = tree._leaf_idx < len(pts)
+    assert np.array_equal(tree._leaf_xyz[:, real].T, pts[tree._leaf_idx[real]])
 
 
 def test_empty_points_rejected():
@@ -239,36 +263,100 @@ def test_random_instances_match_brute(seed, n_points, n_queries, leaf_size):
     assert_matches_brute(pts, queries, leaf_size=leaf_size)
 
 
-@pytest.mark.parametrize("leaf_size", [1, 16, DEFAULT_LEAF_SIZE])
-@pytest.mark.parametrize("kind", ["uniform", "grid", "duplicates", "plane", "line", "one-leaf",
-                                  "offset", "scan"])
-def test_tree_arrays_equal_the_original_build(kind, leaf_size):
-    rng = np.random.default_rng(len(kind) * 1000 + leaf_size)
+def _layout_case(kind, rng, leaf_size):
     if kind == "uniform":
-        pts = rng.uniform(-20.0, 20.0, (3000, 3))
-    elif kind == "grid":
-        pts = rng.integers(-4, 5, (3000, 3)).astype(np.float64)
-    elif kind == "duplicates":
-        pts = np.tile(rng.uniform(-5.0, 5.0, (60, 3)), (30, 1))
-    elif kind == "plane":
+        return rng.uniform(-20.0, 20.0, (3000, 3))
+    if kind == "grid":
+        return rng.integers(-4, 5, (3000, 3)).astype(np.float64)
+    if kind == "duplicates":
+        return np.tile(rng.uniform(-5.0, 5.0, (60, 3)), (30, 1))
+    if kind == "plane":
         pts = rng.uniform(-10.0, 10.0, (2000, 3))
         pts[:, 2] = 0.25
-    elif kind == "line":
-        pts = np.outer(rng.uniform(-40.0, 40.0, 1500), [0.6, -0.8, 0.0]) + [1.0, 2.0, 3.0]
-    elif kind == "one-leaf":
-        pts = rng.uniform(-1.0, 1.0, (leaf_size, 3))
-    elif kind == "offset":
-        pts = rng.uniform(-5.0, 5.0, (2500, 3)) + 1e5
-    else:
-        pts = _scan_pair()[0]
+        return pts
+    if kind == "line":
+        return np.outer(rng.uniform(-40.0, 40.0, 1500), [0.6, -0.8, 0.0]) + [1.0, 2.0, 3.0]
+    if kind == "one-leaf":
+        return rng.uniform(-1.0, 1.0, (leaf_size, 3))
+    if kind == "offset":
+        return rng.uniform(-5.0, 5.0, (2500, 3)) + 1e5
+    return _scan_pair()[0]
+
+
+LAYOUT_KINDS = ["uniform", "grid", "duplicates", "plane", "line", "one-leaf", "offset", "scan"]
+
+
+@pytest.mark.parametrize("leaf_size", [1, 16, DEFAULT_LEAF_SIZE, 256])
+@pytest.mark.parametrize("kind", LAYOUT_KINDS)
+def test_tree_arrays_equal_the_node_at_a_time_build(kind, leaf_size):
+    pts = _layout_case(kind, np.random.default_rng(len(kind) * 1000 + leaf_size), leaf_size)
     assert_tree_equals_oracle(pts, leaf_size)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.sampled_from([1, 3, 16, 64]))
-def test_random_tree_arrays_equal_the_original_build(seed, n_points, leaf_size):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.sampled_from([1, 3, 16, 32, 64]))
+def test_random_tree_arrays_equal_the_node_at_a_time_build(seed, n_points, leaf_size):
     rng = np.random.default_rng(seed)
     assert_tree_equals_oracle(rng.integers(-4, 5, (n_points, 3)).astype(np.float64), leaf_size)
+
+
+@pytest.mark.parametrize("leaf_size", [1, 16, DEFAULT_LEAF_SIZE, 256])
+@pytest.mark.parametrize("kind", LAYOUT_KINDS)
+def test_tree_layout_invariants(kind, leaf_size):
+    pts = _layout_case(kind, np.random.default_rng(len(kind) * 1000 + leaf_size), leaf_size)
+    assert_tree_invariants(pts, leaf_size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 700), st.integers(1, 40))
+def test_random_tree_layout_invariants(seed, n_points, leaf_size):
+    rng = np.random.default_rng(seed)
+    assert_tree_invariants(rng.integers(-4, 5, (n_points, 3)).astype(np.float64), leaf_size)
+
+
+def _edge_sizes(leaf_size):
+    sizes = {1, leaf_size - 1, leaf_size, leaf_size + 1}
+    for k in range(1, 6):
+        sizes |= {(2**k) * leaf_size - 1, (2**k) * leaf_size + 1}
+    return sorted(s for s in sizes if s >= 1)
+
+
+@pytest.mark.parametrize("n_points", _edge_sizes(DEFAULT_LEAF_SIZE))
+def test_sizes_around_full_levels_match_brute(n_points):
+    # one point short of and past a full leaf, and of 2**k full leaves,
+    # where the padding fills most of a leaf or none of it
+    rng = np.random.default_rng(n_points)
+    pts = rng.uniform(-10.0, 10.0, (n_points, 3))
+    queries = np.concatenate([rng.uniform(-12.0, 12.0, (200, 3)), pts[:50]])
+    assert_tree_invariants(pts, DEFAULT_LEAF_SIZE)
+    assert_matches_brute(pts, queries, leaf_size=DEFAULT_LEAF_SIZE)
+
+
+@pytest.mark.parametrize("n_points", [2, DEFAULT_LEAF_SIZE + 1, 5 * DEFAULT_LEAF_SIZE + 3])
+def test_identical_points_match_brute(n_points):
+    # every split ties; every query reaches every leaf, and index 0 wins
+    pts = np.tile([[1.5, -2.0, 0.25]], (n_points, 1))
+    queries = np.array([[1.5, -2.0, 0.25], [1.5, -2.0, 0.0], [9.0, 9.0, 9.0], [1.5, -1.0, 0.25]])
+    assert_tree_invariants(pts, DEFAULT_LEAF_SIZE)
+    assert_matches_brute(pts, queries, leaf_size=DEFAULT_LEAF_SIZE)
+    assert KdTree(pts).nearest(queries)[0].tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("kind", ["grid", "scan"])
+def test_queries_on_every_split_plane_match_brute(kind):
+    # each query is a point moved onto a split plane of the default-size
+    # tree, so it lies exactly on the face between two cells
+    rng = np.random.default_rng(31)
+    if kind == "grid":
+        pts = rng.integers(-6, 7, (3000, 3)).astype(np.float64)
+    else:
+        pts = _scan_pair()[0]
+    tree = KdTree(pts)
+    axes, splits = np.concatenate(tree._axis), np.concatenate(tree._split)
+    inner = np.flatnonzero(np.isfinite(splits))
+    queries = pts[rng.integers(0, len(pts), len(inner))]
+    queries[np.arange(len(inner)), axes[inner]] = splits[inner]
+    assert_matches_brute(pts, queries, leaf_size=DEFAULT_LEAF_SIZE)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -291,11 +379,13 @@ def test_nearest_brute_rejects_non_finite_query(value):
 def _split_plane_queries(rng, pts, leaf_size, count):
     """Points moved onto the split plane of a random inner node."""
     tree = KdTree(pts, leaf_size=leaf_size)
-    inner = np.flatnonzero(tree._axis >= 0)
+    axes = np.concatenate([[], *tree._axis]).astype(np.int64)
+    splits = np.concatenate([[], *tree._split])
+    inner = np.flatnonzero(np.isfinite(splits))
     queries = pts[rng.integers(0, len(pts), count)] + rng.normal(0.0, 0.3, (count, 3))
     if len(inner):
         nodes = inner[rng.integers(0, len(inner), count)]
-        queries[np.arange(count), tree._axis[nodes]] = tree._split[nodes]
+        queries[np.arange(count), axes[nodes]] = splits[nodes]
     return queries
 
 
@@ -384,22 +474,23 @@ def test_phase_two_halves_query_sets_that_outgrow_the_pair_budget(monkeypatch):
 
 def test_many_queries_in_one_leaf_score_in_bounded_memory():
     # 40,000 queries share the one leaf of a 200-point pool. One (queries x
-    # points) block for all of them peaks near 130 MB; slices of _LEAF_ROWS
-    # queries keep the peak near 16 MB.
+    # points) block for all of them peaks near 130 MB; scoring _LEAF_ROWS
+    # (query, leaf) pairs at a time keeps the peak near 14 MB, and near
+    # 5 MB at the default leaf size.
     rng = np.random.default_rng(23)
     pts = rng.uniform(-10.0, 10.0, (200, 3))
     queries = rng.uniform(-12.0, 12.0, (40_000, 3))
-    tree = KdTree(pts)
-    tracemalloc.start()
-    try:
-        ti, td = tree.nearest(queries)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 48e6
     bi, bd = nearest_brute(pts, queries)
-    assert np.array_equal(ti, bi)
-    assert np.array_equal(td, bd)
+    for tree in (KdTree(pts, leaf_size=len(pts)), KdTree(pts)):
+        tracemalloc.start()
+        try:
+            ti, td = tree.nearest(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+        assert np.array_equal(ti, bi)
+        assert np.array_equal(td, bd)
 
 
 @pytest.mark.parametrize("leaf_size", [1, 4, 16])

@@ -84,6 +84,19 @@ class TestNetBuffer:
         want = np.concatenate([net.params[k].ravel() for k in ssl.PARAM_NAMES])
         assert np.array_equal(net.flat, want)
 
+    def test_params_cannot_be_rebound_but_write_through(self):
+        # rebinding a name would detach it from flat, which the update, the
+        # EMA, copy and save_model read
+        net = _net(feature_dim=3, hidden=4, classes=3)
+        with pytest.raises(TypeError):
+            net.params["w1"] = np.ones((3, 4))
+        with pytest.raises(TypeError):
+            del net.params["b1"]
+        net.params["w1"][...] = 2.0
+        assert np.array_equal(net.flat[:12], np.full(12, 2.0))
+        assert np.array_equal(net.copy().params["w1"], np.full((3, 4), 2.0))
+        assert sorted(k for k, _ in net.params.items()) == sorted(ssl.PARAM_NAMES)
+
     def test_built_from_a_mapping_copies_it(self):
         params = {k: v.copy() for k, v in _net().params.items()}
         net = DualHeadNet(params)
