@@ -220,16 +220,6 @@ def _eval_frames(ple_dir: Path, source) -> list:
     return frames
 
 
-def _read_estimate(source, seq: str, frame: int, path):
-    """The estimate at `path`, checked to hold one label per point of its frame."""
-    pred = ple.read_ple(path)
-    points = source.point_count(seq, frame)
-    if len(pred) != points:
-        raise DataError(f"frame {seq}/{frame}: {path} holds {len(pred)} estimates "
-                        f"for {points} points")
-    return pred
-
-
 def cmd_eval(args) -> int:
     from . import evaluation
 
@@ -238,16 +228,16 @@ def cmd_eval(args) -> int:
     manifest = lidar_io.build_manifest(args.root)
     source = ple.ManifestSource(manifest)
     split = _load_split_for(manifest, args.split) if args.split else None
-    ple_dir = Path(args.ple_dir)
-    frames = _eval_frames(ple_dir, source)
-    if not frames:
-        raise EmptyResultError(f"no {ple.PLE_SUFFIX} files under {ple_dir}")
+    estimates = _EstimateDir(args.ple_dir, source)
+    if not estimates:
+        raise EmptyResultError(f"no {ple.PLE_SUFFIX} files under {Path(args.ple_dir)}")
 
     cm = None
     per_frame = []
-    for seq, frame, path in frames:
+    for seq, frame in estimates:
+        # ground truth first, so that a damaged scan is named as such
         gt = source.gt_labels(seq, frame)
-        pred = _read_estimate(source, seq, frame, path)
+        pred = estimates[seq, frame]
         classes = set(np.unique(gt.semantic).tolist())
         classes.update(np.unique(pred.semantic[pred.valid]).tolist())
         classes.discard(args.ignore_class)
@@ -266,6 +256,8 @@ def cmd_eval(args) -> int:
 
     report = evaluation.metrics(cm)
     out = Path(args.out)
+    # only a finished run leaves an eval.config, also over an earlier run's reports
+    (out / "eval.config").unlink(missing_ok=True)
     out.mkdir(parents=True, exist_ok=True)
     curve = evaluation.interval_curve(per_frame) if args.group_by_offset else None
     for fmt in ("csv", "json") if args.format == "both" else (args.format,):
@@ -274,13 +266,15 @@ def cmd_eval(args) -> int:
         if curve is not None:
             evaluation.write_curve(curve, out / f"curve.{suffix}", fmt)
     _write_run_config(out / "eval.config", args)
-    print(f"miou={report.miou:.6f} mprecision={report.mprecision:.6f} frames={len(frames)}")
+    print(f"miou={report.miou:.6f} mprecision={report.mprecision:.6f} "
+          f"frames={len(estimates)}")
     return EXIT_OK
 
 
 class _EstimateDir(Mapping):
     """The estimates of a --ple-dir tree by (sequence, frame); each lookup
-    reads and checks its file, so no estimate is held longer than its caller
+    reads its file and checks that its .meta names that frame and that it
+    holds one label per point, so no estimate is held longer than its caller
     holds it."""
 
     def __init__(self, ple_dir, source):
@@ -288,7 +282,17 @@ class _EstimateDir(Mapping):
         self._source = source
 
     def __getitem__(self, key):
-        return _read_estimate(self._source, *key, self._paths[key])
+        seq, frame = key
+        path = self._paths[key]
+        pred = ple.read_ple(path)
+        if (pred.sequence_id, pred.frame_id) != key:
+            raise DataError(f"{path}: its {ple.META_SUFFIX} names frame "
+                            f"{pred.sequence_id}/{pred.frame_id}, not {seq}/{frame}")
+        points = self._source.point_count(seq, frame)
+        if len(pred) != points:
+            raise DataError(f"frame {seq}/{frame}: {path} holds {len(pred)} estimates "
+                            f"for {points} points")
+        return pred
 
     def __contains__(self, key) -> bool:
         return key in self._paths

@@ -11,13 +11,14 @@ A dataset root holds one directory per sequence (optionally under a
 Every sequence needs both ``poses.txt`` and ``calib.txt``. All binary values
 are little-endian, and all text is UTF-8 whatever the locale. Poses on disk
 are expressed in the calibration reference frame; readers fold the ``Tr``
-extrinsic in so that every pose handed out is world-from-LiDAR.
+extrinsic in so that every pose handed out is world-from-LiDAR. A scan's
+fourth float32, the intensity, is never read, and is written as 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,24 +35,17 @@ _POSE_ORTHO_TOL = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """One LiDAR scan: (N, 3) float64 coordinates in meters plus intensities."""
+    """One LiDAR scan: (N, 3) float64 coordinates in meters."""
 
     points: np.ndarray
-    intensities: np.ndarray
+    _: KW_ONLY
     frame_id: int = 0
     sequence_id: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        inten = np.asarray(self.intensities, dtype=np.float64).reshape(-1)
-        if len(pts) != len(inten):
-            raise DataError(
-                f"point/intensity count mismatch: {len(pts)} vs {len(inten)}"
-            )
         pts.setflags(write=False)
-        inten.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "intensities", inten)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -136,22 +130,23 @@ def scan_point_count(path) -> int:
 
 
 def read_scan(path, frame_id: int = 0, sequence_id: str = "") -> PointCloud:
-    """Decode a .bin scan file: consecutive little-endian float32 (x, y, z, i)."""
+    """Decode a .bin scan file: consecutive little-endian float32 (x, y, z, i),
+    of which x, y and z are kept."""
     raw = Path(path).read_bytes()
     _check_scan_size(path, len(raw))
     # a signalling NaN warns when cast; the check below reports it
     with np.errstate(invalid="ignore"):
-        data = np.frombuffer(raw, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    bad = ~np.isfinite(data[:, :3]).all(axis=1)
+        points = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)[:, :3].astype(np.float64)
+    bad = ~np.isfinite(points).all(axis=1)
     if bad.any():
         raise DataError(f"{path}: non-finite coordinate at point {int(np.argmax(bad))}")
-    return PointCloud(data[:, :3], data[:, 3], frame_id, sequence_id)
+    return PointCloud(points, frame_id=frame_id, sequence_id=sequence_id)
 
 
 def write_scan(cloud: PointCloud, path) -> None:
-    data = np.empty((len(cloud), 4), dtype="<f4")
+    """Encode a scan as a .bin file, writing 0 as each point's intensity."""
+    data = np.zeros((len(cloud), 4), dtype="<f4")
     data[:, :3] = cloud.points
-    data[:, 3] = cloud.intensities
     Path(path).write_bytes(data.tobytes())
 
 

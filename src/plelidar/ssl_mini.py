@@ -433,36 +433,27 @@ def train_step(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
 
 
 @dataclass(frozen=True, eq=False)
-class TrainData:
+class TrainData(TrainBatch):
     """A full training set with oracle labels for scoring pseudo-labels.
 
-    `labels`/`label_kind` follow TrainBatch semantics; `oracle` holds the true
-    class index of every point regardless of kind (available in synthetic
-    datasets), used only for measuring pseudo-label accuracy.
+    `oracle` holds the true class index of every point regardless of kind
+    (available in synthetic datasets), used only for measuring pseudo-label
+    accuracy.
     """
 
-    features: np.ndarray
-    labels: np.ndarray
-    label_kind: np.ndarray
     oracle: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        batch = TrainBatch(self.features, self.labels, self.label_kind)
+        super().__post_init__()
         oracle = np.asarray(self.oracle, dtype=np.int64).reshape(-1)
-        if len(oracle) != len(batch):
+        if len(oracle) != len(self):
             raise DataError("oracle length mismatch")
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
         if len(oracle) and (oracle.min() < 0 or oracle.max() >= self.num_classes):
             raise DataError("oracle labels out of range")
-        object.__setattr__(self, "features", batch.features)
-        object.__setattr__(self, "labels", batch.labels)
-        object.__setattr__(self, "label_kind", batch.label_kind)
         object.__setattr__(self, "oracle", oracle)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def pseudo_label_score(teacher: DualHeadNet, data: TrainData, tau: float) -> tuple:

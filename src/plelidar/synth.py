@@ -300,7 +300,7 @@ def frames(cfg: SynthConfig):
         local = geometry.apply_points(geometry.invert(true_poses[t]), points[keep])
         points = local.astype(np.float32).astype(np.float64)
         yield (
-            PointCloud(points, np.zeros(len(points)), frame_id=t, sequence_id="00"),
+            PointCloud(points, frame_id=t, sequence_id="00"),
             LabelMap(semantic[keep], instance[keep], frame_id=t, sequence_id="00"),
         )
 

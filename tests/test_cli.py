@@ -654,6 +654,46 @@ def test_failed_ple_keeps_the_estimates_written_before_it(workspace, tmp_path, m
     assert _tree_bytes(rerun) == _tree_bytes(full, skip_names={"ple.config"})
 
 
+def test_failed_eval_takes_away_the_eval_config_of_a_finished_run(workspace, estimates,
+                                                                 tmp_path, capsys):
+    scores = tmp_path / "scores"
+    argv = ["eval", "--root", str(workspace["data"]), "--format", "both", "--out", str(scores)]
+    assert cli.main([*argv, "--ple-dir", str(estimates)]) == 0
+    assert (scores / "eval.config").is_file()
+    # other estimates: all but the last frame
+    fewer = tmp_path / "fewer"
+    shutil.copytree(estimates, fewer)
+    last = sorted((fewer / "00").glob(f"*{ple.PLE_SUFFIX}"))[-1]
+    last.unlink()
+    last.with_suffix(ple.META_SUFFIX).unlink()
+    assert cli.main([*argv[:-1], str(tmp_path / "clean"), "--ple-dir", str(fewer)]) == 0
+    (scores / "report.jsonl").unlink()
+    (scores / "report.jsonl").mkdir()
+    capsys.readouterr()
+    assert cli.main([*argv, "--ple-dir", str(fewer)]) == 3
+    assert str(scores / "report.jsonl") in capsys.readouterr().err
+    # the csv report is the new run's, so no eval.config may vouch for the old one
+    assert filecmp.cmp(scores / "report.csv", tmp_path / "clean" / "report.csv", shallow=False)
+    assert not (scores / "eval.config").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_estimate_whose_meta_names_another_frame_exits_data(workspace, estimates, tmp_path,
+                                                            capsys, command):
+    # every frame of the fixed-sampling scene has as many points, so only
+    # the .meta tells frame 1's estimate from frame 8's
+    est = tmp_path / "est"
+    shutil.copytree(estimates, est)
+    for suffix in (ple.PLE_SUFFIX, ple.META_SUFFIX):
+        shutil.copyfile(est / "00" / f"000001{suffix}", est / "00" / f"000008{suffix}")
+    out = tmp_path / "out"
+    assert cli.main(_argv(command, workspace["data"], workspace["split"], est, out)) == 3
+    wrong = est / "00" / f"000008{ple.PLE_SUFFIX}"
+    assert capsys.readouterr().err == (
+        f"error: {wrong}: its {ple.META_SUFFIX} names frame 00/1, not 00/8\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "train"])
 def test_stray_file_under_ple_dir_exits_data(workspace, estimates, tmp_path, capsys, command):
     est = tmp_path / "est"

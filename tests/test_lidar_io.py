@@ -18,13 +18,36 @@ from plelidar.lidar_io import LabelMap, PointCloud
 def test_scan_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     pts = rng.uniform(-80, 80, (500, 3)).astype(np.float32).astype(np.float64)
-    inten = rng.uniform(0, 1, 500).astype(np.float32).astype(np.float64)
-    cloud = PointCloud(pts, inten, frame_id=3, sequence_id="00")
+    cloud = PointCloud(pts, frame_id=3, sequence_id="00")
     path = tmp_path / "000003.bin"
     lidar_io.write_scan(cloud, path)
     again = lidar_io.read_scan(path, 3, "00")
     assert np.array_equal(again.points, cloud.points)
-    assert np.array_equal(again.intensities, cloud.intensities)
+    assert (again.frame_id, again.sequence_id) == (3, "00")
+
+
+def test_read_scan_keeps_coordinates_only(tmp_path):
+    data = np.arange(5 * 4, dtype="<f4").reshape(5, 4)
+    data[1, 3] = np.nan  # the fourth value is never read
+    path = tmp_path / "s.bin"
+    path.write_bytes(data.tobytes())
+    points = lidar_io.read_scan(path).points
+    assert points.shape == (5, 3) and points.dtype == np.float64
+    assert points.flags.c_contiguous
+    # what keeps the points alive is their own 24 bytes a point, not the file's quads
+    owner = points if points.base is None else points.base
+    assert owner.base is None and owner.nbytes == points.nbytes == 5 * 3 * 8
+    assert not points.flags.writeable
+    assert np.array_equal(points, data[:, :3])
+
+
+def test_write_scan_writes_zero_as_fourth_value(tmp_path):
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-80, 80, (50, 3))
+    path = tmp_path / "s.bin"
+    lidar_io.write_scan(PointCloud(pts), path)
+    expected = np.hstack([pts, np.zeros((50, 1))]).astype("<f4")
+    assert path.read_bytes() == expected.tobytes()
 
 
 def test_scan_bad_length(tmp_path):
@@ -68,9 +91,14 @@ def test_label_count_mismatch(tmp_path):
         lidar_io.read_labels(path, 5)
 
 
-def test_point_cloud_validates_lengths():
-    with pytest.raises(DataError):
-        PointCloud(np.zeros((3, 3)), np.zeros(2))
+def test_point_cloud_takes_ids_by_keyword_only():
+    # the ids are keyword-only, so a stray positional array cannot land in frame_id
+    with pytest.raises(TypeError):
+        PointCloud(np.zeros((3, 3)), np.zeros(3))
+    with pytest.raises(TypeError):
+        PointCloud(np.zeros((3, 3)), 4, "00")
+    cloud = PointCloud(np.zeros((3, 3)), frame_id=4, sequence_id="00")
+    assert (len(cloud), cloud.frame_id, cloud.sequence_id) == (3, 4, "00")
 
 
 def test_label_map_rejects_wide_ids():
@@ -201,7 +229,7 @@ def _make_sequence(root, seq="00", frames=3, with_labels=True):
     lines = []
     for f in range(frames):
         pts = rng.uniform(-10, 10, (20, 3))
-        cloud = PointCloud(pts, np.zeros(20), f, seq)
+        cloud = PointCloud(pts, frame_id=f, sequence_id=seq)
         lidar_io.write_scan(cloud, seq_dir / "velodyne" / f"{f:06d}.bin")
         lines.append(_pose_line(np.hstack([np.eye(3), np.array([[f], [0.0], [0.0]])])))
         if with_labels:
@@ -276,7 +304,7 @@ def test_build_manifest_missing_root(tmp_path):
 
 def test_scan_point_count_from_size(tmp_path):
     path = tmp_path / "s.bin"
-    lidar_io.write_scan(PointCloud(np.ones((7, 3)), np.zeros(7)), path)
+    lidar_io.write_scan(PointCloud(np.ones((7, 3))), path)
     assert lidar_io.scan_point_count(path) == 7
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(FormatError, match="not a multiple of 16"):

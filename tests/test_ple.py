@@ -26,7 +26,7 @@ from conftest import corridor_config, export
 
 def _cloud(points, frame_id=0):
     points = np.asarray(points, dtype=float)
-    return PointCloud(points, np.zeros(len(points)), frame_id=frame_id, sequence_id="00")
+    return PointCloud(points, frame_id=frame_id, sequence_id="00")
 
 
 def _identity():
