@@ -3,9 +3,10 @@
 Every command materializes its full configuration (defaults included) into a
 flat `key = value` file next to its outputs; pass that file back through
 `--config` to reproduce a run bit for bit (flags given on the command line
-override the file). Exit codes: 0 success, 2 configuration problem, 3 data
-problem, 4 empty result. The PLE_LOG environment variable (debug/info/
-warning/error) sets log verbosity.
+override the file). A command returns nothing and refuses by raising a
+`PlelidarError`; `main` alone turns the outcome into an exit code: 0 success,
+2 configuration problem, 3 data problem, 4 empty result. The PLE_LOG
+environment variable (debug/info/warning/error) sets log verbosity.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def write_flat(path, pairs: dict) -> None:
 
 
 # argparse plumbing that is not a setting of the run
-_NOT_SETTINGS = ("command", "func", "config", "needs_config")
+_NOT_SETTINGS = ("command", "func", "config")
 
 
 def _write_run_config(path, args) -> None:
@@ -58,15 +59,14 @@ def _write_run_config(path, args) -> None:
                       for key, value in vars(args).items() if key not in _NOT_SETTINGS})
 
 
-def _unreadable_setting(args):
-    """The first setting whose echo `read_flat` would not give back: a
-    value with a blank at either end or a line break."""
+def _check_echoable(args) -> None:
+    """Refuse a setting whose echo `read_flat` would not give back: a value
+    with a blank at either end or a line break."""
     for key, value in vars(args).items():
-        if key in _NOT_SETTINGS or not isinstance(value, str):
-            continue
-        if value != value.strip() or len(value.splitlines()) > 1:
-            return key, value
-    return None
+        if key not in _NOT_SETTINGS and isinstance(value, str) and (
+                value != value.strip() or len(value.splitlines()) > 1):
+            raise ConfigError(f"{key} = {value!r} cannot be echoed to a config file: it has "
+                              "a blank at either end or a line break")
 
 
 def read_flat(path) -> dict:
@@ -116,18 +116,21 @@ def _manifest_lengths(manifest: tuple) -> dict:
     return {s.sequence_id: s.frame_count for s in manifest}
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     from . import synth
 
+    if args.config is None:
+        raise ConfigError("this command requires --config")
     cfg = synth.parse_config(lidar_io.read_lines(args.config, ConfigError), args.config)
     out = Path(args.out)
+    # only a finished run leaves a synth.config, also over an earlier run's frames
+    (out / "synth.config").unlink(missing_ok=True)
     frames, points = synth.export(synth.frames(cfg), synth.reported_poses(cfg), out)
     lidar_io.write_lines(out / "synth.config", synth.config_to_text(cfg).splitlines())
     print(f"frames={frames} points={points} out={out}")
-    return EXIT_OK
 
 
-def cmd_split(args) -> int:
+def cmd_split(args) -> None:
     args.ratio = split_mod.parse_ratio(args.ratio)
     manifest = lidar_io.build_manifest(args.root)
     lengths = _manifest_lengths(manifest)
@@ -139,7 +142,6 @@ def cmd_split(args) -> int:
     total = sum(lengths.values())
     _write_run_config(str(args.out) + ".config", args)
     print(f"labeled={labeled} unlabeled={total - labeled} total={total}")
-    return EXIT_OK
 
 
 def _load_split_for(manifest, path) -> dict:
@@ -151,7 +153,7 @@ def _load_split_for(manifest, path) -> dict:
     return result
 
 
-def cmd_ple(args) -> int:
+def cmd_ple(args) -> None:
     # checked before anything is read, written or removed
     cfg = ple.PleConfig(
         window_seconds=args.window_seconds,
@@ -178,20 +180,15 @@ def cmd_ple(args) -> int:
     # only a finished run leaves a ple.config, also over an earlier run's files
     (out / "ple.config").unlink(missing_ok=True)
     runner(source, labeled, cfg, emit=write)
+    # no estimate is a finished run only when every frame is labeled
+    if not frames and any(source.frame_count(s) > len(labeled.get(s, ()))
+                          for s in source.sequence_ids()):
+        raise EmptyResultError("no unlabeled frame has a labeled frame in its window")
 
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out / "ple.config", args)
-    total_unlabeled = sum(
-        source.frame_count(s) - len(labeled.get(s, ()))
-        for s in source.sequence_ids()
-    )
-    if not frames:
-        if total_unlabeled == 0:
-            print("frames=0 points=0 (every frame already labeled)")
-            return EXIT_OK
-        raise EmptyResultError("no unlabeled frame has a labeled frame in its window")
-    print(f"frames={frames} points={points} out={out}")
-    return EXIT_OK
+    print(f"frames={frames} points={points} out={out}" if frames
+          else "frames=0 points=0 (every frame already labeled)")
 
 
 def _eval_frames(ple_dir: Path, source) -> list:
@@ -220,7 +217,7 @@ def _eval_frames(ple_dir: Path, source) -> list:
     return frames
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     from . import evaluation
 
     if args.group_by_offset and args.split is None:
@@ -268,7 +265,6 @@ def cmd_eval(args) -> int:
     _write_run_config(out / "eval.config", args)
     print(f"miou={report.miou:.6f} mprecision={report.mprecision:.6f} "
           f"frames={len(estimates)}")
-    return EXIT_OK
 
 
 class _EstimateDir(Mapping):
@@ -310,7 +306,7 @@ def _warn_if_unscored(scored: int, tau: float) -> None:
                     "pseudo-label accuracy 0 scores nothing", tau)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     from . import evaluation, ssl_mini
 
     manifest = lidar_io.build_manifest(args.root)
@@ -346,7 +342,7 @@ def cmd_train(args) -> int:
         evaluation.write_rows(out / "sweep.csv", "csv", "sweep", SWEEP_COLUMNS, rows)
         _write_run_config(out / "train.config", args)
         print("sweep=" + " ".join(f"{tau:g}:{acc:.4f}" for tau, acc in rows))
-        return EXIT_OK
+        return
     student, teacher, history = ssl_mini.train_loop(data, cfg, args.single_branch)
     out.mkdir(parents=True, exist_ok=True)
     ssl_mini.write_history(history, out / "history.csv")
@@ -357,7 +353,6 @@ def cmd_train(args) -> int:
     if history:
         _warn_if_unscored(ssl_mini.pseudo_label_score(teacher, data, cfg.tau)[1], cfg.tau)
     print(f"steps={cfg.steps} final_pseudo_label_accuracy={final_acc:.6f} out={out}")
-    return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -376,7 +371,7 @@ def build_parser():
     p = commands["synth"] = sub.add_parser("synth", help="generate a synthetic dataset")
     _add_common(p)
     p.add_argument("--out", required=True, help="dataset root to create")
-    p.set_defaults(func=cmd_synth, needs_config=True)
+    p.set_defaults(func=cmd_synth)
 
     p = commands["split"] = sub.add_parser("split", help="pick the labeled subset of frames")
     _add_common(p)
@@ -443,32 +438,24 @@ def _configure_logging() -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; argparse's usage errors
+    leave through SystemExit(2)."""
     _configure_logging()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
-    if argv and argv[0] in commands and argv[0] != "synth":
-        try:
-            _apply_config_file(commands[argv[0]], argv[1:])
-        except (PlelidarError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    args = parser.parse_args(argv)
-    if getattr(args, "needs_config", False) and args.config is None:
-        print("error: this command requires --config", file=sys.stderr)
-        return EXIT_CONFIG
-    unreadable = _unreadable_setting(args) if args.command != "synth" else None
-    if unreadable is not None:
-        key, value = unreadable
-        print(f"error: {key} = {value!r} cannot be echoed to a config file: it has a blank "
-              "at either end or a line break", file=sys.stderr)
-        return EXIT_CONFIG
     try:
-        return args.func(args)
+        if argv and argv[0] in commands and argv[0] != "synth":
+            _apply_config_file(commands[argv[0]], argv[1:])
+        args = parser.parse_args(argv)
+        if args.command != "synth":
+            _check_echoable(args)
+        args.func(args)
     except (PlelidarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConfigError):
             return EXIT_CONFIG
         return EXIT_EMPTY if isinstance(exc, EmptyResultError) else EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

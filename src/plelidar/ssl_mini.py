@@ -26,6 +26,7 @@ Losses per step over one batch:
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +37,8 @@ import numpy as np
 from . import evaluation
 from .errors import ConfigError, DataError, ShapeError
 from .lidar_io import IGNORE_CLASS
+
+log = logging.getLogger(__name__)
 
 IGNORE_LABEL = -1
 KIND_NONE = 0
@@ -357,6 +360,7 @@ def _logit_terms(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
     t_labels, t_mask = pseudo_label(t_probs, cfg.tau)
     taken = np.flatnonzero(t_mask & ~clean)
     taken_labels = t_labels[taken]
+    losses["pseudo_labeled"] = len(taken)
     losses["ce_pseudo"], dz["ce_pseudo"] = 0.0, None
     if len(taken):
         if single_branch:
@@ -381,8 +385,9 @@ def loss_terms(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
     """Loss values and per-term parameter gradients for one batch.
 
     Returns (losses, grads) where losses maps term name to its value (the
-    consistency entry is the raw mean squared error) and grads maps term name
-    to a full parameter-gradient dict, each term back-propagated on its own.
+    consistency entry is the raw mean squared error), and `pseudo_labeled` to
+    the number of points that took a pseudo-label; grads maps term name to a
+    full parameter-gradient dict, each term back-propagated on its own.
     The total objective is ce_clean + lovasz + ce_pseudo + lambda_mt *
     consistency; total_gradient of these grads is what train_step descends.
     """
@@ -419,7 +424,7 @@ def train_step(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
     """
     if len(batch) == 0:
         zero = {k: 0.0 for k in ("ce_clean", "lovasz", "ce_pseudo", "consistency", "total")}
-        return student, teacher, zero
+        return student, teacher, {**zero, "pseudo_labeled": 0}
     cache, losses, dz = _logit_terms(student, teacher, batch, cfg, single_branch)
     dzc = dz["ce_clean"] + dz["lovasz"] + cfg.lambda_mt * dz["consistency"]
     dzn = dz["ce_pseudo"]
@@ -480,19 +485,22 @@ def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):
     steps and at the final step. With single_branch the n-head never receives
     gradients and pseudo-label cross-entropy flows through the c-head. A
     student or teacher parameter that is not finite at a history row raises
-    ConfigError: the step size diverged.
+    ConfigError: the step size diverged. Logs at info how many batch points
+    took a pseudo-label over all steps, and so whether the n-head trained.
     """
     student = DualHeadNet.init(data.features.shape[1], cfg.hidden, data.num_classes, cfg.seed)
     teacher = student.copy()
     history: list = []
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
     n = len(data)
+    pseudo_labeled = 0
     for step in range(1, cfg.steps + 1):
         idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
         batch = TrainBatch(data.features[idx], data.labels[idx], data.label_kind[idx])
         # a step too large overflows, and the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             student, teacher, losses = train_step(student, teacher, batch, cfg, single_branch)
+        pseudo_labeled += losses["pseudo_labeled"]
         if step % CHECKPOINT_EVERY == 0 or step == cfg.steps:
             if not (np.isfinite(student.flat).all() and np.isfinite(teacher.flat).all()):
                 raise ConfigError(
@@ -503,6 +511,8 @@ def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):
                 (step, losses["ce_clean"], losses["lovasz"], losses["ce_pseudo"],
                  losses["consistency"], acc)
             )
+    log.info("%d batch points took a pseudo-label at tau=%g over %d steps, training the %s-head",
+             pseudo_labeled, cfg.tau, cfg.steps, "c" if single_branch else "n")
     return student, teacher, history
 
 

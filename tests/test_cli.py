@@ -100,6 +100,44 @@ def test_synth_output_equals_writing_generate(tmp_path, capsys, sampling):
     assert capsys.readouterr().out == f"frames=6 points={points} out={streamed}\n"
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_failed_synth_takes_away_the_synth_config_of_a_finished_run(tmp_path, monkeypatch,
+                                                                    capsys, k):
+    out = tmp_path / "ds"
+    first = _scene_file(tmp_path, one_box_config(frames=8, points_per_surface=1.0, seed=3))
+    assert cli.main(["synth", "--config", str(first), "--out", str(out)]) == 0
+    second = tmp_path / "second.config"
+    second.write_text(synth.config_to_text(
+        one_box_config(frames=8, points_per_surface=1.0, seed=4)))
+    calls = Counter()
+
+    def write(labels, path, _real=lidar_io.write_labels):
+        calls["write"] += 1
+        if calls["write"] == k:
+            raise OSError(f"{path}: injected")
+        _real(labels, path)
+
+    monkeypatch.setattr(lidar_io, "write_labels", write)
+    capsys.readouterr()
+    # frames 0..k-2 are the second scene's, so no synth.config may vouch for them
+    assert cli.main(["synth", "--config", str(second), "--out", str(out)]) == 3
+    label = out / "sequences" / "00" / "labels" / f"{k - 1:06d}.label"
+    assert capsys.readouterr().err == f"error: {label}: injected\n"
+    assert not (out / "synth.config").exists()
+
+
+def test_synth_scene_it_cannot_parse_leaves_a_finished_run_in_place(tmp_path, capsys):
+    out = tmp_path / "ds"
+    scene = _scene_file(tmp_path, corridor_config(frames=3, points_per_surface=1.0))
+    assert cli.main(["synth", "--config", str(scene), "--out", str(out)]) == 0
+    before = _tree_bytes(out)
+    bad = tmp_path / "bad.config"
+    bad.write_text("frames = three\n")
+    assert cli.main(["synth", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:1: ")
+    assert _tree_bytes(out) == before
+
+
 @pytest.fixture(scope="module")
 def estimates(workspace):
     """Naive estimates over the shared workspace, read by the eval tests."""
@@ -598,6 +636,7 @@ def test_ple_fully_labeled_notice(workspace, tmp_path, capsys):
     )
     assert code == 0
     assert "already labeled" in capsys.readouterr().out
+    assert (tmp_path / "none" / "ple.config").is_file()
 
 
 def test_ple_unreachable_frames_exit_empty(workspace, tmp_path, capsys):
@@ -612,6 +651,20 @@ def test_ple_unreachable_frames_exit_empty(workspace, tmp_path, capsys):
         ]
     )
     assert code == 4
+
+
+def test_ple_exit_empty_takes_away_the_ple_config_of_a_finished_run(workspace, estimates,
+                                                                   tmp_path, capsys):
+    out = tmp_path / "e"
+    shutil.copytree(estimates, out)
+    kept = _tree_bytes(out, skip_names={"ple.config"})
+    assert cli.main(["ple", "--root", str(workspace["data"]), "--split",
+                     str(workspace["split"]), "--window-seconds", "0.01",
+                     "--out", str(out)]) == 4
+    assert (capsys.readouterr().err
+            == "error: no unlabeled frame has a labeled frame in its window\n")
+    # the first run's estimates stay, but no ple.config vouches for them
+    assert _tree_bytes(out) == kept
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -1158,6 +1211,106 @@ def test_train_warns_when_no_pseudo_label_clears_tau(workspace, tmp_path, monkey
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and "tau=1" in warnings[0].getMessage()
     assert float(_csv_rows(out / "history.csv")[-1]["pseudo_label_accuracy"]) == 0.0
+
+
+# the reference scene at 0.3 points per surface
+ONE_ROOT_SCENE = """\
+seed = 29
+frames = 40
+frequency = 10.0
+sensor_range = 60.0
+points_per_surface = 0.3
+sampling = per-frame
+path = [0.0, 0.0, 1.5, 39.0, 0.0, 1.5]
+ground = [1, -30.0, 70.0, -12.0, 12.0, 0.0]
+wall = [9, -30.0, -12.0, 70.0, -12.0, 6.0, 0.0]
+wall = [9, -30.0, 12.0, 70.0, 12.0, 6.0, 0.0]
+box = [10, 4.0, 3.0, 1.1, 6.0, 2.0, 1.6, 5.0, 0.0, 0.0]
+box = [30, 10.0, -5.0, 1.0, 0.8, 0.8, 1.8, 0.0, 1.0, 0.0]
+"""
+
+
+@pytest.fixture(scope="module")
+def one_root(tmp_path_factory):
+    """A 2.5 % split labels frame 0 alone; progressive estimates reach
+    frames 1-10 and leave 29 frames without a label for the n-head."""
+    root = tmp_path_factory.mktemp("oneroot")
+    scene, data, split = root / "scene.config", root / "data", root / "labeled.split"
+    scene.write_text(ONE_ROOT_SCENE)
+    est = root / "est"
+    assert cli.main(["synth", "--config", str(scene), "--out", str(data)]) == 0
+    assert cli.main(["split", "--root", str(data), "--ratio", "2.5%", "--out", str(split)]) == 0
+    assert cli.main(["ple", "--root", str(data), "--split", str(split), "--progressive",
+                     "--out", str(est)]) == 0
+    assert sorted(int(p.stem) for p in (est / "00").glob(f"*{ple.PLE_SUFFIX}")) == list(
+        range(1, 11))
+    return ["--root", str(data), "--split", str(split), "--ple-dir", str(est)]
+
+
+def _read_model(path) -> ssl_mini.DualHeadNet:
+    header, _, blob = path.read_bytes().partition(b"\nend\n")
+    values, params = np.frombuffer(blob, dtype="<f8"), {}
+    for line in header.decode("ascii").splitlines()[1:]:
+        name, *shape = line.split()
+        shape = tuple(map(int, shape))
+        size = int(np.prod(shape))
+        params[name], values = values[:size].reshape(shape), values[size:]
+    return ssl_mini.DualHeadNet(params)
+
+
+def test_dual_branch_at_least_single_on_propagated_labels(one_root, tmp_path):
+    sweeps = {}
+    for mode, flags in (("dual", []), ("single", ["--single-branch"])):
+        out = tmp_path / mode
+        assert cli.main(["train", *one_root, "--steps", "500", "--threshold-sweep",
+                         *flags, "--out", str(out)]) == 0
+        sweeps[mode] = {float(row["tau"]): float(row["pseudo_label_accuracy"])
+                        for row in _csv_rows(out / "sweep.csv")}
+    assert sorted(sweeps["dual"]) == sorted(sweeps["single"]) == list(cli.TAU_SWEEP)
+    for tau in cli.TAU_SWEEP:
+        assert sweeps["dual"][tau] >= sweeps["single"][tau], tau
+
+
+def test_only_the_dual_branch_trains_the_n_head(one_root, tmp_path):
+    for single in (False, True):
+        out = tmp_path / ("single" if single else "dual")
+        flags = ["--single-branch"] if single else []
+        assert cli.main(["train", *one_root, "--steps", "500", "--tau", "0.5", *flags,
+                         "--out", str(out)]) == 0
+        # the student's: the teacher's EMA can move the last bit of an unchanged head
+        student = _read_model(out / "student.model")
+        features, hidden = student.params["w1"].shape
+        init = ssl_mini.DualHeadNet.init(features, hidden, student.params["wc"].shape[1], seed=0)
+        for name in ("wn", "bn"):
+            assert np.array_equal(student.params[name], init.params[name]) == single, name
+
+
+def _pseudo_label_counts(caplog) -> list:
+    return [int(r.getMessage().split()[0]) for r in caplog.records
+            if r.name == "plelidar.ssl_mini" and "took a pseudo-label" in r.getMessage()]
+
+
+def test_train_logs_how_many_points_took_a_pseudo_label(one_root, workspace, tmp_path,
+                                                        caplog):
+    caplog.set_level(logging.INFO, logger="plelidar")
+    small = ["--steps", "20", "--batch-size", "32", "--hidden", "4", "--tau", "0"]
+    assert cli.main(["train", *one_root, *small, "--out", str(tmp_path / "a")]) == 0
+    counts = _pseudo_label_counts(caplog)
+    assert len(counts) == 1 and counts[0] > 0
+    caplog.clear()
+    # a sweep logs once per tau
+    assert cli.main(["train", *one_root, *small, "--threshold-sweep",
+                     "--out", str(tmp_path / "b")]) == 0
+    assert len(_pseudo_label_counts(caplog)) == len(cli.TAU_SWEEP)
+    caplog.clear()
+    # every frame labeled leaves no point to take a pseudo-label
+    full = tmp_path / "full.split"
+    assert cli.main(["split", "--root", str(workspace["data"]), "--ratio", "100%",
+                     "--out", str(full)]) == 0
+    caplog.clear()
+    assert cli.main(["train", "--root", str(workspace["data"]), "--split", str(full), *small,
+                     "--out", str(tmp_path / "c")]) == 0
+    assert _pseudo_label_counts(caplog) == [0]
 
 
 def test_config_echo_round_trips_through_read_flat(workspace, tmp_path):
