@@ -5,8 +5,9 @@ flat `key = value` file next to its outputs; pass that file back through
 `--config` to reproduce a run bit for bit (flags given on the command line
 override the file). A command returns nothing and refuses by raising a
 `PlelidarError`; `main` alone turns the outcome into an exit code: 0 success,
-2 configuration problem, 3 data problem, 4 empty result. The PLE_LOG
-environment variable (debug/info/warning/error) sets log verbosity.
+2 configuration problem, 3 data problem, 4 empty result. The `ple` module
+owns the estimate tree that `ple` writes and `eval` and `train` read. The
+PLE_LOG environment variable (debug/info/warning/error) sets log verbosity.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import dataclasses
 import logging
 import os
 import sys
-from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 # every process compiles and runs each module it imports, so a module only
 # some commands run is imported inside those commands
 from . import lidar_io, ple, split as split_mod
-from .errors import ConfigError, DataError, EmptyResultError, MissingDataError, PlelidarError
+from .errors import ConfigError, DataError, EmptyResultError, PlelidarError
 
 log = logging.getLogger("plelidar")
 
@@ -37,26 +37,22 @@ TAU_SWEEP = (0.0, 0.5, 0.7, 0.9)
 SWEEP_COLUMNS = ("tau", "pseudo_label_accuracy")
 
 
-def write_flat(path, pairs: dict) -> None:
-    lines = []
-    for key in sorted(pairs):
-        value = pairs[key]
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = f"{value:.17g}"
-        lines.append(f"{key} = {value}")
-    lidar_io.write_lines(path, lines)
-
-
 # argparse plumbing that is not a setting of the run
 _NOT_SETTINGS = ("command", "func", "config")
 
 
 def _write_run_config(path, args) -> None:
-    """Echo every parsed setting of a command; None is written as ''."""
-    write_flat(path, {key: "" if value is None else value
-                      for key, value in vars(args).items() if key not in _NOT_SETTINGS})
+    """Echo every parsed setting of a command, keys sorted: a bool as
+    true/false, a float to 17 significant digits, None as ''."""
+    lines = []
+    for key, value in sorted(vars(args).items()):
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = f"{value:.17g}"
+        if key not in _NOT_SETTINGS:
+            lines.append(f"{key} = {'' if value is None else value}")
+    lidar_io.write_lines(path, lines)
 
 
 def _check_echoable(args) -> None:
@@ -112,10 +108,6 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
     parser.set_defaults(**converted)
 
 
-def _manifest_lengths(manifest: tuple) -> dict:
-    return {s.sequence_id: s.frame_count for s in manifest}
-
-
 def cmd_synth(args) -> None:
     from . import synth
 
@@ -132,8 +124,7 @@ def cmd_synth(args) -> None:
 
 def cmd_split(args) -> None:
     args.ratio = split_mod.parse_ratio(args.ratio)
-    manifest = lidar_io.build_manifest(args.root)
-    lengths = _manifest_lengths(manifest)
+    lengths = {s.sequence_id: s.frame_count for s in lidar_io.build_manifest(args.root)}
     if not lengths:
         raise DataError(f"no sequences found under {args.root}")
     result = split_mod.sample_labeled(lengths, args.ratio, args.mode)
@@ -144,10 +135,10 @@ def cmd_split(args) -> None:
     print(f"labeled={labeled} unlabeled={total - labeled} total={total}")
 
 
-def _load_split_for(manifest, path) -> dict:
+def _load_split_for(source, path) -> dict:
     result = split_mod.read_split(path)
     try:
-        split_mod.validate_split(result, _manifest_lengths(manifest))
+        split_mod.validate_split(result, {s: source.frame_count(s) for s in source.sequence_ids()})
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     return result
@@ -162,19 +153,15 @@ def cmd_ple(args) -> None:
         progressive=args.progressive,
         frequency=args.frequency,
     )
-    manifest = lidar_io.build_manifest(args.root)
-    source = ple.ManifestSource(manifest)
-    labeled = _load_split_for(manifest, args.split)
+    source = ple.ManifestSource(lidar_io.build_manifest(args.root))
+    labeled = _load_split_for(source, args.split)
     runner = ple.run_progressive if args.progressive else ple.run_naive
     out = Path(args.out)
     frames = points = 0
 
-    def write(key, pmap) -> None:
+    def write(_, pmap) -> None:
         nonlocal frames, points
-        seq, frame = key
-        seq_dir = out / seq
-        seq_dir.mkdir(parents=True, exist_ok=True)
-        ple.write_ple(pmap, seq_dir / f"{frame:06d}{ple.PLE_SUFFIX}")
+        ple.write_estimate(out, pmap)
         frames, points = frames + 1, points + len(pmap)
 
     # only a finished run leaves a ple.config, also over an earlier run's files
@@ -191,43 +178,14 @@ def cmd_ple(args) -> None:
           else "frames=0 points=0 (every frame already labeled)")
 
 
-def _eval_frames(ple_dir: Path, source) -> list:
-    """(sequence, frame, path) of each estimate under a --ple-dir tree, taken
-    as `ple` writes it: a file `<seq>/<frame:06d>.ple` for a frame of the
-    dataset. Any other directory or .ple is a data error naming its path."""
-    if not ple_dir.is_dir():
-        raise MissingDataError(f"{ple_dir} is not a directory")
-    frames = []
-    for seq_dir in sorted(p for p in ple_dir.iterdir() if p.is_dir()):
-        seq = seq_dir.name
-        if seq not in source.sequence_ids():
-            raise DataError(f"{seq_dir}: unknown sequence {seq!r}, not in the dataset")
-        count = source.frame_count(seq)
-        for f in sorted(seq_dir.glob(f"*{ple.PLE_SUFFIX}")):
-            stem = f.stem
-            if not (stem.isascii() and stem.isdigit() and stem == f"{int(stem):06d}"
-                    and f.is_file()):
-                raise DataError(f"{f}: an estimate is a file named "
-                                f"<frame:06d>{ple.PLE_SUFFIX}, as ple writes it")
-            frame = int(stem)
-            if frame >= count:
-                raise DataError(f"{f}: frame {frame} is outside 0..{count - 1} "
-                                f"of sequence {seq}")
-            frames.append((seq, frame, f))
-    return frames
-
-
 def cmd_eval(args) -> None:
     from . import evaluation
 
     if args.group_by_offset and args.split is None:
         raise ConfigError("--group-by-offset needs --split to locate labeled frames")
-    manifest = lidar_io.build_manifest(args.root)
-    source = ple.ManifestSource(manifest)
-    split = _load_split_for(manifest, args.split) if args.split else None
-    estimates = _EstimateDir(args.ple_dir, source)
-    if not estimates:
-        raise EmptyResultError(f"no {ple.PLE_SUFFIX} files under {Path(args.ple_dir)}")
+    source = ple.ManifestSource(lidar_io.build_manifest(args.root))
+    split = _load_split_for(source, args.split) if args.split else None
+    estimates = ple.EstimateDir(args.ple_dir, source)
 
     cm = None
     per_frame = []
@@ -267,39 +225,6 @@ def cmd_eval(args) -> None:
           f"frames={len(estimates)}")
 
 
-class _EstimateDir(Mapping):
-    """The estimates of a --ple-dir tree by (sequence, frame); each lookup
-    reads its file and checks that its .meta names that frame and that it
-    holds one label per point, so no estimate is held longer than its caller
-    holds it."""
-
-    def __init__(self, ple_dir, source):
-        self._paths = {(s, f): path for s, f, path in _eval_frames(Path(ple_dir), source)}
-        self._source = source
-
-    def __getitem__(self, key):
-        seq, frame = key
-        path = self._paths[key]
-        pred = ple.read_ple(path)
-        if (pred.sequence_id, pred.frame_id) != key:
-            raise DataError(f"{path}: its {ple.META_SUFFIX} names frame "
-                            f"{pred.sequence_id}/{pred.frame_id}, not {seq}/{frame}")
-        points = self._source.point_count(seq, frame)
-        if len(pred) != points:
-            raise DataError(f"frame {seq}/{frame}: {path} holds {len(pred)} estimates "
-                            f"for {points} points")
-        return pred
-
-    def __contains__(self, key) -> bool:
-        return key in self._paths
-
-    def __iter__(self):
-        return iter(self._paths)
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-
 def _warn_if_unscored(scored: int, tau: float) -> None:
     if not scored:
         log.warning("no unlabeled point cleared tau=%g (or none exists): "
@@ -309,9 +234,8 @@ def _warn_if_unscored(scored: int, tau: float) -> None:
 def cmd_train(args) -> None:
     from . import evaluation, ssl_mini
 
-    manifest = lidar_io.build_manifest(args.root)
-    source = ple.ManifestSource(manifest)
-    labeled = _load_split_for(manifest, args.split)
+    source = ple.ManifestSource(lidar_io.build_manifest(args.root))
+    labeled = _load_split_for(source, args.split)
     cfg = ssl_mini.SSLConfig(
         lambda_mt=args.lambda_mt,
         tau=args.tau,
@@ -322,7 +246,7 @@ def cmd_train(args) -> None:
         hidden=args.hidden,
         seed=args.seed,
     )
-    ple_maps = _EstimateDir(args.ple_dir, source) if args.ple_dir else None
+    ple_maps = ple.EstimateDir(args.ple_dir, source) if args.ple_dir else None
     data = ssl_mini.assemble_training_data(
         source, labeled, ple_maps, max_points=args.max_points, seed=args.seed
     )

@@ -14,6 +14,10 @@ belongs to one chain, rooted at its temporally nearest ground-truth frame
 reference any frame within the root's window whose own offset is below k.
 The loop runs the targets in an order that follows their references, so it
 can hand each estimate on as soon as it is made.
+
+An estimate is stored as ``<root>/<sequence>/<frame:06d>.ple`` with a
+``.meta`` beside it. ``write_estimate`` writes that tree and ``EstimateDir``
+lists, checks and reads it; ``write_ple`` and ``read_ple`` are the file pair.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -28,9 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, lidar_io
-from .errors import (
-    ConfigError, DataError, EmptyIndexError, FormatError, MissingDataError, PlelidarError,
-)
+from .errors import (ConfigError, DataError, EmptyIndexError, EmptyResultError, FormatError,
+                     MissingDataError, PlelidarError)
 from .lidar_io import IGNORE_CLASS, LabelMap, PointCloud, SequenceInfo
 from .spatial_index import KdTree
 from .split import round_half_up
@@ -467,3 +471,69 @@ def read_meta(path) -> dict:
         }
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed field ({exc})") from None
+
+
+def write_estimate(root, pmap: PseudoLabelMap) -> None:
+    """Write an estimate into the tree `EstimateDir` reads:
+    <root>/<sequence>/<frame:06d>.ple and its .meta, named by its own ids."""
+    seq_dir = Path(root) / pmap.sequence_id
+    seq_dir.mkdir(parents=True, exist_ok=True)
+    write_ple(pmap, seq_dir / f"{pmap.frame_id:06d}{PLE_SUFFIX}")
+
+
+class EstimateDir(Mapping):
+    """The estimates of a tree `write_estimate` wrote, by (sequence, frame),
+    listed in name order, which is (sequence, frame) order. Building it
+    lists the tree: a directory that is not a sequence of `source`, or a .ple
+    other than <frame:06d>.ple for a frame of its sequence, is a data error
+    naming its path, and no .ple is an empty result. Each lookup reads its
+    file, uncached, and checks that its .meta names that frame and that it
+    holds one label per point; `in` reads no file.
+    """
+
+    def __init__(self, root, source):
+        root = Path(root)
+        if not root.is_dir():
+            raise MissingDataError(f"{root} is not a directory")
+        self._paths = {}
+        for seq_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+            seq = seq_dir.name
+            if seq not in source.sequence_ids():
+                raise DataError(f"{seq_dir}: unknown sequence {seq!r}, not in the dataset")
+            count = source.frame_count(seq)
+            for f in sorted(seq_dir.glob(f"*{PLE_SUFFIX}")):
+                stem = f.stem
+                if not (stem.isascii() and stem.isdigit() and stem == f"{int(stem):06d}"
+                        and f.is_file()):
+                    raise DataError(f"{f}: an estimate is a file named "
+                                    f"<frame:06d>{PLE_SUFFIX}, as ple writes it")
+                frame = int(stem)
+                if frame >= count:
+                    raise DataError(f"{f}: frame {frame} is outside 0..{count - 1} "
+                                    f"of sequence {seq}")
+                self._paths[seq, frame] = f
+        if not self._paths:
+            raise EmptyResultError(f"no {PLE_SUFFIX} files under {root}")
+        self._source = source
+
+    def __getitem__(self, key) -> PseudoLabelMap:
+        seq, frame = key
+        path = self._paths[key]
+        pred = read_ple(path)
+        if (pred.sequence_id, pred.frame_id) != key:
+            raise DataError(f"{path}: its {META_SUFFIX} names frame "
+                            f"{pred.sequence_id}/{pred.frame_id}, not {seq}/{frame}")
+        points = self._source.point_count(seq, frame)
+        if len(pred) != points:
+            raise DataError(f"frame {seq}/{frame}: {path} holds {len(pred)} estimates "
+                            f"for {points} points")
+        return pred
+
+    def __contains__(self, key) -> bool:
+        return key in self._paths
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)

@@ -130,10 +130,8 @@ class KdTree:
             spread = [np.fmax.reduce(c, axis=1) - np.fmin.reduce(c, axis=1)
                       for c in (row.take(idx) for row in xyz)]
             axis = np.argmax(spread, axis=0)
-            key = np.empty((rows, w))
-            for k in range(3):
-                on_k = axis == k
-                key[on_k] = xyz[k].take(idx[on_k])
+            # each row's key from its own axis: one gather of the flat (3, n + 1)
+            key = xyz.take(idx + (axis * (n + 1))[:, None])
             np.fmin(key, np.inf, out=key)  # padding at +inf sorts last
             part = np.argpartition(key, w // 2, axis=1)
             part += (np.arange(rows) * w)[:, None]
@@ -143,9 +141,7 @@ class KdTree:
         idx.sort(axis=1)
         self._leaf_idx = idx
         xyz[:, n] = np.inf
-        self._leaf_xyz = np.empty((3, *idx.shape))
-        for k in range(3):
-            xyz[k].take(idx, out=self._leaf_xyz[k])
+        self._leaf_xyz = xyz.take(idx, axis=1)
 
     def nearest(self, queries):
         """Exact nearest neighbor for each query row.

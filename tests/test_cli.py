@@ -966,6 +966,22 @@ def test_eval_without_estimates_exits_empty(workspace, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_empty_ple_dir_exits_empty_before_reading_a_frame(workspace, tmp_path, monkeypatch,
+                                                          capsys, command):
+    empty, out = tmp_path / "e", tmp_path / "r"
+    empty.mkdir()
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a frame was read")
+
+    monkeypatch.setattr(lidar_io, "read_scan", no_read)
+    monkeypatch.setattr(lidar_io, "read_labels", no_read)
+    assert cli.main(_argv(command, workspace["data"], workspace["split"], empty, out)) == 4
+    assert capsys.readouterr().err == f"error: no .ple files under {empty}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "seq, frame, message",
     [("99", 1, "unknown sequence"), ("00", 999, "outside")],

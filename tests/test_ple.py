@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+import shutil
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 
 from plelidar import geometry, lidar_io, ple, synth
 from plelidar import split as split_mod
-from plelidar.errors import ConfigError, DataError, EmptyIndexError, FormatError
+from plelidar.errors import (ConfigError, DataError, EmptyIndexError, EmptyResultError,
+                             FormatError)
 from plelidar.geometry import RigidTransform
 from plelidar.lidar_io import LabelMap, PointCloud
 from plelidar.ple import DatasetSource, PleConfig, PseudoLabelMap
@@ -736,3 +739,66 @@ class TestFileFormat:
         path.write_text("sequence = 00\nframe\n")
         with pytest.raises(FormatError, match=":2"):
             ple.read_meta(path)
+
+
+@pytest.fixture(scope="module")
+def two_sequences(tmp_path_factory, corridor_short):
+    """The short corridor exported as sequences 00 and 01, and a tree of
+    naive estimates over both written by `write_estimate`."""
+    root = tmp_path_factory.mktemp("tree")
+    export(corridor_short, root / "data")
+    shutil.copytree(root / "data" / "sequences" / "00", root / "data" / "sequences" / "01")
+    source = ple.ManifestSource(lidar_io.build_manifest(root / "data"))
+    written = {}
+
+    def write(key, pmap):
+        ple.write_estimate(root / "est", pmap)
+        written[key] = pmap
+
+    ple.run_naive(source, {"00": (4,), "01": (0, 7)}, PleConfig(window_seconds=0.3), emit=write)
+    return source, root / "est", written
+
+
+class TestEstimateDir:
+    def test_write_estimate_puts_files_where_lookups_find_them(self, two_sequences):
+        source, est, written = two_sequences
+        tree = ple.EstimateDir(est, source)
+        assert set(tree) == set(written)
+        for (seq, frame), pmap in written.items():
+            path = est / seq / f"{frame:06d}.ple"
+            assert path.is_file() and path.with_suffix(".meta").is_file()
+            got, want = tree[seq, frame], ple.read_ple(path)
+            for field in dataclasses.fields(PseudoLabelMap):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
+            assert np.array_equal(got.semantic, pmap.semantic)
+
+    def test_iterates_by_sequence_then_frame(self, two_sequences):
+        source, est, written = two_sequences
+        keys = list(ple.EstimateDir(est, source))
+        assert keys == sorted(written)
+        assert keys[0][0] == "00" and keys[-1][0] == "01"
+
+    def test_membership_reads_no_file(self, two_sequences, monkeypatch):
+        source, est, _ = two_sequences
+        tree = ple.EstimateDir(est, source)
+        reads, real_read = [], ple.read_ple
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(ple, "read_ple", counting_read)
+        assert ("00", 3) in tree and ("01", 3) in tree
+        assert ("00", 4) not in tree and ("02", 3) not in tree
+        assert reads == []
+        tree["00", 3]
+        assert reads == [est / "00" / "000003.ple"]
+
+    @pytest.mark.parametrize("layout", [[], ["00"]], ids=["no-entry", "sequence-only"])
+    def test_tree_without_estimates_is_an_empty_result(self, two_sequences, tmp_path, layout):
+        source = two_sequences[0]
+        for seq in layout:
+            (tmp_path / seq).mkdir()
+        with pytest.raises(EmptyResultError, match=f"^no .ple files under {re.escape(str(tmp_path))}$"):
+            ple.EstimateDir(tmp_path, source)
