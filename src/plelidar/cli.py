@@ -6,7 +6,8 @@ flat `key = value` file next to its outputs; pass that file back through
 override the file). A command returns nothing and refuses by raising a
 `PlelidarError`; `main` alone turns the outcome into an exit code: 0 success,
 2 configuration problem, 3 data problem, 4 empty result. The `ple` module
-owns the estimate tree that `ple` writes and `eval` and `train` read. The
+owns the estimate tree that `ple` writes and `eval` and `train` read, and
+`evaluation.score` the tally, fold and offset curve of an `eval` run. The
 PLE_LOG environment variable (debug/info/warning/error) sets log verbosity.
 """
 
@@ -18,8 +19,6 @@ import logging
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 # every process compiles and runs each module it imports, so a module only
 # some commands run is imported inside those commands
@@ -187,38 +186,23 @@ def cmd_eval(args) -> None:
     split = _load_split_for(source, args.split) if args.split else None
     estimates = ple.EstimateDir(args.ple_dir, source)
 
-    cm = None
-    per_frame = []
-    for seq, frame in estimates:
-        # ground truth first, so that a damaged scan is named as such
-        gt = source.gt_labels(seq, frame)
-        pred = estimates[seq, frame]
-        classes = set(np.unique(gt.semantic).tolist())
-        classes.update(np.unique(pred.semantic[pred.valid]).tolist())
-        classes.discard(args.ignore_class)
-        if classes:
-            frame_cm = evaluation.accumulate(
-                evaluation.ConfusionMatrix(classes, args.ignore_class), gt, pred)
-            cm = frame_cm if cm is None else evaluation.merged(cm, frame_cm)
-        roots = split.get(seq) if args.group_by_offset else None
-        offset = abs(frame - ple.chain_root(roots, frame)) if roots else 0
-        if offset:
-            # a frame with nothing outside the ignore class scores 0
-            per_frame.append((offset, evaluation.metrics(frame_cm) if classes
-                              else evaluation.EvalReport({}, 0.0, {}, 0.0)))
-    if cm is None:
-        raise EmptyResultError("nothing to evaluate outside the ignore class")
+    def frames():
+        for seq, frame in estimates:
+            # ground truth first, so that a damaged scan is named as such
+            gt = source.gt_labels(seq, frame)
+            roots = split.get(seq) if args.group_by_offset else None
+            yield gt, estimates[seq, frame], abs(frame - ple.chain_root(roots, frame)) if roots else 0
 
+    cm, curve = evaluation.score(frames(), args.ignore_class)
     report = evaluation.metrics(cm)
     out = Path(args.out)
     # only a finished run leaves an eval.config, also over an earlier run's reports
     (out / "eval.config").unlink(missing_ok=True)
     out.mkdir(parents=True, exist_ok=True)
-    curve = evaluation.interval_curve(per_frame) if args.group_by_offset else None
     for fmt in ("csv", "json") if args.format == "both" else (args.format,):
         suffix = "csv" if fmt == "csv" else "jsonl"
         evaluation.write_report(report, out / f"report.{suffix}", fmt)
-        if curve is not None:
+        if args.group_by_offset:
             evaluation.write_curve(curve, out / f"curve.{suffix}", fmt)
     _write_run_config(out / "eval.config", args)
     print(f"miou={report.miou:.6f} mprecision={report.mprecision:.6f} "

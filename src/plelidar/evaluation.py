@@ -1,4 +1,4 @@
-"""Segmentation quality metrics: confusion matrix, IoU, precision, curves.
+"""Segmentation quality: confusion matrices, IoU, precision, and a run's `score`.
 
 Conventions: matrix rows are ground truth, columns are predictions. Points
 whose ground truth is the ignore class, or whose prediction is flagged
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lidar_io
-from .errors import DataError
+from .errors import DataError, EmptyResultError
 from .lidar_io import IGNORE_CLASS
 
 REPORT_COLUMNS = ("class", "iou", "precision", "count")
@@ -122,12 +122,28 @@ def metrics(cm: ConfusionMatrix) -> EvalReport:
     return EvalReport(per_iou, miou, per_prec, mprec, per_count)
 
 
-def interval_curve(per_frame_reports) -> list:
-    """Mean mIoU per |temporal offset| group, as an ascending (offset, mean) list."""
-    groups: dict = {}
-    for offset, report in per_frame_reports:
-        groups.setdefault(abs(int(offset)), []).append(report.miou)
-    return [(k, float(np.mean(groups[k]))) for k in sorted(groups)]
+def score(frames, ignore_class: int = IGNORE_CLASS) -> tuple:
+    """The run's matrix and curve from (ground truth, estimate, offset) frames.
+
+    A frame is tallied over its own classes (its ground-truth classes and
+    valid predictions, less the ignore class) and folded in with `merged`.
+    The curve is the mean mIoU per nonzero |offset|, ascending, in frame
+    order; a frame with no class scores 0. No class anywhere is an empty result.
+    """
+    cm, groups = None, {}
+    for gt, pred, offset in frames:
+        classes = set(np.unique(gt.semantic).tolist())
+        classes.update(np.unique(pred.semantic[pred.valid]).tolist())
+        classes.discard(ignore_class)
+        if classes:
+            frame_cm = accumulate(ConfusionMatrix(classes, ignore_class), gt, pred)
+            cm = frame_cm if cm is None else merged(cm, frame_cm)
+        if offset:
+            groups.setdefault(abs(int(offset)), []).append(
+                metrics(frame_cm).miou if classes else 0.0)
+    if cm is None:
+        raise EmptyResultError("nothing to evaluate outside the ignore class")
+    return cm, [(k, float(np.mean(groups[k]))) for k in sorted(groups)]
 
 
 def write_rows(path, format: str, what: str, columns: tuple, rows) -> None:

@@ -16,13 +16,10 @@ _ORTHO_TOL = 1e-9
 
 
 def orthonormalize(rotation: np.ndarray) -> np.ndarray:
-    """Project a near-rotation matrix onto SO(3) via polar decomposition."""
+    """The nearest orthonormal matrix, by polar decomposition; it keeps the
+    sign of the determinant, so a near-rotation maps onto SO(3)."""
     u, _, vt = np.linalg.svd(np.asarray(rotation, dtype=np.float64))
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        u[:, -1] = -u[:, -1]
-        r = u @ vt
-    return r
+    return u @ vt
 
 
 def rotation_defect(rotation: np.ndarray) -> float:

@@ -190,6 +190,8 @@ def _checked_transform(mat34: np.ndarray, context: str) -> RigidTransform:
     defect = geometry.rotation_defect(mat34[:, :3])
     if not defect <= _POSE_ORTHO_TOL:  # written so that NaN fails
         raise DataError(f"{context}: rotation defect {defect:.3e} exceeds {_POSE_ORTHO_TOL}")
+    if np.linalg.det(mat34[:, :3]) < 0:
+        raise DataError(f"{context}: rotation has determinant -1, a reflection")
     return RigidTransform(geometry.orthonormalize(mat34[:, :3]), mat34[:, 3])
 
 
@@ -254,7 +256,8 @@ def _frame_files(directory: Path, suffix: str, seq_id: str) -> tuple:
         try:
             stem_id = int(f.stem)
         except ValueError:
-            raise DataError(f"{f}: scan file name is not a frame number") from None
+            kind = "scan" if suffix == SCAN_SUFFIX else "label"
+            raise DataError(f"{f}: {kind} file name is not a frame number") from None
         if stem_id != index:
             raise DataError(f"sequence {seq_id}: frame ids not contiguous, expected "
                             f"{directory / f'{index:06d}{suffix}'} got {f}")

@@ -96,11 +96,17 @@ class PseudoLabelMap:
     def __post_init__(self):
         sem = np.asarray(self.semantic, dtype=np.int32).reshape(-1)
         valid = np.asarray(self.valid, dtype=bool).reshape(-1)
-        origin = np.asarray(self.origin_kind, dtype=np.uint8).reshape(-1)
+        origin = np.asarray(self.origin_kind).reshape(-1)
         n = len(sem)
         for name, arr in (("valid", valid), ("origin_kind", origin)):
             if len(arr) != n:
                 raise DataError(f"{name} length {len(arr)} does not match {n} points")
+        # what write_ple cannot pack into a word is refused here
+        if n and (sem.min() < 0 or sem.max() > _SEMANTIC_MASK):
+            raise DataError("semantic ids must fit in 16 bits")
+        if ((origin != ORIGIN_GROUND_TRUTH) & (origin != ORIGIN_PLE)).any():
+            raise DataError(f"origin kinds must be {ORIGIN_GROUND_TRUTH} or {ORIGIN_PLE}")
+        origin = origin.astype(np.uint8, copy=False)
         if (sem[~valid] != IGNORE_CLASS).any():
             raise DataError("invalid points must carry the ignore class")
         if not self.mean_distance >= 0:

@@ -202,15 +202,25 @@ def test_sequence_without_calibration_exits_data(workspace, estimates, tmp_path,
 @pytest.mark.parametrize("name, message", [
     ("poses.txt", ":1: non-numeric pose entry"),
     ("velodyne/abc.bin", ": scan file name is not a frame number"),
+    ("labels/abc.label", ": label file name is not a frame number"),
+    ("poses.txt", ":1: rotation has determinant -1, a reflection"),
+    ("calib.txt", ":1: rotation has determinant -1, a reflection"),
 ])
 def test_broken_dataset_file_exits_data(workspace, tmp_path, capsys, name, message):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)
     path = data / "sequences" / "00" / name
-    if name == "poses.txt":
+    if "reflection" in message:
+        # the first pose, or the extrinsic, with its z axis mirrored: read as
+        # a rotation, it would silently become another one
+        first, *rest = path.read_text().splitlines()
+        words = first.split()
+        words[-2] = "-1"
+        path.write_text("\n".join([" ".join(words), *rest]) + "\n")
+    elif name == "poses.txt":
         path.write_text("x" + path.read_text())  # the first entry reads 'x1'
     else:
-        shutil.copy(path.parent / "000000.bin", path)
+        shutil.copy(path.parent / f"000000{path.suffix}", path)
     out = tmp_path / "out"
     assert cli.main(_argv("split", data, None, None, out)) == 3
     assert capsys.readouterr().err == f"error: {path}{message}\n"

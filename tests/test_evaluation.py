@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plelidar import evaluation as ev
-from plelidar.errors import DataError
+from plelidar.errors import DataError, EmptyResultError
 from plelidar.lidar_io import LabelMap
 
 
@@ -181,30 +181,34 @@ _frame = st.integers(1, 12).flatmap(lambda n: st.tuples(
 @given(frames=st.lists(_frame, min_size=1, max_size=6), ignore=st.sampled_from([0, 3]))
 def test_per_frame_matrices_fold_to_the_union_matrix(frames, ignore):
     frames = [(_gt(g), Pred(p, valid=v)) for g, p, v in frames]
-    folded, own = None, []
-    for gt, pred in frames:
-        classes = (set(gt.semantic.tolist()) | set(pred.semantic[pred.valid].tolist())) - {ignore}
-        if classes:
-            frame_cm = ev.accumulate(ev.ConfusionMatrix(classes, ignore), gt, pred)
-            folded = frame_cm if folded is None else ev.merged(folded, frame_cm)
-        own.append(ev.metrics(frame_cm) if classes else None)
+    # one offset per frame, so the curve holds every frame's own mIoU
+    run = [(gt, pred, i + 1) for i, (gt, pred) in enumerate(frames)]
     union = {c for gt, pred in frames for c in gt.semantic.tolist()
              + pred.semantic[pred.valid].tolist()} - {ignore}
     if not union:
-        assert folded is None
+        with pytest.raises(EmptyResultError, match="nothing to evaluate outside the ignore class"):
+            ev.score(run, ignore)
         return
+    folded, curve = ev.score(run, ignore)
     whole = ev.ConfusionMatrix(union, ignore)
     for gt, pred in frames:
         ev.accumulate(whole, gt, pred)
     assert folded.class_ids == whole.class_ids
     assert np.array_equal(folded.counts, whole.counts)
     assert np.array_equal(folded.missed, whole.missed)
-    for (gt, pred), report in zip(frames, own):
-        over_union = ev.metrics(ev.accumulate(ev.ConfusionMatrix(union, ignore), gt, pred))
-        assert (report.miou if report else 0.0) == over_union.miou
-        if report:
-            assert report.per_class_iou == over_union.per_class_iou
-            assert report.mprecision == over_union.mprecision
+    over_union = [ev.metrics(ev.accumulate(ev.ConfusionMatrix(union, ignore), gt, pred))
+                  for gt, pred in frames]
+    assert curve == [(i + 1, report.miou) for i, report in enumerate(over_union)]
+    for (gt, pred), report in zip(frames, over_union):
+        # a run of one frame is scored over that frame's own classes
+        try:
+            own = ev.metrics(ev.score([(gt, pred, 0)], ignore)[0])
+        except EmptyResultError:
+            assert report.miou == 0.0
+            continue
+        assert own.miou == report.miou
+        assert own.per_class_iou == report.per_class_iou
+        assert own.mprecision == report.mprecision
 
 
 def _transposed(cm):
@@ -224,14 +228,35 @@ def test_transpose_swaps_precision_and_recall():
     assert flipped.miou == pytest.approx(ev.metrics(cm).miou)
 
 
-def test_interval_curve_groups_and_sorts():
-    def rep(miou):
-        return ev.EvalReport({}, miou, {}, 0.0)
+def _scored(k, n=10):
+    """A frame of n points of class 1, k of them predicted right and the rest
+    missed: mIoU k / n."""
+    return _gt([1] * n), Pred([1] * k + [0] * (n - k), valid=[True] * n)
 
-    curve = ev.interval_curve(
-        [(2, rep(0.4)), (-1, rep(0.9)), (1, rep(0.7)), (2, rep(0.6))]
-    )
-    assert curve == [(1, pytest.approx(0.8)), (2, pytest.approx(0.5))]
+
+def test_interval_curve_groups_and_sorts():
+    classless = _gt([0, 0]), Pred([0, 0], valid=[True, True])
+    # no ground truth outside the ignore class: class 2 is predicted but has no mIoU
+    unlabelled = _gt([0, 0]), Pred([2, 2], valid=[True, True])
+    frames = [(*_scored(4), 2), (*_scored(9), -1), (*classless, -3), (*_scored(1), 0),
+              (*_scored(7), 1), (*_scored(6), 2), (*_scored(6), 3), (*unlabelled, 4)]
+    cm, curve = ev.score(frames)
+    assert curve == [(1, pytest.approx(0.8)), (2, pytest.approx(0.5)), (3, pytest.approx(0.3)),
+                     (4, 0.0)]
+    # the frame at offset 0 is tallied, though it stays out of the curve
+    assert cm.class_ids == (1, 2)
+    assert cm.counts.tolist() == [[33, 0], [0, 0]]
+    assert cm.missed.tolist() == [27, 0]
+
+
+def test_score_of_nothing_outside_the_ignore_class_is_empty():
+    classless = _gt([0, 0]), Pred([0, 3], valid=[True, False])
+    for frames in ([], [(*classless, 0), (*classless, 2)]):
+        with pytest.raises(EmptyResultError, match="^nothing to evaluate outside the ignore class$"):
+            ev.score(frames)
+    # another ignore class makes class 0 a class to score
+    cm, curve = ev.score([(*classless, 1)], ignore_class=3)
+    assert cm.class_ids == (0,) and cm.counts.tolist() == [[1]] and curve == [(1, 1.0)]
 
 
 def _sample_report():

@@ -185,6 +185,17 @@ class TestPseudoLabelMap:
                 origin_kind=np.array([1], dtype=np.uint8),
             )
 
+    @pytest.mark.parametrize("semantic, origin_kind, message", [
+        ([70000, 0], [0, 1], "semantic ids must fit in 16 bits"),
+        ([-1, 0], [0, 1], "semantic ids must fit in 16 bits"),
+        ([9, 0], [0, 2], "origin kinds must be 0 or 1"),
+        ([9, 0], [-1, 0], "origin kinds must be 0 or 1"),
+    ])
+    def test_values_write_ple_cannot_store_are_refused(self, semantic, origin_kind, message):
+        # write_ple would pack them into words that read back as other labels
+        with pytest.raises(DataError, match=f"^{message}$"):
+            PseudoLabelMap(semantic=semantic, valid=[True, False], origin_kind=origin_kind)
+
     def test_mean_distance_over_valid_only(self):
         target = _cloud([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
         ref = (_cloud([[0.0, 0.0, 0.5]], 1), LabelMap([9], [0], 1), _identity())
