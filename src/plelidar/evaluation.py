@@ -7,6 +7,11 @@ labelled point is a miss: a false negative of its ground-truth class, as in
 the SemanticKITTI devkit. mIoU averages over classes with at least one
 ground-truth point; mPrecision averages over classes with at least one
 prediction. Fractions throughout; rendering as percent is up to the caller.
+
+Every tally is one linear pass with np.bincount, never a sort: a frame's
+class set is the nonzero bins of its ids (0..0xFFFF, as LabelMap and
+PseudoLabelMap enforce), and `accumulate` bins each (ground truth,
+prediction) pair as gt * k + pred over the matrix's k classes.
 """
 
 from __future__ import annotations
@@ -58,15 +63,24 @@ def accumulate(cm: ConfusionMatrix, gt, pred) -> ConfusionMatrix:
     g = gt_sem[mask]
     p = pred_sem[mask]
     miss = p == cm.ignore_class
-    p = p[~miss]
-    for arr, name in ((g, "ground truth"), (p, "prediction")):
-        unknown = set(np.unique(arr).tolist()) - set(cm.class_ids)
-        if unknown:
-            raise DataError(f"{name} contains classes outside the matrix: {sorted(unknown)}")
-    gi = np.searchsorted(cm.class_ids, g)
-    np.add.at(cm.missed, gi[miss], 1)
-    np.add.at(cm.counts, (gi[~miss], np.searchsorted(cm.class_ids, p)), 1)
+    ids = np.array(cm.class_ids)
+    gi = _class_index(ids, g, "ground truth")
+    pi = _class_index(ids, p[~miss], "prediction")
+    k = len(ids)
+    cm.missed += np.bincount(gi[miss], minlength=k)
+    cm.counts += np.bincount(gi[~miss] * k + pi, minlength=k * k).reshape(k, k)
     return cm
+
+
+def _class_index(ids: np.ndarray, arr: np.ndarray, name: str) -> np.ndarray:
+    """Each entry's index in the sorted `ids`; an entry not in `ids` is a
+    DataError naming every such class, sorted."""
+    idx = np.searchsorted(ids, arr)
+    unknown = ids[np.minimum(idx, len(ids) - 1)] != arr
+    if unknown.any():
+        raise DataError(f"{name} contains classes outside the matrix: "
+                        f"{sorted(set(arr[unknown].tolist()))}")
+    return idx
 
 
 def merged(a: ConfusionMatrix, b: ConfusionMatrix) -> ConfusionMatrix:
@@ -132,8 +146,8 @@ def score(frames, ignore_class: int = IGNORE_CLASS) -> tuple:
     """
     cm, groups = None, {}
     for gt, pred, offset in frames:
-        classes = set(np.unique(gt.semantic).tolist())
-        classes.update(np.unique(pred.semantic[pred.valid]).tolist())
+        classes = set(np.flatnonzero(np.bincount(gt.semantic)).tolist())
+        classes.update(np.flatnonzero(np.bincount(pred.semantic[pred.valid])).tolist())
         classes.discard(ignore_class)
         if classes:
             frame_cm = accumulate(ConfusionMatrix(classes, ignore_class), gt, pred)

@@ -13,6 +13,19 @@ oracle in the tests holds these to a relative 1e-4. A net keeps its parameters
 in one flat buffer, so the update, the EMA and a copy are each one array
 operation over it.
 
+A step computes one c-head softmax per net, class-major ((classes, points),
+so that reductions over the classes run over contiguous rows). The student's
+serves every c-head term: cross-entropy reads its shifted logits and
+exponential sums, and the Lovasz and consistency gradients are formed on it.
+The n-head takes one softmax of its own, over the points that take a
+pseudo-label.
+
+Features are built feature-major: one contiguous (n,) row each for x, y, z,
+range sqrt((x*x + y*y) + z*z), height and occupancy, returned as the (n, 6)
+transposed view. Their means and stds come from sequential row sums, which
+add in the order of a reduction over axis 0 of a C-ordered (n, 6) array, so
+the bits are those of a point-major build.
+
 Losses per step over one batch:
   ce_clean      cross-entropy of student c-head on clean points
   lovasz        Lovasz-softmax of student c-head on clean points
@@ -180,27 +193,61 @@ def _class_major(values) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(values, dtype=np.float64).T)
 
 
+def _softmax_parts(logits) -> tuple:
+    """(z, sums, probs) of (points, classes) logits, all class-major: the
+    logits less each point's largest, the sums of their exponentials over
+    the classes, and the softmax. Cross-entropy reads z and sums, so one
+    pass serves a head's loss and its gradient."""
+    z = _class_major(logits)
+    z -= z.max(axis=0)
+    probs = np.exp(z)
+    sums = probs.sum(axis=0)
+    probs /= sums
+    return z, sums, probs
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the classes of (points, classes) logits, computed class-
     major; the result is a transposed view of a class-major array."""
-    z = _class_major(logits)
-    e = np.exp(z - z.max(axis=0))
-    e /= e.sum(axis=0)
-    return e.T
+    return _softmax_parts(logits)[2].T
+
+
+def _checked_features(net: DualHeadNet, features) -> np.ndarray:
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.dims[0]:
+        raise ShapeError(f"features of shape {x.shape} do not match input dimension {net.dims[0]}")
+    return x
 
 
 def _forward_cache(net: DualHeadNet, features: np.ndarray) -> dict:
     """Trunk activations and the c-head logits; the n-head is left to the
-    callers that use it."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.dims[0]:
-        raise ShapeError(f"features of shape {x.shape} do not match input dimension {net.dims[0]}")
+    callers that use it. Each bias is added in place."""
+    x = _checked_features(net, features)
     p = net.params
-    z1 = x @ p["w1"] + p["b1"]
+    z1 = x @ p["w1"]
+    z1 += p["b1"]
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ p["w2"] + p["b2"]
+    z2 = a1 @ p["w2"]
+    z2 += p["b2"]
     a2 = np.maximum(z2, 0.0)
-    return {"x": x, "z1": z1, "a1": a1, "z2": z2, "a2": a2, "c_logits": a2 @ p["wc"] + p["bc"]}
+    c_logits = a2 @ p["wc"]
+    c_logits += p["bc"]
+    return {"x": x, "z1": z1, "a1": a1, "z2": z2, "a2": a2, "c_logits": c_logits}
+
+
+def _c_logits(net: DualHeadNet, features: np.ndarray) -> np.ndarray:
+    """The c-head logits alone: _forward_cache's operations in its order,
+    with the ReLUs in place, so one hidden activation is alive at a time."""
+    p = net.params
+    h = _checked_features(net, features) @ p["w1"]
+    h += p["b1"]
+    np.maximum(h, 0.0, out=h)
+    h = h @ p["w2"]
+    h += p["b2"]
+    np.maximum(h, 0.0, out=h)
+    h = h @ p["wc"]
+    h += p["bc"]
+    return h
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray, ignore: int = IGNORE_LABEL):
@@ -216,10 +263,14 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, ignore: int = IGNORE_L
     if count == 0:
         return 0.0, 0
     rows = np.flatnonzero(include)
-    z = _class_major(np.asarray(logits)[rows])
-    z -= z.max(axis=0)
-    costs = np.log(np.exp(z).sum(axis=0)) - z[labels[rows], np.arange(count)]
-    return float(costs.mean()), count
+    z, sums, _ = _softmax_parts(np.asarray(logits)[rows])
+    return _mean_ce(z, sums, labels[rows], np.arange(count)), count
+
+
+def _mean_ce(z: np.ndarray, sums: np.ndarray, labels: np.ndarray, cols: np.ndarray) -> float:
+    """Mean cross-entropy of the class-major points `cols` of a
+    `_softmax_parts` result against their labels; `cols` is not empty."""
+    return float((np.log(sums[cols]) - z[labels, cols]).mean())
 
 
 def _lovasz_with_grad(probs: np.ndarray, labels: np.ndarray, ignore: int = IGNORE_LABEL):
@@ -287,8 +338,8 @@ def ema_update(teacher: DualHeadNet, student: DualHeadNet, alpha: float) -> Dual
 
 
 def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
-    return probs * (dprobs - inner)
+    """The logit gradient from class-major probabilities and their gradient."""
+    return probs * (dprobs - (dprobs * probs).sum(axis=0))
 
 
 def _backward(net: DualHeadNet, cache: dict, dzc: np.ndarray, dzn=None) -> DualHeadNet:
@@ -300,16 +351,16 @@ def _backward(net: DualHeadNet, cache: dict, dzc: np.ndarray, dzn=None) -> DualH
     a2 = cache["a2"]
     g["wc"][...] = a2.T @ dzc
     g["bc"][...] = dzc.sum(axis=0)
-    da2 = dzc @ p["wc"].T
+    dz2 = dzc @ p["wc"].T  # the gradient of a2 until the ReLU's mask
     if dzn is not None:
         g["wn"][...] = a2.T @ dzn
         g["bn"][...] = dzn.sum(axis=0)
-        da2 += dzn @ p["wn"].T
-    dz2 = da2 * (cache["z2"] > 0.0)
+        dz2 += dzn @ p["wn"].T
+    dz2 *= cache["z2"] > 0.0
     g["w2"][...] = cache["a1"].T @ dz2
     g["b2"][...] = dz2.sum(axis=0)
-    da1 = dz2 @ p["w2"].T
-    dz1 = da1 * (cache["z1"] > 0.0)
+    dz1 = dz2 @ p["w2"].T
+    dz1 *= cache["z1"] > 0.0
     g["w1"][...] = cache["x"].T @ dz1
     g["b1"][...] = dz1.sum(axis=0)
     return grad
@@ -339,39 +390,41 @@ def _logit_terms(student: DualHeadNet, teacher: DualHeadNet, batch: TrainBatch,
     pseudo-label.
     """
     cache = _forward_cache(student, batch.features)
-    c_probs = softmax(cache["c_logits"])
-    t_probs = softmax(_forward_cache(teacher, batch.features)["c_logits"])
+    # class-major from here on: the student's c-head softmax serves every c-head term
+    z, sums, c_probs = _softmax_parts(cache["c_logits"])
+    t_probs = _softmax_parts(_c_logits(teacher, batch.features))[2]
     n = len(batch)
     clean = batch.label_kind != KIND_NONE
     clean_rows = np.flatnonzero(clean)
     clean_labels = batch.labels[clean_rows]
-    clean_probs = c_probs[clean_rows]
+    clean_probs = c_probs[:, clean_rows].T
     losses: dict = {}
     dz: dict = {}
 
-    losses["ce_clean"], _ = cross_entropy(cache["c_logits"][clean_rows], clean_labels)
+    losses["ce_clean"] = _mean_ce(z, sums, clean_labels, clean_rows) if len(clean_rows) else 0.0
     dz["ce_clean"] = _ce_logit_grad(clean_probs, clean_labels, clean_rows, n)
 
     losses["lovasz"], dprob_sub = _lovasz_with_grad(clean_probs, clean_labels)
     dprobs = np.zeros_like(c_probs)
-    dprobs[clean_rows] = dprob_sub
-    dz["lovasz"] = _softmax_backward(c_probs, dprobs)
+    dprobs[:, clean_rows] = dprob_sub.T
+    dz["lovasz"] = _softmax_backward(c_probs, dprobs).T
 
-    t_labels, t_mask = pseudo_label(t_probs, cfg.tau)
+    t_labels, t_mask = pseudo_label(t_probs.T, cfg.tau)
     taken = np.flatnonzero(t_mask & ~clean)
     taken_labels = t_labels[taken]
     losses["pseudo_labeled"] = len(taken)
     losses["ce_pseudo"], dz["ce_pseudo"] = 0.0, None
     if len(taken):
         if single_branch:
-            logits = cache["c_logits"][taken]
+            pz, psums, p_probs = z[:, taken], sums[taken], c_probs[:, taken]
         else:
-            logits = cache["a2"][taken] @ student.params["wn"] + student.params["bn"]
-        losses["ce_pseudo"], _ = cross_entropy(logits, taken_labels)
-        dz["ce_pseudo"] = _ce_logit_grad(softmax(logits), taken_labels, taken, n)
+            pz, psums, p_probs = _softmax_parts(
+                cache["a2"][taken] @ student.params["wn"] + student.params["bn"])
+        losses["ce_pseudo"] = _mean_ce(pz, psums, taken_labels, np.arange(len(taken)))
+        dz["ce_pseudo"] = _ce_logit_grad(p_probs.T, taken_labels, taken, n)
 
     losses["consistency"] = mt_consistency(c_probs, t_probs)
-    dz["consistency"] = _softmax_backward(c_probs, 2.0 * (c_probs - t_probs) / c_probs.size)
+    dz["consistency"] = _softmax_backward(c_probs, 2.0 * (c_probs - t_probs) / c_probs.size).T
 
     losses["total"] = (
         losses["ce_clean"] + losses["lovasz"] + losses["ce_pseudo"]
@@ -466,8 +519,7 @@ def pseudo_label_score(teacher: DualHeadNet, data: TrainData, tau: float) -> tup
     that match the oracle over unlabeled points, and how many points were
     confident. Accuracy is 0.0 when nothing clears the threshold."""
     rows = np.flatnonzero(data.label_kind == KIND_NONE)
-    probs = softmax(_forward_cache(teacher, data.features[rows])["c_logits"])
-    labels, mask = pseudo_label(probs, tau)
+    labels, mask = pseudo_label(softmax(_c_logits(teacher, data.features[rows])), tau)
     if not mask.any():
         return 0.0, 0
     return float(np.mean(labels[mask] == data.oracle[rows][mask])), int(mask.sum())
@@ -530,40 +582,58 @@ def save_model(net: DualHeadNet, path) -> None:
                            + net.flat.astype("<f8").tobytes())
 
 
-def _voxel_keys(points: np.ndarray) -> np.ndarray:
-    """One int64 per point naming its VOXEL_SIZE voxel: the per-axis voxel
-    offsets from the cloud's lowest voxel, packed into one number. Two
-    points share a key exactly when they share a voxel."""
-    voxels = np.floor(points / VOXEL_SIZE)
-    lo, hi = voxels.min(axis=0), voxels.max(axis=0)
+def _voxel_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 per point of (3, n) coordinate rows naming its VOXEL_SIZE
+    voxel: the per-axis voxel offsets from the cloud's lowest voxel, packed
+    into one number. Two points share a key exactly when they share a voxel."""
+    voxels = np.floor(rows / VOXEL_SIZE)
+    lo, hi = voxels.min(axis=1), voxels.max(axis=1)
     if not ((lo >= -2.0**63).all() and (hi < 2.0**63).all()):  # NaN fails too
         raise DataError(f"voxel indices {lo} to {hi} do not fit in 64 bits")
     spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
     if math.prod(spans) > np.iinfo(np.int64).max:
         raise DataError(f"cloud spans {' x '.join(map(str, spans))} voxels, "
                         "too many to number in 64 bits")
-    offsets = voxels.astype(np.int64) - lo.astype(np.int64)
-    return (offsets[:, 0] * spans[1] + offsets[:, 1]) * spans[2] + offsets[:, 2]
+    offsets = voxels.astype(np.int64) - lo.astype(np.int64)[:, None]
+    return (offsets[0] * spans[1] + offsets[1]) * spans[2] + offsets[2]
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right from 0.0: the order of numpy's
+    reduction over axis 0 of the transposed, C-ordered array, so the bits
+    are the same (a row of -0.0 sums to 0.0)."""
+    return np.cumsum(a, axis=1)[:, -1] + 0.0
 
 
 def build_features(points: np.ndarray) -> np.ndarray:
     """Per-point feature rows: x, y, z, range, height above the cloud's
     minimum, and normalized occupancy of VOXEL_SIZE voxels; standardized per
-    column."""
+    column.
+
+    Built feature-major, one contiguous (n,) row per feature, and returned
+    as the (n, 6) transposed view. Range is sqrt((x*x + y*y) + z*z), and the
+    mean and std come from sequential row sums, so every bit equals that of
+    an (n, 6) build reduced over axis 0."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
     if n == 0:
         return np.zeros((0, 6))
-    feats = np.empty((n, 6))
-    feats[:, :3] = pts
-    feats[:, 3] = np.linalg.norm(pts, axis=1)
-    feats[:, 4] = pts[:, 2] - pts[:, 2].min()
-    _, inverse, counts = np.unique(_voxel_keys(pts), return_inverse=True, return_counts=True)
-    feats[:, 5] = counts[inverse] / counts.max()
-    mean = feats.mean(axis=0)
-    std = feats.std(axis=0)
+    feats = np.empty((6, n))
+    x, y, z, ranges, height, occupancy = feats
+    feats[:3] = pts.T
+    np.multiply(x, x, out=ranges)
+    ranges += y * y
+    ranges += z * z
+    np.sqrt(ranges, out=ranges)
+    np.subtract(z, z.min(), out=height)
+    _, inverse, counts = np.unique(_voxel_keys(feats[:3]), return_inverse=True,
+                                   return_counts=True)
+    np.divide(counts[inverse], counts.max(), out=occupancy)
+    feats -= (_row_sums(feats) / n)[:, None]
+    std = np.sqrt(_row_sums(feats * feats) / n)
     std[std == 0.0] = 1.0
-    return (feats - mean) / std
+    feats /= std[:, None]
+    return feats.T
 
 
 def _frame_rows(source, seq: str, f: int, labeled: set, ple_maps):
@@ -588,6 +658,11 @@ def _frame_rows(source, seq: str, f: int, labeled: set, ple_maps):
     return keep, ids, kind, oracle
 
 
+def _present(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of non-negative ids, sorted."""
+    return np.flatnonzero(np.bincount(ids))
+
+
 def assemble_training_data(source, split: dict, ple_maps=None,
                            max_points: int | None = None, seed: int = 0) -> TrainData:
     """Flatten a dataset into TrainData.
@@ -608,24 +683,24 @@ def assemble_training_data(source, split: dict, ple_maps=None,
         raise ConfigError(f"max_points must be >= 1, got {max_points}")
     ple_maps = ple_maps or {}
     frames = []  # (seq, frame, labeled frames of seq, kept points)
-    gt_classes, estimate_classes = [], []  # per frame
+    gt_classes, estimate_classes = [], []  # per frame, sorted
     for seq in source.sequence_ids():
         labeled = set(split.get(seq, ()))
         for f in range(source.frame_count(seq)):
             _, ids, kind, oracle = _frame_rows(source, seq, f, labeled, ple_maps)
             frames.append((seq, f, labeled, len(oracle)))
-            gt_classes.append(np.unique(oracle))
-            # in point order, so that an error names the first unknown class
-            distinct, first = np.unique(ids[kind == KIND_PLE], return_index=True)
-            estimate_classes.append(distinct[np.argsort(first)])
-    classes = np.unique(np.concatenate(gt_classes)) if frames else np.zeros(0, np.int32)
+            gt_classes.append(_present(oracle))
+            estimate_classes.append(_present(ids[kind == KIND_PLE]))
+    classes = _present(np.concatenate(gt_classes)) if frames else np.zeros(0, np.int64)
     if len(classes) < 2:
         raise DataError("dataset holds fewer than two classes")
-    for ids in estimate_classes:
-        unknown = ids[~np.isin(ids, classes)]
-        if len(unknown):
-            raise DataError(f"estimates hold class {int(unknown[0])}, "
-                            "which no ground-truth frame has")
+    known = set(classes.tolist())
+    for (seq, f, labeled, _), ids in zip(frames, estimate_classes):
+        if not known.issuperset(ids.tolist()):
+            # read the frame again to name its first unknown class in point order
+            _, ids, kind, _ = _frame_rows(source, seq, f, labeled, ple_maps)
+            first = next(c for c in ids[kind == KIND_PLE].tolist() if c not in known)
+            raise DataError(f"estimates hold class {first}, which no ground-truth frame has")
 
     total = sum(n for *_, n in frames)
     if max_points is not None and total > max_points:

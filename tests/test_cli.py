@@ -552,8 +552,19 @@ COMMAND_MODULES = {
 }
 
 
+@pytest.fixture(scope="module")
+def numpy_loads_ma():
+    """Whether a bare `import numpy` loads numpy.ma: numpy 1.x does, and
+    numpy 2.x leaves it to the first use, such as a plain np.unique."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout.split() == ["True"]
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
-def test_each_command_loads_only_the_modules_it_runs(workspace, estimates, tmp_path, command):
+def test_each_command_loads_only_the_modules_it_runs(workspace, estimates, tmp_path, command,
+                                                     numpy_loads_ma):
     data, split = str(workspace["data"]), str(workspace["split"])
     scene = _scene_file(tmp_path, corridor_config(frames=2, points_per_surface=1.0))
     flags = {
@@ -566,6 +577,7 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, estimates, tmp_p
     script = ("import sys\n"
               "from plelidar import cli\n"
               "code = cli.main(sys.argv[1:])\n"
+              "print('numpy.ma' in sys.modules)\n"
               "print(*sorted(m.split('.')[1] for m in sys.modules if m.startswith('plelidar.')))\n"
               "sys.exit(code)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -575,10 +587,13 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, estimates, tmp_p
         env={**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")},
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.splitlines()[-1].split())
+    *_, loads_ma, modules = proc.stdout.splitlines()
+    loaded = set(modules.split())
     runs, unused = COMMAND_MODULES[command]
     assert runs in loaded
     assert not loaded & unused
+    # numpy.ma costs about 9 ms of import; only numpy itself may load it
+    assert loads_ma == "False" or numpy_loads_ma
 
 
 def test_synth_scene_it_cannot_build_exits_config(tmp_path, capsys):

@@ -170,6 +170,82 @@ def test_merged_holds_both_tallies_over_the_union():
     assert a.counts.tolist() == [[1, 0], [1, 0]] and b.class_ids == (2, 5)
 
 
+def _add_at_accumulate(cm, gt, pred):
+    """Reference accumulate: unknown classes found by np.unique, tallies by
+    np.add.at."""
+    mask = gt.semantic != cm.ignore_class
+    valid = getattr(pred, "valid", None)
+    if valid is not None:
+        mask &= valid
+    g = gt.semantic[mask]
+    p = pred.semantic[mask]
+    miss = p == cm.ignore_class
+    p = p[~miss]
+    for arr, name in ((g, "ground truth"), (p, "prediction")):
+        unknown = set(np.unique(arr).tolist()) - set(cm.class_ids)
+        if unknown:
+            raise DataError(f"{name} contains classes outside the matrix: {sorted(unknown)}")
+    gi = np.searchsorted(cm.class_ids, g)
+    np.add.at(cm.missed, gi[miss], 1)
+    np.add.at(cm.counts, (gi[~miss], np.searchsorted(cm.class_ids, p)), 1)
+    return cm
+
+
+def _unique_score(frames, ignore_class):
+    """Reference score: each frame's class set by np.unique."""
+    cm, groups = None, {}
+    for gt, pred, offset in frames:
+        classes = set(np.unique(gt.semantic).tolist())
+        classes.update(np.unique(pred.semantic[pred.valid]).tolist())
+        classes.discard(ignore_class)
+        if classes:
+            frame_cm = _add_at_accumulate(ev.ConfusionMatrix(classes, ignore_class), gt, pred)
+            cm = frame_cm if cm is None else ev.merged(cm, frame_cm)
+        if offset:
+            groups.setdefault(abs(int(offset)), []).append(
+                ev.metrics(frame_cm).miou if classes else 0.0)
+    return cm, [(k, float(np.mean(groups[k]))) for k in sorted(groups)]
+
+
+def _random_frames(rng, ignore):
+    """Frames over a few of a palette that holds the ignore class and ids up
+    to 0xFFFF, with invalid and ignore-class predictions."""
+    frames = []
+    for _ in range(8):
+        n = int(rng.integers(0, 300))
+        palette = rng.choice([0, 1, 2, 9, 40, 0xFFFE, 0xFFFF, ignore], int(rng.integers(1, 6)))
+        pred = rng.choice(np.append(palette, [ignore, 7]), n)
+        frames.append((_gt(rng.choice(palette, n)), Pred(pred, valid=rng.random(n) < 0.85),
+                       int(rng.integers(-3, 4))))
+    return frames
+
+
+@pytest.mark.parametrize("ignore", [0, 9])
+@pytest.mark.parametrize("seed", range(5))
+def test_bincount_tallies_equal_the_add_at_reference(seed, ignore):
+    frames = _random_frames(np.random.default_rng(seed), ignore)
+    want_cm, want_curve = _unique_score(frames, ignore)
+    got_cm, got_curve = ev.score(frames, ignore)
+    assert got_cm.class_ids == want_cm.class_ids
+    assert got_cm.counts.tobytes() == want_cm.counts.tobytes()
+    assert got_cm.missed.tobytes() == want_cm.missed.tobytes()
+    assert got_curve == want_curve
+    # one matrix over every class, and two that lack some: the same tally or
+    # the same refusal
+    for classes in (want_cm.class_ids, want_cm.class_ids[::2], want_cm.class_ids[:1]):
+        results = []
+        for tally in (ev.accumulate, _add_at_accumulate):
+            cm = ev.ConfusionMatrix(classes, ignore)
+            try:
+                for gt, pred, _ in frames:
+                    tally(cm, gt, pred)
+            except DataError as exc:
+                results.append(str(exc))
+            else:
+                results.append((cm.counts.tobytes(), cm.missed.tobytes()))
+        assert results[0] == results[1]
+
+
 _frame = st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.lists(st.integers(0, 5), min_size=n, max_size=n),
     st.lists(st.integers(0, 5), min_size=n, max_size=n),

@@ -460,6 +460,125 @@ class TestTrainStep:
         ssl.train_step(student, teacher, batch, cfg, single)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("single", [False, True], ids=["dual", "single"])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 0.9])
+    def test_step_bytes_equal_the_two_softmax_reference(self, single, tau):
+        rng = np.random.default_rng(11)
+        n, classes = 400, 4
+        kind = np.where(rng.random(n) < 0.35, KIND_PLE, KIND_NONE)
+        labels = np.where(kind == KIND_NONE, ssl.IGNORE_LABEL, rng.integers(0, classes, n))
+        feats = rng.normal(0, 1, (n, 6)) + labels[:, None] % 3
+        cfg = SSLConfig(tau=tau, learning_rate=0.05, alpha_ema=0.9, steps=1)
+        student = teacher = ref_student = ref_teacher = _net(6, 16, classes, seed=2)
+        taken = 0
+        for step in range(50):
+            # the first batch holds no trusted label
+            pool = np.flatnonzero(kind == KIND_NONE) if step == 0 else n
+            idx = rng.choice(pool, 64, replace=False)
+            batch = TrainBatch(feats[idx], labels[idx], kind[idx])
+            student, teacher, losses = ssl.train_step(student, teacher, batch, cfg, single)
+            ref_student, ref_teacher, ref_losses = _two_softmax_step(
+                ref_student, ref_teacher, batch, cfg, single)
+            assert student.flat.tobytes() == ref_student.flat.tobytes(), step
+            assert teacher.flat.tobytes() == ref_teacher.flat.tobytes(), step
+            assert losses == ref_losses, step
+            taken += losses["pseudo_labeled"]
+        assert taken > 0
+
+
+def _two_softmax_step(student, teacher, batch, cfg, single_branch):
+    """Reference train_step: the step before one softmax served each net,
+    with a log-softmax per cross-entropy and the Lovasz and consistency
+    gradients formed on (points, classes) views."""
+
+    def softmax(logits):
+        z = np.ascontiguousarray(np.asarray(logits, dtype=np.float64).T)
+        e = np.exp(z - z.max(axis=0))
+        e /= e.sum(axis=0)
+        return e.T
+
+    def cross_entropy(logits, labels):
+        if len(labels) == 0:
+            return 0.0
+        z = np.ascontiguousarray(np.asarray(logits, dtype=np.float64).T)
+        z -= z.max(axis=0)
+        costs = np.log(np.exp(z).sum(axis=0)) - z[labels, np.arange(len(labels))]
+        return float(costs.mean())
+
+    def softmax_backward(probs, dprobs):
+        inner = (dprobs * probs).sum(axis=-1, keepdims=True)
+        return probs * (dprobs - inner)
+
+    cache = _reference_forward(student, batch.features)
+    c_probs = softmax(cache["c_logits"])
+    t_probs = softmax(_reference_forward(teacher, batch.features)["c_logits"])
+    n = len(batch)
+    clean = batch.label_kind != KIND_NONE
+    clean_rows = np.flatnonzero(clean)
+    clean_labels = batch.labels[clean_rows]
+    clean_probs = c_probs[clean_rows]
+    losses = {"ce_clean": cross_entropy(cache["c_logits"][clean_rows], clean_labels)}
+    dz_clean = ssl._ce_logit_grad(clean_probs, clean_labels, clean_rows, n)
+    losses["lovasz"], dprob_sub = ssl._lovasz_with_grad(clean_probs, clean_labels)
+    dprobs = np.zeros_like(c_probs)
+    dprobs[clean_rows] = dprob_sub
+    dz_lovasz = softmax_backward(c_probs, dprobs)
+    t = np.ascontiguousarray(t_probs.T)
+    t_labels, t_mask = np.argmax(t, axis=0), t.max(axis=0) >= cfg.tau
+    taken = np.flatnonzero(t_mask & ~clean)
+    taken_labels = t_labels[taken]
+    losses["pseudo_labeled"] = len(taken)
+    losses["ce_pseudo"], dzn = 0.0, None
+    if len(taken):
+        if single_branch:
+            logits = cache["c_logits"][taken]
+        else:
+            logits = cache["a2"][taken] @ student.params["wn"] + student.params["bn"]
+        losses["ce_pseudo"] = cross_entropy(logits, taken_labels)
+        dzn = ssl._ce_logit_grad(softmax(logits), taken_labels, taken, n)
+    losses["consistency"] = float(np.mean((c_probs - t_probs) ** 2))
+    dz_consistency = softmax_backward(c_probs, 2.0 * (c_probs - t_probs) / c_probs.size)
+    losses["total"] = (losses["ce_clean"] + losses["lovasz"] + losses["ce_pseudo"]
+                       + cfg.lambda_mt * losses["consistency"])
+    dzc = dz_clean + dz_lovasz + cfg.lambda_mt * dz_consistency
+    if single_branch and dzn is not None:
+        dzc += dzn
+        dzn = None
+    grad = _reference_backward(student, cache, dzc, dzn)
+    new_student = student._with(student.flat - cfg.learning_rate * grad.flat)
+    return new_student, ssl.ema_update(teacher, new_student, cfg.alpha_ema), losses
+
+
+def _reference_forward(net, x):
+    """Reference _forward_cache: every bias add and ReLU into a new array."""
+    p = net.params
+    z1 = x @ p["w1"] + p["b1"]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ p["w2"] + p["b2"]
+    a2 = np.maximum(z2, 0.0)
+    return {"x": x, "z1": z1, "a1": a1, "z2": z2, "a2": a2, "c_logits": a2 @ p["wc"] + p["bc"]}
+
+
+def _reference_backward(net, cache, dzc, dzn):
+    """Reference _backward: every mask product into a new array."""
+    p = net.params
+    g = {}
+    g["wc"] = cache["a2"].T @ dzc
+    g["bc"] = dzc.sum(axis=0)
+    da2 = dzc @ p["wc"].T
+    g["wn"], g["bn"] = np.zeros_like(p["wn"]), np.zeros_like(p["bn"])
+    if dzn is not None:
+        g["wn"] = cache["a2"].T @ dzn
+        g["bn"] = dzn.sum(axis=0)
+        da2 += dzn @ p["wn"].T
+    dz2 = da2 * (cache["z2"] > 0.0)
+    g["w2"] = cache["a1"].T @ dz2
+    g["b2"] = dz2.sum(axis=0)
+    dz1 = (dz2 @ p["w2"].T) * (cache["z1"] > 0.0)
+    g["w1"] = cache["x"].T @ dz1
+    g["b1"] = dz1.sum(axis=0)
+    return DualHeadNet(g)
+
 
 class TestTrainLoop:
     def test_empty_batch_is_noop(self):
@@ -547,6 +666,24 @@ class TestTrainLoop:
         acc, scored = ssl.pseudo_label_score(_net(), some, 0.0)
         assert scored == 10 and acc == ssl.pseudo_label_accuracy(_net(), some, 0.0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pseudo_label_score_equals_the_cached_forward(self, seed):
+        rng = np.random.default_rng(seed)
+        net = DualHeadNet({k: v + rng.normal(0.0, 0.5, v.shape)
+                           for k, v in _net(6, 32, 4, seed=seed).params.items()})
+        n = 3000
+        kind = np.where(rng.random(n) < 0.2, KIND_GROUND_TRUTH, KIND_NONE)
+        oracle = rng.integers(0, 4, n)
+        data = TrainData(rng.normal(0, 2, (n, 6)), np.where(kind == KIND_NONE, -1, oracle),
+                         kind, oracle, 4)
+        rows = np.flatnonzero(kind == KIND_NONE)
+        probs = ssl.softmax(_reference_forward(net, data.features[rows])["c_logits"])
+        for tau in (0.0, 0.5, 0.8, 1.0):
+            labels, mask = ssl.pseudo_label(probs, tau)
+            want = ((float(np.mean(labels[mask] == oracle[rows][mask])), int(mask.sum()))
+                    if mask.any() else (0.0, 0))
+            assert ssl.pseudo_label_score(net, data, tau) == want
+
 
 class TestPersistence:
     def test_history_round_trip(self, tmp_path):
@@ -599,6 +736,23 @@ class TestFeatureAssembly:
         pts = rng.uniform(-1.0, 1.0, (400, 3)) * scale + shift
         pts[200:] = pts[:200] + rng.uniform(0, 0.3, (200, 3))  # neighbours in a voxel
         assert np.array_equal(ssl.build_features(pts), _row_unique_build_features(pts))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 4163, 120_000])
+    @pytest.mark.parametrize("scale, shift", [(1e-8, 0.0), (30.0, 5.0), (1e4, 1e8)])
+    def test_build_features_bytes_equal_the_point_major_reference(self, n, scale, shift):
+        rng = np.random.default_rng(n)
+        pts = rng.normal(0.0, 1.0, (n, 3)) * scale * (1.0, 0.7, 0.05) + shift
+        got = ssl.build_features(pts)
+        assert got.shape == (n, 6)
+        assert got.tobytes() == _row_unique_build_features(pts).tobytes()
+
+    def test_build_features_bytes_with_a_constant_column_and_duplicates(self):
+        rng = np.random.default_rng(4)
+        flat = rng.uniform(-10.0, 10.0, (500, 3))
+        flat[:, 2] = 1.5  # z and height have std 0, which divides as 1
+        repeated = np.repeat(rng.uniform(-5.0, 5.0, (50, 3)), 4, axis=0)
+        for pts in (flat, repeated, np.ones((3, 3))):
+            assert ssl.build_features(pts).tobytes() == _row_unique_build_features(pts).tobytes()
 
     def test_voxel_keys_that_cannot_be_numbered_rejected(self):
         # 2**22 voxels per axis: 2**66 distinct keys would not fit
@@ -705,8 +859,9 @@ class TestAssemble:
 
 
 def _row_unique_build_features(points):
-    """Reference build_features: voxels counted by a row-wise np.unique over
-    the voxel index triples."""
+    """Reference build_features: an (n, 6) point-major array reduced over
+    axis 0, with voxels counted by a row-wise np.unique over the voxel index
+    triples."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     feats = np.empty((len(pts), 6))
     feats[:, :3] = pts
