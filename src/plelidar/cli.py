@@ -209,10 +209,14 @@ def cmd_eval(args) -> None:
           f"frames={len(estimates)}")
 
 
-def _warn_if_unscored(scored: int, tau: float) -> None:
+def _warn_if_unscored(scored: int, data, tau: float) -> None:
+    from .ssl_mini import KIND_NONE
+
     if not scored:
-        log.warning("no unlabeled point cleared tau=%g (or none exists): "
-                    "pseudo-label accuracy 0 scores nothing", tau)
+        unlabeled = int((data.label_kind == KIND_NONE).sum())
+        why = (f"none of {unlabeled} unlabeled points cleared" if unlabeled else
+               "no unlabeled point (none exists: every point carries a label) could clear")
+        log.warning("%s tau=%g: pseudo-label accuracy 0 scores nothing", why, tau)
 
 
 def cmd_train(args) -> None:
@@ -243,7 +247,7 @@ def cmd_train(args) -> None:
             _, teacher, _ = ssl_mini.train_loop(data, dataclasses.replace(cfg, tau=tau),
                                                 args.single_branch)
             acc, scored = ssl_mini.pseudo_label_score(teacher, data, tau)
-            _warn_if_unscored(scored, tau)
+            _warn_if_unscored(scored, data, tau)
             rows.append((tau, acc))
             log.info("sweep tau=%.2f accuracy=%.4f", tau, acc)
         out.mkdir(parents=True, exist_ok=True)
@@ -259,7 +263,7 @@ def cmd_train(args) -> None:
     _write_run_config(out / "train.config", args)
     final_acc = history[-1][-1] if history else 0.0
     if history:
-        _warn_if_unscored(ssl_mini.pseudo_label_score(teacher, data, cfg.tau)[1], cfg.tau)
+        _warn_if_unscored(ssl_mini.pseudo_label_score(teacher, data, cfg.tau)[1], data, cfg.tau)
     print(f"steps={cfg.steps} final_pseudo_label_accuracy={final_acc:.6f} out={out}")
 
 

@@ -12,8 +12,9 @@ only, within a temporal window around each unlabeled frame.
 belongs to one chain, rooted at its temporally nearest ground-truth frame
 (ties to the earlier frame id), and a target at offset k from its root may
 reference any frame within the root's window whose own offset is below k.
-The loop runs the targets in an order that follows their references, so it
-can hand each estimate on as soon as it is made.
+``run_order`` fixes, before the run, an order in which every estimated
+reference comes before its targets; the loop runs the targets in that order
+and hands each estimate on as soon as it is made.
 
 An estimate is stored as ``<root>/<sequence>/<frame:06d>.ple`` with a
 ``.meta`` beside it. ``write_estimate`` writes that tree and ``EstimateDir``
@@ -336,16 +337,41 @@ class _UseCounted:
         return item
 
 
-def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit) -> None:
-    """Run each sequence's plan in dependency order, handing every estimate
-    to emit((sequence, frame), estimate) as soon as it is made.
+def run_order(refs_of: dict) -> tuple:
+    """The targets of a plan `{target: references}` in the order the run
+    makes them.
 
     An estimate depends only on its references' labels, and every
     estimated reference sits at a smaller offset than its target, so the
     graph has no cycle and any order that makes every estimated reference
     before its targets writes the same bytes. Of the targets whose
-    references are all done, the smallest frame id runs next, so the run
-    advances through the sequence.
+    estimated references are all done, the lowest frame id goes next, so
+    the run advances through the sequence.
+    """
+    waiting = dict.fromkeys(refs_of, 0)
+    dependents: dict = {}
+    for f, refs in refs_of.items():
+        for g in refs:
+            if g in refs_of:
+                waiting[f] += 1
+                dependents.setdefault(g, []).append(f)
+    ready = [f for f, n in waiting.items() if n == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        f = heapq.heappop(ready)
+        order.append(f)
+        for d in dependents.get(f, ()):
+            waiting[d] -= 1
+            if not waiting[d]:
+                heapq.heappush(ready, d)
+    return tuple(order)
+
+
+def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit) -> None:
+    """Run each sequence's plan in `run_order`, handing every estimate to
+    emit((sequence, frame), estimate) as soon as it is made.
+
     A scan, a ground-truth label map or an estimate is read (or made) once,
     kept while a later target still needs it, and dropped after its last
     use; a target's label file is never read.
@@ -355,23 +381,12 @@ def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit) -> None:
         if not labeled:
             continue
         refs_of = schedule(labeled, source.frame_count(seq), cfg)
-        waiting = dict.fromkeys(refs_of, 0)
-        dependents: dict = {}
-        scan_uses = Counter(refs_of.keys())  # each target reads its own scan once
-        label_uses = Counter()
-        for f, refs in refs_of.items():
-            scan_uses.update(refs)
-            label_uses.update(refs)
-            for g in refs:
-                if g in refs_of:
-                    waiting[f] += 1
-                    dependents.setdefault(g, []).append(f)
-        scans = _UseCounted(partial(source.cloud, seq), scan_uses)
+        order = run_order(refs_of)
+        label_uses = Counter(g for f in order for g in refs_of[f])
+        # each target also reads its own scan once
+        scans = _UseCounted(partial(source.cloud, seq), label_uses + Counter(order))
         labels = _UseCounted(partial(source.gt_labels, seq), label_uses)
-        ready = [f for f, n in waiting.items() if n == 0]
-        heapq.heapify(ready)
-        while ready:
-            f = heapq.heappop(ready)
+        for f in order:
             try:
                 pmap = _estimate_for(source, seq, f, refs_of[f], scans, labels, cfg)
             except PlelidarError as exc:
@@ -379,10 +394,6 @@ def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit) -> None:
             labels.keep(f, pmap)
             emit((seq, f), pmap)
             del pmap  # not held while the next target runs
-            for d in dependents.pop(f, ()):
-                waiting[d] -= 1
-                if not waiting[d]:
-                    heapq.heappush(ready, d)
 
 
 def run_naive(source, split: dict, cfg: PleConfig, workers: int = 1, *, emit=None) -> dict:

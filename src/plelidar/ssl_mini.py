@@ -250,23 +250,6 @@ def _c_logits(net: DualHeadNet, features: np.ndarray) -> np.ndarray:
     return h
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray, ignore: int = IGNORE_LABEL):
-    """Mean negative log-softmax of the true class over non-ignored points.
-
-    Taken from the logits, so a confidently wrong point costs its logit gap
-    where the log of an underflowed probability would be inf. Returns
-    (loss, count); count 0 means nothing contributed and loss is 0.
-    """
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    include = labels != ignore
-    count = int(include.sum())
-    if count == 0:
-        return 0.0, 0
-    rows = np.flatnonzero(include)
-    z, sums, _ = _softmax_parts(np.asarray(logits)[rows])
-    return _mean_ce(z, sums, labels[rows], np.arange(count)), count
-
-
 def _mean_ce(z: np.ndarray, sums: np.ndarray, labels: np.ndarray, cols: np.ndarray) -> float:
     """Mean cross-entropy of the class-major points `cols` of a
     `_softmax_parts` result against their labels; `cols` is not empty."""

@@ -1249,9 +1249,27 @@ def test_train_warns_when_no_pseudo_label_clears_tau(workspace, tmp_path, monkey
         ]
     )
     assert code == 0
-    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warnings) == 1 and "tau=1" in warnings[0].getMessage()
+    source = ple.ManifestSource(lidar_io.build_manifest(workspace["data"]))
+    labeled = split_mod.read_split(workspace["split"])
+    data = ssl_mini.assemble_training_data(source, labeled, max_points=800, seed=0)
+    unlabeled = int((data.label_kind == ssl_mini.KIND_NONE).sum())
+    assert unlabeled > 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert f"none of {unlabeled} unlabeled points cleared tau=1:" in warnings[0]
     assert float(_csv_rows(out / "history.csv")[-1]["pseudo_label_accuracy"]) == 0.0
+    # with every frame labeled, the warning names the other case
+    full = tmp_path / "full.split"
+    assert cli.main(["split", "--root", str(workspace["data"]), "--ratio", "100%",
+                     "--out", str(full)]) == 0
+    caplog.clear()
+    assert cli.main(["train", "--root", str(workspace["data"]), "--split", str(full),
+                     "--tau", "0.5", "--steps", "4", "--batch-size", "32", "--hidden", "4",
+                     "--max-points", "800", "--out", str(tmp_path / "run")]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "none exists" in warnings[0] and "tau=0.5:" in warnings[0]
+    assert "none of" not in warnings[0]
 
 
 # the reference scene at 0.3 points per surface

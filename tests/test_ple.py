@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 import re
 import shutil
@@ -319,6 +320,49 @@ def test_plans_equal_the_flattened_round_schedules(case):
         plan = schedule(labeled, length, cfg)
         assert len(flat) == len(plan)
         assert plan == dict(flat)
+
+
+def _heap_order(refs_of: dict) -> list:
+    """Reference run_order: the run loop as it popped the lowest ready frame
+    from a heap while each estimate finished."""
+    waiting = dict.fromkeys(refs_of, 0)
+    dependents: dict = {}
+    for f, refs in refs_of.items():
+        for g in refs:
+            if g in refs_of:
+                waiting[f] += 1
+                dependents.setdefault(g, []).append(f)
+    ready = [f for f, n in waiting.items() if n == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        f = heapq.heappop(ready)
+        order.append(f)
+        for d in dependents.pop(f, ()):
+            waiting[d] -= 1
+            if not waiting[d]:
+                heapq.heappush(ready, d)
+    return order
+
+
+@settings(max_examples=500, deadline=None)
+@given(_schedule_case())
+@example((set(range(0, 40, 10)), 40, 1.0, 4, 10.0))
+@example(({3, 9, 15, 31}, 40, 0.5, 6, 10.0))
+def test_run_order_is_the_heap_order_and_puts_references_first(case):
+    labeled, length, window_seconds, max_references, frequency = case
+    for progressive, schedule in ((False, ple.schedule_naive),
+                                  (True, ple.schedule_progressive)):
+        cfg = PleConfig(window_seconds, max_references, progressive=progressive,
+                        frequency=frequency)
+        plan = schedule(labeled, length, cfg)
+        order = ple.run_order(plan)
+        assert isinstance(order, tuple)
+        assert list(order) == _heap_order(plan)
+        assert sorted(order) == sorted(plan)
+        place = {f: i for i, f in enumerate(order)}
+        for f, refs in plan.items():
+            assert all(place[g] < place[f] for g in refs if g in plan), (f, refs)
 
 
 @settings(max_examples=200, deadline=None)
