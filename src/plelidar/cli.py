@@ -22,7 +22,7 @@ from pathlib import Path
 
 # every process compiles and runs each module it imports, so a module only
 # some commands run is imported inside those commands
-from . import lidar_io, ple, split as split_mod
+from . import lidar_io, split as split_mod
 from .errors import ConfigError, DataError, EmptyResultError, PlelidarError
 
 log = logging.getLogger("plelidar")
@@ -144,6 +144,8 @@ def _load_split_for(source, path) -> dict:
 
 
 def cmd_ple(args) -> None:
+    from . import ple
+
     # checked before anything is read, written or removed
     cfg = ple.PleConfig(
         window_seconds=args.window_seconds,
@@ -178,7 +180,7 @@ def cmd_ple(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    from . import evaluation
+    from . import evaluation, ple
 
     if args.group_by_offset and args.split is None:
         raise ConfigError("--group-by-offset needs --split to locate labeled frames")
@@ -220,8 +222,10 @@ def _warn_if_unscored(scored: int, data, tau: float) -> None:
 
 
 def cmd_train(args) -> None:
-    from . import evaluation, ssl_mini
+    from . import evaluation, ple, ssl_mini
 
+    # checked before anything is read, as assemble_training_data checks it
+    ssl_mini.check_max_points(args.max_points)
     source = ple.ManifestSource(lidar_io.build_manifest(args.root))
     labeled = _load_split_for(source, args.split)
     cfg = ssl_mini.SSLConfig(

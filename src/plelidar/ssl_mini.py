@@ -619,9 +619,10 @@ def build_features(points: np.ndarray) -> np.ndarray:
     return feats.T
 
 
-def _frame_rows(source, seq: str, f: int, labeled: set, ple_maps):
-    """(kept, raw ids, kind, oracle) of one frame's points without the
-    ignore class; ids hold the ignore class where no trusted label exists."""
+def _frame_rows(source, seq: str, f: int, labeled: set, ple_maps, classes: np.ndarray):
+    """Indices of one frame's points without the ignore class, and their raw
+    ids (the ignore class where no trusted label exists), kind and oracle. An
+    estimate class not in `classes` raises, naming the first in point order."""
     gt = source.gt_labels(seq, f)
     keep = gt.semantic != IGNORE_CLASS
     oracle = gt.semantic[keep]
@@ -638,12 +639,16 @@ def _frame_rows(source, seq: str, f: int, labeled: set, ple_maps):
         usable = pmap.valid[keep] & (sem != IGNORE_CLASS)
         ids[usable] = sem[usable]
         kind[usable] = KIND_PLE
-    return keep, ids, kind, oracle
+        unknown = ids[usable][~np.isin(ids[usable], classes)]
+        if len(unknown):
+            raise DataError(f"estimates hold class {unknown[0]}, which no ground-truth frame has")
+    return np.flatnonzero(keep), ids, kind, oracle
 
 
-def _present(ids: np.ndarray) -> np.ndarray:
-    """The distinct values of non-negative ids, sorted."""
-    return np.flatnonzero(np.bincount(ids))
+def check_max_points(max_points: int | None) -> None:
+    """Refuse a sample size below 1; None keeps every point."""
+    if max_points is not None and max_points < 1:
+        raise ConfigError(f"max_points must be >= 1, got {max_points}")
 
 
 def assemble_training_data(source, split: dict, ple_maps=None,
@@ -658,32 +663,26 @@ def assemble_training_data(source, split: dict, ple_maps=None,
     points is kept, in dataset order.
 
     Two passes keep memory to the sample plus one frame. The first reads
-    labels and estimates only, and keeps per frame its point count and class
-    sets; the sample is drawn from the total. The second builds features for
-    the frames that hold sampled points and writes those rows in place.
+    labels only, for each frame's kept-point count and class set, and draws
+    the sample from the total. The second reads labels and estimate, once,
+    of each frame with an estimate or a sampled point, checks the estimate's
+    classes and builds features where points were sampled. With `max_points`
+    far below the frame count, most estimated frames read labels twice.
     """
-    if max_points is not None and max_points < 1:
-        raise ConfigError(f"max_points must be >= 1, got {max_points}")
+    check_max_points(max_points)
     ple_maps = ple_maps or {}
     frames = []  # (seq, frame, labeled frames of seq, kept points)
-    gt_classes, estimate_classes = [], []  # per frame, sorted
+    gt_classes = []  # per frame, sorted
     for seq in source.sequence_ids():
         labeled = set(split.get(seq, ()))
         for f in range(source.frame_count(seq)):
-            _, ids, kind, oracle = _frame_rows(source, seq, f, labeled, ple_maps)
+            semantic = source.gt_labels(seq, f).semantic
+            oracle = semantic[semantic != IGNORE_CLASS]
             frames.append((seq, f, labeled, len(oracle)))
-            gt_classes.append(_present(oracle))
-            estimate_classes.append(_present(ids[kind == KIND_PLE]))
-    classes = _present(np.concatenate(gt_classes)) if frames else np.zeros(0, np.int64)
+            gt_classes.append(np.flatnonzero(np.bincount(oracle)))
+    classes = np.flatnonzero(np.bincount(np.concatenate(gt_classes))) if frames else ()
     if len(classes) < 2:
         raise DataError("dataset holds fewer than two classes")
-    known = set(classes.tolist())
-    for (seq, f, labeled, _), ids in zip(frames, estimate_classes):
-        if not known.issuperset(ids.tolist()):
-            # read the frame again to name its first unknown class in point order
-            _, ids, kind, _ = _frame_rows(source, seq, f, labeled, ple_maps)
-            first = next(c for c in ids[kind == KIND_PLE].tolist() if c not in known)
-            raise DataError(f"estimates hold class {first}, which no ground-truth frame has")
 
     total = sum(n for *_, n in frames)
     if max_points is not None and total > max_points:
@@ -695,17 +694,18 @@ def assemble_training_data(source, split: dict, ple_maps=None,
     labels = np.empty(len(pick), dtype=np.int64)
     kind = np.empty(len(pick), dtype=np.int8)
     oracle = np.empty(len(pick), dtype=np.int64)
-    start = 0
+    end = 0
     for seq, f, labeled, n in frames:
-        lo, hi = np.searchsorted(pick, (start, start + n))
+        start, end = end, end + n
+        lo, hi = np.searchsorted(pick, (start, end))
+        if hi == lo and (f in labeled or (seq, f) not in ple_maps):
+            continue  # no sampled point and no estimate to check
+        kept, f_ids, f_kind, f_oracle = _frame_rows(source, seq, f, labeled, ple_maps, classes)
         if hi > lo:
             rows = pick[lo:hi] - start
-            keep, f_ids, f_kind, f_oracle = _frame_rows(source, seq, f, labeled, ple_maps)
-            cloud = source.cloud(seq, f)
-            features[lo:hi] = build_features(cloud.points)[np.flatnonzero(keep)[rows]]
+            features[lo:hi] = build_features(source.cloud(seq, f).points)[kept[rows]]
             kind[lo:hi] = f_kind[rows]
             labels[lo:hi] = np.where(f_kind[rows] == KIND_NONE, IGNORE_LABEL,
                                      np.searchsorted(classes, f_ids[rows]))
             oracle[lo:hi] = np.searchsorted(classes, f_oracle[rows])
-        start += n
     return TrainData(features, labels, kind, oracle, len(classes))

@@ -544,8 +544,8 @@ def test_runs_do_not_depend_on_the_locale(workspace, tmp_path, command):
 
 # per command: a module it runs, and the modules it must not load
 COMMAND_MODULES = {
-    "synth": ("synth", {"ssl_mini", "evaluation"}),
-    "split": ("split", {"synth", "ssl_mini", "evaluation"}),
+    "synth": ("synth", {"ple", "spatial_index", "ssl_mini", "evaluation"}),
+    "split": ("split", {"ple", "spatial_index", "synth", "ssl_mini", "evaluation"}),
     "ple": ("ple", {"synth", "ssl_mini", "evaluation"}),
     "eval": ("evaluation", {"synth", "ssl_mini"}),
     "train": ("ssl_mini", {"synth"}),
@@ -1170,27 +1170,53 @@ def test_unusable_numeric_setting_exits_config(workspace, tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("missing", ["root", "estimates"])
+def test_train_refuses_max_points_below_one_before_reading(workspace, tmp_path, monkeypatch,
+                                                          capsys, missing):
+    empty, out = tmp_path / "e", tmp_path / "r"
+    empty.mkdir()
+    root = tmp_path / "nope" if missing == "root" else workspace["data"]
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a frame was read")
+
+    monkeypatch.setattr(lidar_io, "read_scan", no_read)
+    monkeypatch.setattr(lidar_io, "read_labels", no_read)
+    code = cli.main(["train", "--root", str(root), "--split", str(workspace["split"]),
+                     "--ple-dir", str(empty), "--max-points", "0", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: max_points must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_train_decodes_each_scan_at_most_once(workspace, estimates, tmp_path, monkeypatch):
+    source = ple.ManifestSource(lidar_io.build_manifest(workspace["data"]))
+    ends = np.cumsum([int((source.gt_labels("00", f).semantic != lidar_io.IGNORE_CLASS).sum())
+                      for f in range(12)])
+    estimated = Counter(int(p.stem) for p in (estimates / "00").glob(f"*{ple.PLE_SUFFIX}"))
     reads = {"read_scan": Counter(), "read_ple": Counter()}
     for module, name in ((lidar_io, "read_scan"), (ple, "read_ple")):
         def count(path, *args, _real=getattr(module, name), _reads=reads[name], **kwargs):
-            _reads[Path(path).name] += 1
+            _reads[int(Path(path).stem)] += 1
             return _real(path, *args, **kwargs)
         monkeypatch.setattr(module, name, count)
-    estimated = len(list((estimates / "00").glob(f"*{ple.PLE_SUFFIX}")))
-    for max_points in ("300", "100000000"):
+    for max_points in (3, 300, 100000000):
+        # the frames that the seeded sample of assembly falls in
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(2,)))
+        sampled = (set(np.searchsorted(ends, rng.choice(ends[-1], size=max_points, replace=False),
+                                       side="right").tolist())
+                   if max_points < ends[-1] else set(range(12)))
+        if max_points == 3:
+            assert set(estimated) - sampled  # an estimated frame holds no sampled point
         for counter in reads.values():
             counter.clear()
         code = cli.main(["train", "--root", str(workspace["data"]), "--split",
                          str(workspace["split"]), "--ple-dir", str(estimates), "--steps", "1",
-                         "--max-points", max_points, "--out", str(tmp_path / max_points)])
+                         "--max-points", str(max_points), "--out", str(tmp_path / str(max_points))])
         assert code == 0
-        assert reads["read_scan"] and set(reads["read_scan"].values()) == {1}
-        # once when the first pass reaches the frame, once more if it holds sampled rows
-        assert len(reads["read_ple"]) == estimated
-        assert set(reads["read_ple"].values()) <= {1, 2}
-    # every point kept: every frame holds sampled rows and is decoded once
-    assert len(reads["read_scan"]) == 12
+        # each estimate once, sampled or not; a scan only where points were sampled
+        assert reads["read_ple"] == estimated
+        assert reads["read_scan"] == Counter(sampled)
 
 
 def test_train_zero_steps(workspace, tmp_path):

@@ -74,6 +74,9 @@ COMMANDS = {
              "--ple-dir", "{run}/est", "--out", "{out}/scores"],
     "train": ["train", "--split", "{run}/labeled.split", "--ple-dir", "{run}/est",
               "--steps", "2", "--out", "{out}/run"],
+    # seed 1 samples frames 0 to 2, so the damaged frames 3 and 4 hold no sampled point
+    "train-sampled": ["train", "--split", "{run}/labeled.split", "--ple-dir", "{run}/est",
+                      "--steps", "2", "--max-points", "3", "--seed", "1", "--out", "{out}/run"],
 }
 
 ALARM_S = 30
