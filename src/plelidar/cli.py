@@ -211,23 +211,11 @@ def cmd_eval(args) -> None:
           f"frames={len(estimates)}")
 
 
-def _warn_if_unscored(scored: int, data, tau: float) -> None:
-    from .ssl_mini import KIND_NONE
-
-    if not scored:
-        unlabeled = int((data.label_kind == KIND_NONE).sum())
-        why = (f"none of {unlabeled} unlabeled points cleared" if unlabeled else
-               "no unlabeled point (none exists: every point carries a label) could clear")
-        log.warning("%s tau=%g: pseudo-label accuracy 0 scores nothing", why, tau)
-
-
 def cmd_train(args) -> None:
     from . import evaluation, ple, ssl_mini
 
-    # checked before anything is read, as assemble_training_data checks it
+    # checked before anything is read, as ple checks its settings
     ssl_mini.check_max_points(args.max_points)
-    source = ple.ManifestSource(lidar_io.build_manifest(args.root))
-    labeled = _load_split_for(source, args.split)
     cfg = ssl_mini.SSLConfig(
         lambda_mt=args.lambda_mt,
         tau=args.tau,
@@ -238,6 +226,8 @@ def cmd_train(args) -> None:
         hidden=args.hidden,
         seed=args.seed,
     )
+    source = ple.ManifestSource(lidar_io.build_manifest(args.root))
+    labeled = _load_split_for(source, args.split)
     ple_maps = ple.EstimateDir(args.ple_dir, source) if args.ple_dir else None
     data = ssl_mini.assemble_training_data(
         source, labeled, ple_maps, max_points=args.max_points, seed=args.seed
@@ -248,10 +238,10 @@ def cmd_train(args) -> None:
     if args.threshold_sweep:
         rows = []
         for tau in TAU_SWEEP:
-            _, teacher, _ = ssl_mini.train_loop(data, dataclasses.replace(cfg, tau=tau),
-                                                args.single_branch)
-            acc, scored = ssl_mini.pseudo_label_score(teacher, data, tau)
-            _warn_if_unscored(scored, data, tau)
+            history = ssl_mini.train_loop(data, dataclasses.replace(cfg, tau=tau),
+                                          args.single_branch)[2]
+            # the last history row's accuracy, as a plain run prints it
+            acc = history[-1][-1] if history else 0.0
             rows.append((tau, acc))
             log.info("sweep tau=%.2f accuracy=%.4f", tau, acc)
         out.mkdir(parents=True, exist_ok=True)
@@ -266,8 +256,6 @@ def cmd_train(args) -> None:
     ssl_mini.save_model(teacher, out / "teacher.model")
     _write_run_config(out / "train.config", args)
     final_acc = history[-1][-1] if history else 0.0
-    if history:
-        _warn_if_unscored(ssl_mini.pseudo_label_score(teacher, data, cfg.tau)[1], data, cfg.tau)
     print(f"steps={cfg.steps} final_pseudo_label_accuracy={final_acc:.6f} out={out}")
 
 

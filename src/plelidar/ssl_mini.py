@@ -522,6 +522,9 @@ def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):
     student or teacher parameter that is not finite at a history row raises
     ConfigError: the step size diverged. Logs at info how many batch points
     took a pseudo-label over all steps, and so whether the n-head trained.
+    When no teacher prediction clears tau at the last row, also logs the
+    warning "pseudo-label accuracy 0 scores nothing", naming whether none of
+    the N unlabeled points cleared tau or none exists.
     """
     student = DualHeadNet.init(data.features.shape[1], cfg.hidden, data.num_classes, cfg.seed)
     teacher = student.copy()
@@ -541,13 +544,19 @@ def train_loop(data: TrainData, cfg: SSLConfig, single_branch: bool = False):
                 raise ConfigError(
                     f"training diverged: parameters are not finite at step {step}; "
                     f"lower --lr ({cfg.learning_rate:g}) or --lambda-mt ({cfg.lambda_mt:g})")
-            acc = pseudo_label_accuracy(teacher, data, cfg.tau)
+            acc, scored = pseudo_label_score(teacher, data, cfg.tau)
             history.append(
                 (step, losses["ce_clean"], losses["lovasz"], losses["ce_pseudo"],
                  losses["consistency"], acc)
             )
     log.info("%d batch points took a pseudo-label at tau=%g over %d steps, training the %s-head",
              pseudo_labeled, cfg.tau, cfg.steps, "c" if single_branch else "n")
+    # scored is the last row's count; without a row nothing was scored
+    if history and not scored:
+        unlabeled = int((data.label_kind == KIND_NONE).sum())
+        why = (f"none of {unlabeled} unlabeled points cleared" if unlabeled else
+               "no unlabeled point (none exists: every point carries a label) could clear")
+        log.warning("%s tau=%g: pseudo-label accuracy 0 scores nothing", why, cfg.tau)
     return student, teacher, history
 
 

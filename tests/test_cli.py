@@ -1189,6 +1189,21 @@ def test_train_refuses_max_points_below_one_before_reading(workspace, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--tau", "2"], "tau must lie in [0, 1]"),
+    (["--lr", "0"], "learning_rate must be positive and finite"),
+    (["--alpha-ema", "1"], "alpha_ema must lie in [0, 1)"),
+], ids=["--tau 2", "--lr 0", "--alpha-ema 1"])
+def test_train_refuses_a_bad_setting_before_reading_data(tmp_path, capsys, flags, message):
+    # the root and the split are both missing, and the setting is named first
+    out = tmp_path / "run"
+    code = cli.main(["train", "--root", str(tmp_path / "nope"), "--split",
+                     str(tmp_path / "nope.split"), "--out", str(out), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_train_decodes_each_scan_at_most_once(workspace, estimates, tmp_path, monkeypatch):
     source = ple.ManifestSource(lidar_io.build_manifest(workspace["data"]))
     ends = np.cumsum([int((source.gt_labels("00", f).semantic != lidar_io.IGNORE_CLASS).sum())
@@ -1296,6 +1311,55 @@ def test_train_warns_when_no_pseudo_label_clears_tau(workspace, tmp_path, monkey
     assert len(warnings) == 1
     assert "none exists" in warnings[0] and "tau=0.5:" in warnings[0]
     assert "none of" not in warnings[0]
+
+
+_SMALL_TRAIN = ["--batch-size", "32", "--hidden", "4", "--max-points", "800"]
+
+
+def test_train_scores_the_teacher_once_per_history_row(workspace, tmp_path, monkeypatch):
+    taus = []
+
+    def spy(teacher, data, tau, _real=ssl_mini.pseudo_label_score):
+        taus.append(tau)
+        return _real(teacher, data, tau)
+
+    monkeypatch.setattr(ssl_mini, "pseudo_label_score", spy)
+    data = ["--root", str(workspace["data"]), "--split", str(workspace["split"])]
+    # rows at steps 100, 200 and 250
+    assert cli.main(["train", *data, *_SMALL_TRAIN, "--steps", "250",
+                     "--out", str(tmp_path / "run")]) == 0
+    assert taus == [0.9] * 3
+    taus.clear()
+    # rows at steps 100 and 120, for each tau
+    assert cli.main(["train", *data, *_SMALL_TRAIN, "--steps", "120", "--threshold-sweep",
+                     "--out", str(tmp_path / "sweep")]) == 0
+    assert taus == [tau for tau in cli.TAU_SWEEP for _ in range(2)]
+
+
+def test_each_sweep_row_is_a_plain_runs_final_accuracy(workspace, tmp_path):
+    data = ["--root", str(workspace["data"]), "--split", str(workspace["split"]),
+            *_SMALL_TRAIN, "--steps", "120"]
+    assert cli.main(["train", *data, "--threshold-sweep", "--out", str(tmp_path / "sweep")]) == 0
+    sweep = _csv_rows(tmp_path / "sweep" / "sweep.csv")
+    assert [float(row["tau"]) for row in sweep] == list(cli.TAU_SWEEP)
+    for row in sweep:
+        out = tmp_path / row["tau"]
+        assert cli.main(["train", *data, "--tau", row["tau"], "--out", str(out)]) == 0
+        last = _csv_rows(out / "history.csv")[-1]
+        assert row["pseudo_label_accuracy"] == last["pseudo_label_accuracy"], row["tau"]
+
+
+def test_zero_step_sweep_writes_zero_for_every_tau_without_warning(workspace, tmp_path,
+                                                                   monkeypatch, caplog, capsys):
+    monkeypatch.delenv("PLE_LOG", raising=False)
+    out = tmp_path / "sweep"
+    assert cli.main(["train", "--root", str(workspace["data"]), "--split",
+                     str(workspace["split"]), *_SMALL_TRAIN, "--steps", "0",
+                     "--threshold-sweep", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "sweep=0:0.0000 0.5:0.0000 0.7:0.0000 0.9:0.0000\n"
+    assert [(float(row["tau"]), row["pseudo_label_accuracy"])
+            for row in _csv_rows(out / "sweep.csv")] == [(tau, "0") for tau in cli.TAU_SWEEP]
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 # the reference scene at 0.3 points per surface

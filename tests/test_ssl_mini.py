@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -626,6 +628,27 @@ class TestTrainLoop:
         cfg = SSLConfig(steps=250, batch_size=16, hidden=8)
         _, _, history = ssl.train_loop(data, cfg)
         assert [row[0] for row in history] == [100, 200, 250]
+
+    def test_loop_warns_once_at_its_last_row_when_nothing_clears_tau(self, caplog):
+        caplog.set_level(logging.WARNING, logger="plelidar")
+        data = self._data()
+        unlabeled = int((data.label_kind == KIND_NONE).sum())
+        assert unlabeled > 0
+        # three history rows, none of which scores a point
+        cfg = SSLConfig(steps=250, batch_size=16, hidden=8)
+        none_exists = ("no unlabeled point (none exists: every point carries a label) could "
+                       "clear tau=0.9: pseudo-label accuracy 0 scores nothing")
+        none_cleared = (f"none of {unlabeled} unlabeled points cleared tau=1: "
+                        "pseudo-label accuracy 0 scores nothing")
+        for run_data, run_cfg, want in (
+                (self._data(labeled_fraction=1.0), cfg, [none_exists]),
+                (data, replace(cfg, tau=1.0), [none_cleared]),
+                (data, replace(cfg, tau=1.0, steps=0), [])):
+            caplog.clear()
+            history = ssl.train_loop(run_data, run_cfg)[2]
+            assert all(row[-1] == 0.0 for row in history)
+            assert [(r.name, r.getMessage()) for r in caplog.records
+                    if r.levelno >= logging.WARNING] == [("plelidar.ssl_mini", m) for m in want]
 
     def test_loop_is_deterministic(self):
         data = self._data()
