@@ -4,9 +4,10 @@ Every command materializes its full configuration (defaults included) into a
 flat `key = value` file next to its outputs; pass that file back through
 `--config` to reproduce a run bit for bit (flags given on the command line
 override the file). A command returns nothing and refuses by raising a
-`PlelidarError`; `main` alone turns the outcome into an exit code: 0 success,
-2 configuration problem, 3 data problem, 4 empty result. The `ple` module
-owns the estimate tree that `ple` writes and `eval` and `train` read, and
+`ConfigError`, `DataError` or `EmptyResultError`; `main` alone turns the
+outcome into an exit code: 0 success, 2 configuration problem, 3 data problem
+(a `DataError` or an `OSError`), 4 empty result. The `ple` module owns the
+estimate tree that `ple` writes and `eval` and `train` read, and
 `evaluation.score` the tally, fold and offset curve of an `eval` run. The
 PLE_LOG environment variable (debug/info/warning/error) sets log verbosity.
 """
@@ -23,7 +24,7 @@ from pathlib import Path
 # every process compiles and runs each module it imports, so a module only
 # some commands run is imported inside those commands
 from . import lidar_io, split as split_mod
-from .errors import ConfigError, DataError, EmptyResultError, PlelidarError
+from .errors import ConfigError, DataError, EmptyResultError
 
 log = logging.getLogger("plelidar")
 
@@ -354,7 +355,7 @@ def main(argv=None) -> int:
         if args.command != "synth":
             _check_echoable(args)
         args.func(args)
-    except (PlelidarError, OSError) as exc:
+    except (ConfigError, DataError, EmptyResultError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConfigError):
             return EXIT_CONFIG

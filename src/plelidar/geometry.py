@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
+
 _ORTHO_TOL = 1e-9
 
 
@@ -44,7 +46,7 @@ class RigidTransform:
         object.__setattr__(self, "translation", t)
         ok = rotation_defect(r) <= _ORTHO_TOL and abs(np.linalg.det(r) - 1.0) <= _ORTHO_TOL
         if not ok:  # written so that NaN fails
-            raise ValueError("rotation is not orthonormal with determinant +1")
+            raise DataError("rotation is not orthonormal with determinant +1")
 
     def as_matrix(self) -> np.ndarray:
         """Return the equivalent 4x4 homogeneous matrix."""

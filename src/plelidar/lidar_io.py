@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .errors import DataError, FormatError, MissingDataError
+from .errors import DataError
 from .geometry import RigidTransform
 
 SCAN_SUFFIX = ".bin"
@@ -119,7 +119,7 @@ def key_values(lines, source, error):
 
 def _check_scan_size(path, size: int) -> None:
     if size % 16 != 0:
-        raise FormatError(f"{path}: length {size} is not a multiple of 16 bytes")
+        raise DataError(f"{path}: length {size} is not a multiple of 16 bytes")
 
 
 def scan_point_count(path) -> int:
@@ -154,7 +154,7 @@ def read_labels(path, expected_count: int, frame_id: int = 0, sequence_id: str =
     """Decode a .label file: one uint32 per point, semantic in the low 16 bits."""
     raw = Path(path).read_bytes()
     if len(raw) != 4 * expected_count:
-        raise FormatError(
+        raise DataError(
             f"{path}: expected {expected_count} labels, file holds {len(raw) // 4}"
         )
     words = np.frombuffer(raw, dtype="<u4")
@@ -176,13 +176,13 @@ def write_labels(labels: LabelMap, path) -> None:
 def _parse_matrix_line(line: str, lineno: int, path) -> np.ndarray:
     parts = line.split()
     if len(parts) != 12:
-        raise FormatError(f"{path}:{lineno}: expected 12 values, got {len(parts)}")
+        raise DataError(f"{path}:{lineno}: expected 12 values, got {len(parts)}")
     try:
         values = [float(p) for p in parts]
     except ValueError:
-        raise FormatError(f"{path}:{lineno}: non-numeric pose entry") from None
+        raise DataError(f"{path}:{lineno}: non-numeric pose entry") from None
     if not all(map(math.isfinite, values)):
-        raise FormatError(f"{path}:{lineno}: non-finite pose entry")
+        raise DataError(f"{path}:{lineno}: non-finite pose entry")
     return np.array(values, dtype=np.float64).reshape(3, 4)
 
 
@@ -197,12 +197,12 @@ def _checked_transform(mat34: np.ndarray, context: str) -> RigidTransform:
 
 def read_calibration(path) -> RigidTransform:
     """Extract the Tr extrinsic (sensor-to-reference) from a calib.txt file."""
-    for lineno, line in enumerate(read_lines(path, FormatError), start=1):
+    for lineno, line in enumerate(read_lines(path, DataError), start=1):
         if line.startswith("Tr:"):
             return _checked_transform(
                 _parse_matrix_line(line[3:], lineno, path), f"{path}:{lineno}"
             )
-    raise FormatError(f"{path}: no line starting with 'Tr:'")
+    raise DataError(f"{path}: no line starting with 'Tr:'")
 
 
 def read_poses(pose_path, calib_path) -> list:
@@ -216,7 +216,7 @@ def read_poses(pose_path, calib_path) -> list:
     tr = read_calibration(calib_path)
     tr_inv = geometry.invert(tr)
     poses = []
-    for lineno, line in enumerate(read_lines(pose_path, FormatError), start=1):
+    for lineno, line in enumerate(read_lines(pose_path, DataError), start=1):
         if not line.strip():
             continue
         pose = _checked_transform(
@@ -250,14 +250,18 @@ def _sequence_dirs(root: Path) -> list:
     return [d for d in dirs if (d / "velodyne").is_dir()]
 
 
+def frame_number(stem: str) -> int | None:
+    """The frame a file stem written `<frame:06d>` names; None for any other stem."""
+    return int(stem) if stem.isascii() and stem.isdigit() and stem == f"{int(stem):06d}" else None
+
+
 def _frame_files(directory: Path, suffix: str, seq_id: str) -> tuple:
     files = sorted(directory.glob(f"*{suffix}"))
     for index, f in enumerate(files):
-        try:
-            stem_id = int(f.stem)
-        except ValueError:
+        stem_id = frame_number(f.stem)
+        if stem_id is None:
             kind = "scan" if suffix == SCAN_SUFFIX else "label"
-            raise DataError(f"{f}: {kind} file name is not a frame number") from None
+            raise DataError(f"{f}: {kind} file name is not a frame number")
         if stem_id != index:
             raise DataError(f"sequence {seq_id}: frame ids not contiguous, expected "
                             f"{directory / f'{index:06d}{suffix}'} got {f}")
@@ -269,7 +273,7 @@ def build_manifest(dataset_root) -> tuple:
     order, with validation."""
     root = Path(dataset_root)
     if not root.is_dir():
-        raise MissingDataError(f"dataset root {root} does not exist")
+        raise DataError(f"dataset root {root} does not exist")
     sequences = []
     for seq_dir in _sequence_dirs(root):
         seq_id = seq_dir.name
@@ -277,7 +281,7 @@ def build_manifest(dataset_root) -> tuple:
         pose_path, calib_path = seq_dir / "poses.txt", seq_dir / "calib.txt"
         for path in (pose_path, calib_path):
             if not path.is_file():
-                raise MissingDataError(f"sequence {seq_id}: missing {path}")
+                raise DataError(f"sequence {seq_id}: missing {path}")
         poses = read_poses(pose_path, calib_path)
         if len(poses) != len(scan_paths):
             raise DataError(

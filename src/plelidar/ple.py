@@ -34,8 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, lidar_io
-from .errors import (ConfigError, DataError, EmptyIndexError, EmptyResultError, FormatError,
-                     MissingDataError, PlelidarError)
+from .errors import ConfigError, DataError, EmptyResultError, PlelidarError
 from .lidar_io import IGNORE_CLASS, LabelMap, PointCloud, SequenceInfo
 from .spatial_index import KdTree
 from .split import round_half_up
@@ -159,7 +158,7 @@ def _reference_pool(references):
         semantics.append(sem)
         origins.append(np.full(len(pts), origin, dtype=np.uint8))
     if not points:
-        raise EmptyIndexError("no labeled points available in any reference")
+        raise DataError("no labeled points available in any reference")
     return np.concatenate(points, axis=0), np.concatenate(semantics), np.concatenate(origins)
 
 
@@ -172,7 +171,7 @@ def estimate_labels(target_cloud: PointCloud, references, cfg: PleConfig) -> Pse
     points contribute).
     """
     if not references:
-        raise EmptyIndexError("no reference frames given")
+        raise DataError("no reference frames given")
     pool_pts, pool_sem, pool_origin = _reference_pool(references)
     tree = KdTree(pool_pts)
     idx, dist = tree.nearest(target_cloud.points)
@@ -227,7 +226,7 @@ class ManifestSource:
         """The sequence's manifest entry, checked to hold `frame`."""
         info = self._by_id.get(seq)
         if info is None:
-            raise MissingDataError(f"unknown sequence {seq!r}")
+            raise DataError(f"unknown sequence {seq!r}")
         if not 0 <= frame < info.frame_count:
             raise DataError(
                 f"sequence {seq}: frame {frame} is outside 0..{info.frame_count - 1}"
@@ -257,8 +256,8 @@ class ManifestSource:
             raise DataError(f"sequence {seq} has no label files")
         try:
             return lidar_io.read_labels(info.label_paths[frame], points, frame, seq)
-        except FormatError as exc:
-            raise FormatError(f"{exc}, one per point of {info.scan_paths[frame]}") from None
+        except DataError as exc:
+            raise DataError(f"{exc}, one per point of {info.scan_paths[frame]}") from None
 
     def pose(self, seq: str, frame: int) -> geometry.RigidTransform:
         return self._info(seq, frame).poses[frame]
@@ -456,7 +455,7 @@ def read_ple(path) -> PseudoLabelMap:
     from its required .meta."""
     raw = Path(path).read_bytes()
     if len(raw) % 4 != 0:
-        raise FormatError(f"{path}: length {len(raw)} is not a multiple of 4")
+        raise DataError(f"{path}: length {len(raw)} is not a multiple of 4")
     words = np.frombuffer(raw, dtype="<u4")
     meta_path = Path(path).with_suffix(META_SUFFIX)
     meta = read_meta(meta_path)
@@ -475,8 +474,8 @@ def read_ple(path) -> PseudoLabelMap:
 
 
 def read_meta(path) -> dict:
-    lines = lidar_io.read_lines(path, FormatError)
-    fields = {key: value for _, key, value in lidar_io.key_values(lines, path, FormatError)}
+    lines = lidar_io.read_lines(path, DataError)
+    fields = {key: value for _, key, value in lidar_io.key_values(lines, path, DataError)}
     try:
         return {
             "sequence": fields["sequence"],
@@ -487,7 +486,7 @@ def read_meta(path) -> dict:
             "mean_distance": float(fields["mean_distance"]),
         }
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: missing or malformed field ({exc})") from None
+        raise DataError(f"{path}: missing or malformed field ({exc})") from None
 
 
 def write_estimate(root, pmap: PseudoLabelMap) -> None:
@@ -511,7 +510,7 @@ class EstimateDir(Mapping):
     def __init__(self, root, source):
         root = Path(root)
         if not root.is_dir():
-            raise MissingDataError(f"{root} is not a directory")
+            raise DataError(f"{root} is not a directory")
         self._paths = {}
         for seq_dir in sorted(p for p in root.iterdir() if p.is_dir()):
             seq = seq_dir.name
@@ -519,12 +518,10 @@ class EstimateDir(Mapping):
                 raise DataError(f"{seq_dir}: unknown sequence {seq!r}, not in the dataset")
             count = source.frame_count(seq)
             for f in sorted(seq_dir.glob(f"*{PLE_SUFFIX}")):
-                stem = f.stem
-                if not (stem.isascii() and stem.isdigit() and stem == f"{int(stem):06d}"
-                        and f.is_file()):
+                frame = lidar_io.frame_number(f.stem)
+                if frame is None or not f.is_file():
                     raise DataError(f"{f}: an estimate is a file named "
                                     f"<frame:06d>{PLE_SUFFIX}, as ple writes it")
-                frame = int(stem)
                 if frame >= count:
                     raise DataError(f"{f}: frame {frame} is outside 0..{count - 1} "
                                     f"of sequence {seq}")

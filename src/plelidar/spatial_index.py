@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, EmptyIndexError, ShapeError
+from .errors import DataError
 
 DEFAULT_LEAF_SIZE = 32
 # Phase 2 of a query halves its set of queries until the (query, node) pairs
@@ -26,7 +26,7 @@ _LEAF_ROWS = 1024
 def _as_points(arr, name: str) -> np.ndarray:
     out = np.asarray(arr, dtype=np.float64)
     if out.ndim != 2 or out.shape[1] != 3:
-        raise ShapeError(f"{name} must have shape (N, 3), got {out.shape}")
+        raise DataError(f"{name} must have shape (N, 3), got {out.shape}")
     if not np.isfinite(out).all():
         raise DataError(f"{name} contain non-finite coordinates")
     return out
@@ -59,7 +59,7 @@ def nearest_brute(points, queries):
     pts = _as_points(points, "points")
     qry = _as_points(queries, "queries")
     if len(pts) == 0:
-        raise EmptyIndexError("no points to search")
+        raise DataError("no points to search")
     indices = np.empty(len(qry), dtype=np.int64)
     dists = np.empty(len(qry), dtype=np.float64)
     for i, q in enumerate(qry):
@@ -101,9 +101,9 @@ class KdTree:
     def __init__(self, points, leaf_size: int = DEFAULT_LEAF_SIZE):
         pts = _as_points(points, "points")
         if len(pts) == 0:
-            raise EmptyIndexError("cannot index zero points")
+            raise DataError("cannot index zero points")
         if leaf_size < 1:
-            raise ShapeError(f"leaf_size must be positive, got {leaf_size}")
+            raise DataError(f"leaf_size must be positive, got {leaf_size}")
         self._build(pts, int(leaf_size))
 
     def __len__(self) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from . import lidar_io
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError
 
 MODES = ("global-floor", "per-sequence")
 
@@ -105,23 +105,23 @@ def write_split(split: dict, path) -> None:
 
 
 def read_split(path) -> dict:
-    lines = lidar_io.read_lines(path, FormatError)
+    lines = lidar_io.read_lines(path, DataError)
     if not lines or lines[0].strip() != "[labeled]":
-        raise FormatError(f"{path}: first line must be '[labeled]'")
+        raise DataError(f"{path}: first line must be '[labeled]'")
     split: dict = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'sequence frame', got {line!r}")
+            raise DataError(f"{path}:{lineno}: expected 'sequence frame', got {line!r}")
         seq, frame_text = parts
         try:
             frame = int(frame_text)
         except ValueError:
-            raise FormatError(f"{path}:{lineno}: frame id {frame_text!r} is not an integer") from None
+            raise DataError(f"{path}:{lineno}: frame id {frame_text!r} is not an integer") from None
         if frame < 0:
-            raise FormatError(f"{path}:{lineno}: negative frame id {frame}")
+            raise DataError(f"{path}:{lineno}: negative frame id {frame}")
         split.setdefault(seq, []).append(frame)
     return {seq: tuple(sorted(set(frames))) for seq, frames in split.items()}
 

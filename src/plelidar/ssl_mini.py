@@ -48,7 +48,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import evaluation
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .lidar_io import IGNORE_CLASS
 
 log = logging.getLogger(__name__)
@@ -74,23 +74,23 @@ class DualHeadNet:
     `flat`, so a name cannot be rebound to an array outside the buffer, and
     writing into a view writes `flat`. `dims` is (features, hidden,
     classes). DualHeadNet(params) copies a mapping from name to array into a
-    new buffer, and raises ShapeError naming a parameter that is missing,
+    new buffer, and raises DataError naming a parameter that is missing,
     unknown, or does not fit one net with the ones before it.
     """
 
     def __init__(self, params):
         for name in (*PARAM_NAMES, *params):
             if (name in params) != (name in PARAM_NAMES):
-                raise ShapeError(f"parameter {name} is "
-                                 + ("missing" if name in PARAM_NAMES else "unknown"))
+                raise DataError(f"parameter {name} is "
+                                + ("missing" if name in PARAM_NAMES else "unknown"))
         arrays = [np.asarray(params[name], dtype=np.float64) for name in PARAM_NAMES]
         sizes, layout, start = {}, [], 0
         for name, axes, a in zip(PARAM_NAMES, _AXES, arrays):
             # each axis letter takes the size it first meets
             fitted = tuple(sizes.setdefault(x, n) for x, n in zip(axes, a.shape))
             if a.ndim != len(axes) or fitted != a.shape:
-                raise ShapeError(f"parameter {name} has shape {a.shape}, which does not fit "
-                                 "one (features, hidden, classes) net with the ones before it")
+                raise DataError(f"parameter {name} has shape {a.shape}, which does not fit "
+                                "one (features, hidden, classes) net with the ones before it")
             layout.append((name, slice(start, start + a.size), a.shape))
             start += a.size
         self._view(np.concatenate([a.ravel() for a in arrays]),
@@ -170,7 +170,7 @@ class TrainBatch:
         labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
         kind = np.asarray(self.label_kind, dtype=np.int8).reshape(-1)
         if feats.ndim != 2:
-            raise ShapeError(f"features must be 2-D, got shape {feats.shape}")
+            raise DataError(f"features must be 2-D, got shape {feats.shape}")
         if not (len(feats) == len(labels) == len(kind)):
             raise DataError("features, labels and label_kind lengths differ")
         if not np.isfinite(feats).all():
@@ -215,7 +215,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def _checked_features(net: DualHeadNet, features) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.dims[0]:
-        raise ShapeError(f"features of shape {x.shape} do not match input dimension {net.dims[0]}")
+        raise DataError(f"features of shape {x.shape} do not match input dimension {net.dims[0]}")
     return x
 
 
@@ -301,7 +301,7 @@ def mt_consistency(student_probs: np.ndarray, teacher_probs: np.ndarray) -> floa
     s = np.asarray(student_probs, dtype=np.float64)
     t = np.asarray(teacher_probs, dtype=np.float64)
     if s.shape != t.shape:
-        raise ShapeError(f"probability shapes differ: {s.shape} vs {t.shape}")
+        raise DataError(f"probability shapes differ: {s.shape} vs {t.shape}")
     if s.size == 0:
         return 0.0
     return float(np.mean((s - t) ** 2))
@@ -316,7 +316,7 @@ def pseudo_label(probs: np.ndarray, tau: float):
 def ema_update(teacher: DualHeadNet, student: DualHeadNet, alpha: float) -> DualHeadNet:
     """New teacher with every parameter at alpha*teacher + (1-alpha)*student."""
     if teacher.dims != student.dims:
-        raise ShapeError(f"teacher {teacher.dims} and student {student.dims} architectures differ")
+        raise DataError(f"teacher {teacher.dims} and student {student.dims} architectures differ")
     return teacher._with(alpha * teacher.flat + (1.0 - alpha) * student.flat)
 
 

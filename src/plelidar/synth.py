@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, lidar_io
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .geometry import RigidTransform
 from .lidar_io import LabelMap, PointCloud
 
@@ -143,6 +143,17 @@ class SynthConfig:
             if not all(math.isfinite(a * self.points_per_surface) for a in _surface_areas(body)):
                 raise ConfigError(f"{kind} surface area times points_per_surface must be "
                                   f"finite, got {body.values()}")
+        if self.pose_noise_translation or self.pose_noise_rotation:
+            # a finite noise can draw an angle whose norm overflows, or positions whose offset does
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    positions = [pose.translation for pose in reported_poses(self)]
+                except DataError:
+                    raise ConfigError("pose_noise_rotation draws a rotation angle too large to "
+                                      f"compute, got {self.pose_noise_rotation}") from None
+                if not np.isfinite(np.ptp(positions, axis=0)).all():
+                    raise ConfigError("pose_noise_translation draws positions too far apart to "
+                                      f"compute their offset, got {self.pose_noise_translation}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -138,6 +138,27 @@ def test_synth_scene_it_cannot_parse_leaves_a_finished_run_in_place(tmp_path, ca
     assert _tree_bytes(out) == before
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("line, message", [
+    ("pose_noise_rotation = 1e200",
+     "pose_noise_rotation draws a rotation angle too large to compute, got 1e+200"),
+    ("pose_noise_translation = 1e308",
+     "pose_noise_translation draws positions too far apart to compute their offset, got 1e+308"),
+])
+def test_synth_pose_noise_that_overflows_leaves_a_finished_run_in_place(tmp_path, capsys,
+                                                                       line, message):
+    out = tmp_path / "ds"
+    scene = _scene_file(tmp_path, corridor_config(frames=3, points_per_surface=1.0))
+    assert cli.main(["synth", "--config", str(scene), "--out", str(out)]) == 0
+    before = _tree_bytes(out)
+    noisy = tmp_path / "noisy.config"
+    noisy.write_text(f"frames = 3\nground = [1, -5, 5, -5, 5, 0]\n{line}\n")
+    capsys.readouterr()
+    assert cli.main(["synth", "--config", str(noisy), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {noisy}: {message}\n"
+    assert _tree_bytes(out) == before
+
+
 @pytest.fixture(scope="module")
 def estimates(workspace):
     """Naive estimates over the shared workspace, read by the eval tests."""
@@ -426,6 +447,26 @@ def _run_outputs(command, out: Path) -> dict:
         files = _tree_bytes(out)
     return {name: data.replace(str(out).encode(), b"<out>") if name.endswith(".config") else data
             for name, data in files.items()}
+
+
+def test_flag_defaults_equal_the_config_defaults():
+    _, commands = cli.build_parser()
+    pairs = {
+        ("ple", ple.PleConfig()): {"window_seconds": "window_seconds",
+                                   "max_refs": "max_references",
+                                   "max_distance": "max_distance",
+                                   "frequency": "frequency",
+                                   "progressive": "progressive"},
+        ("train", ssl_mini.SSLConfig()): {"lambda_mt": "lambda_mt", "tau": "tau",
+                                          "alpha_ema": "alpha_ema", "lr": "learning_rate",
+                                          "steps": "steps", "batch_size": "batch_size",
+                                          "hidden": "hidden", "seed": "seed"},
+    }
+    for (command, cfg), fields in pairs.items():
+        for dest, field in fields.items():
+            default = commands[command].get_default(dest)
+            assert default == getattr(cfg, field), (command, dest)
+            assert type(default) is type(getattr(cfg, field)), (command, dest)
 
 
 @pytest.mark.parametrize("command", ["split", "ple", "eval", "train"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plelidar import geometry
+from plelidar.errors import DataError
 from plelidar.geometry import RigidTransform
 
 
@@ -111,9 +112,9 @@ def test_round_trip_error_tiny():
 
 
 def test_constructor_rejects_non_rotation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="not orthonormal with determinant"):
         RigidTransform(np.eye(3) * 2.0, np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="not orthonormal with determinant"):
         reflection = np.diag([1.0, 1.0, -1.0])
         RigidTransform(reflection, np.zeros(3))
 
@@ -123,7 +124,7 @@ def test_constructor_rejects_non_rotation():
 def test_constructor_rejects_non_finite_rotation(bad):
     r = np.eye(3)
     r[0, 1] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="not orthonormal with determinant"):
         RigidTransform(r, np.zeros(3))
 
 

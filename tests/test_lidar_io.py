@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plelidar import geometry, lidar_io
-from plelidar.errors import DataError, FormatError, MissingDataError
+from plelidar.errors import DataError
 from plelidar.geometry import RigidTransform
 from plelidar.lidar_io import LabelMap, PointCloud
 
@@ -53,7 +53,7 @@ def test_write_scan_writes_zero_as_fourth_value(tmp_path):
 def test_scan_bad_length(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\x00" * 17)
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match="not a multiple of 16 bytes"):
         lidar_io.read_scan(path)
 
 
@@ -87,7 +87,7 @@ def test_label_round_trip(tmp_path):
 def test_label_count_mismatch(tmp_path):
     path = tmp_path / "y.label"
     path.write_bytes(b"\x00" * 8)
-    with pytest.raises(FormatError, match="expected 5"):
+    with pytest.raises(DataError, match="expected 5"):
         lidar_io.read_labels(path, 5)
 
 
@@ -163,7 +163,7 @@ def test_read_poses_reports_line_numbers(tmp_path):
     good = _pose_line(np.hstack([np.eye(3), np.zeros((3, 1))]))
     path = tmp_path / "poses.txt"
     path.write_text(good + "\n1 2 3\n")
-    with pytest.raises(FormatError, match=":2"):
+    with pytest.raises(DataError, match=":2"):
         lidar_io.read_poses(path, _identity_calibration(tmp_path))
 
 
@@ -186,21 +186,21 @@ def test_read_poses_rejects_non_finite_entry(tmp_path, name, index):
     words[index] = "nan"
     bad = tmp_path / name
     bad.write_text(("Tr: " if name == "calib.txt" else "") + " ".join(words) + "\n")
-    with pytest.raises(FormatError, match=f"{name}:1: non-finite"):
+    with pytest.raises(DataError, match=f"{name}:1: non-finite"):
         lidar_io.read_poses(tmp_path / "poses.txt", tmp_path / "calib.txt")
 
 
 def test_calibration_missing_tr_line(tmp_path):
     path = tmp_path / "calib.txt"
     path.write_text("P0: 1 2 3\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match="no line starting with 'Tr:'"):
         lidar_io.read_calibration(path)
 
 
 def test_calibration_needs_the_colon(tmp_path):
     path = tmp_path / "calib.txt"
     path.write_text("Tr 1 0 0 0 0 1 0 0 0 0 1 0\n")
-    with pytest.raises(FormatError, match="no line starting with 'Tr:'"):
+    with pytest.raises(DataError, match="no line starting with 'Tr:'"):
         lidar_io.read_calibration(path)
 
 
@@ -264,14 +264,14 @@ def test_build_manifest_lexicographic_order_is_frame_order(tmp_path):
 def test_build_manifest_missing_poses(tmp_path):
     seq_dir = _make_sequence(tmp_path)
     (seq_dir / "poses.txt").unlink()
-    with pytest.raises(MissingDataError):
+    with pytest.raises(DataError, match="missing .*poses.txt"):
         lidar_io.build_manifest(tmp_path)
 
 
 def test_build_manifest_missing_calibration(tmp_path):
     seq_dir = _make_sequence(tmp_path)
     (seq_dir / "calib.txt").unlink()
-    with pytest.raises(MissingDataError, match=f"missing {seq_dir / 'calib.txt'}"):
+    with pytest.raises(DataError, match=f"missing {seq_dir / 'calib.txt'}"):
         lidar_io.build_manifest(tmp_path)
 
 
@@ -297,8 +297,26 @@ def test_build_manifest_gap_in_frames(tmp_path):
         lidar_io.build_manifest(tmp_path)
 
 
+@pytest.mark.parametrize("subdir, suffix, kind", [
+    ("velodyne", ".bin", "scan"),
+    ("labels", ".label", "label"),
+])
+@pytest.mark.parametrize("stem", [
+    "0_0002",     # int() reads it as 2
+    "+00002",
+    "00002 ",
+    "00000\u0662",  # an Arabic-Indic digit two
+    "2",          # unpadded
+])
+def test_build_manifest_frame_names_are_written_06d(tmp_path, subdir, suffix, kind, stem):
+    seq_dir = _make_sequence(tmp_path, frames=3)
+    (seq_dir / subdir / f"000002{suffix}").rename(seq_dir / subdir / f"{stem}{suffix}")
+    with pytest.raises(DataError, match=f"{kind} file name is not a frame number"):
+        lidar_io.build_manifest(tmp_path)
+
+
 def test_build_manifest_missing_root(tmp_path):
-    with pytest.raises(MissingDataError):
+    with pytest.raises(DataError, match="does not exist"):
         lidar_io.build_manifest(tmp_path / "nope")
 
 
@@ -307,7 +325,7 @@ def test_scan_point_count_from_size(tmp_path):
     lidar_io.write_scan(PointCloud(np.ones((7, 3))), path)
     assert lidar_io.scan_point_count(path) == 7
     path.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(FormatError, match="not a multiple of 16"):
+    with pytest.raises(DataError, match="not a multiple of 16"):
         lidar_io.scan_point_count(path)
 
 

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from plelidar import geometry, lidar_io, ple, synth
 from plelidar import split as split_mod
-from plelidar.errors import (ConfigError, DataError, EmptyIndexError, EmptyResultError,
-                             FormatError)
+from plelidar.errors import ConfigError, DataError, EmptyResultError
 from plelidar.geometry import RigidTransform
 from plelidar.lidar_io import LabelMap, PointCloud
 from plelidar.ple import DatasetSource, PleConfig, PseudoLabelMap
@@ -158,7 +157,7 @@ class TestEstimateLabels:
         assert out.origin_kind.tolist() == [ple.ORIGIN_GROUND_TRUTH]
 
     def test_no_references_raises(self):
-        with pytest.raises(EmptyIndexError):
+        with pytest.raises(DataError, match="no reference frames given"):
             ple.estimate_labels(_cloud([[0.0, 0.0, 0.0]]), [], PleConfig())
 
     def test_all_invalid_reference_raises(self):
@@ -168,7 +167,7 @@ class TestEstimateLabels:
             origin_kind=np.ones(1, dtype=np.uint8),
         )
         ref = (_cloud([[0.0, 0.0, 0.0]], 1), empty, _identity())
-        with pytest.raises(EmptyIndexError):
+        with pytest.raises(DataError, match="no labeled points available in any reference"):
             ple.estimate_labels(_cloud([[1.0, 0.0, 0.0]]), [ref], PleConfig())
 
     def test_length_mismatch_raises(self):
@@ -498,7 +497,7 @@ class TestRunners:
         monkeypatch.setattr(lidar_io, "read_scan", None)
         assert len(source.gt_labels("00", 2)) == expected
         scan.write_bytes(scan.read_bytes()[:-4])
-        with pytest.raises(FormatError, match="not a multiple of 16 bytes"):
+        with pytest.raises(DataError, match="not a multiple of 16 bytes"):
             source.gt_labels("00", 2)
 
     def test_real_dataset_loop_runs_on_export(self, corridor_short, tmp_path):
@@ -617,9 +616,10 @@ def test_streamed_run_equals_round_order_run(moving_40, case):
                      else (ple.run_naive, ple.schedule_naive))
     try:
         want = _round_order_run(source, split, cfg, schedule)
-    except EmptyIndexError:
+    except DataError as exc:
         # a reference set whose every point is out of range; the stream fails too
-        with pytest.raises(EmptyIndexError):
+        assert "no labeled points available in any reference" in str(exc)
+        with pytest.raises(DataError, match="no labeled points available in any reference"):
             run(source, split, cfg)
         return
     emitted = []
@@ -772,7 +772,7 @@ class TestFileFormat:
         path = tmp_path / "s.ple"
         ple.write_ple(self._sample_map(), path)
         path.with_suffix(".meta").unlink()
-        with pytest.raises(FormatError, match="No such file or directory: .*s.meta"):
+        with pytest.raises(DataError, match="No such file or directory: .*s.meta"):
             ple.read_ple(path)
 
     def test_read_rejects_negative_mean_distance(self, tmp_path):
@@ -786,13 +786,13 @@ class TestFileFormat:
     def test_read_rejects_ragged_file(self, tmp_path):
         path = tmp_path / "r.ple"
         path.write_bytes(b"\x00" * 6)
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError, match="not a multiple of 4"):
             ple.read_ple(path)
 
     def test_meta_rejects_bad_line(self, tmp_path):
         path = tmp_path / "b.meta"
         path.write_text("sequence = 00\nframe\n")
-        with pytest.raises(FormatError, match=":2"):
+        with pytest.raises(DataError, match=":2"):
             ple.read_meta(path)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plelidar import geometry, spatial_index, synth
-from plelidar.errors import DataError, EmptyIndexError, ShapeError
+from plelidar.errors import DataError
 from plelidar.spatial_index import DEFAULT_LEAF_SIZE, KdTree, nearest_brute
 
 from conftest import one_box_config
@@ -206,17 +206,17 @@ def test_leaf_indices_ascend():
 
 
 def test_empty_points_rejected():
-    with pytest.raises(EmptyIndexError):
+    with pytest.raises(DataError, match="cannot index zero points"):
         KdTree(np.zeros((0, 3)))
-    with pytest.raises(EmptyIndexError):
+    with pytest.raises(DataError, match="no points to search"):
         nearest_brute(np.zeros((0, 3)), np.zeros((1, 3)))
 
 
 def test_bad_shapes_rejected():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match=r"points must have shape \(N, 3\)"):
         KdTree(np.zeros((4, 2)))
     tree = KdTree(np.zeros((4, 3)) + np.arange(4)[:, None])
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match=r"queries must have shape \(N, 3\)"):
         tree.nearest(np.zeros((3, 2)))
 
 

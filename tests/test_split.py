@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plelidar import split as sp
-from plelidar.errors import ConfigError, DataError, FormatError
+from plelidar.errors import ConfigError, DataError
 
 # Frame counts of the ten standard odometry training sequences.
 KITTI_LENGTHS = {
@@ -123,14 +123,14 @@ def test_split_file_round_trip(tmp_path):
 def test_read_split_reports_bad_line(tmp_path):
     path = tmp_path / "bad.split"
     path.write_text("[labeled]\n00 1\nnot-a-pair\n")
-    with pytest.raises(FormatError, match=":3"):
+    with pytest.raises(DataError, match=":3"):
         sp.read_split(path)
 
 
 def test_read_split_requires_header(tmp_path):
     path = tmp_path / "h.split"
     path.write_text("00 1\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match=r"first line must be '\[labeled\]'"):
         sp.read_split(path)
 
 

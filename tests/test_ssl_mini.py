@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plelidar import ssl_mini as ssl
-from plelidar.errors import ConfigError, DataError, ShapeError
+from plelidar.errors import ConfigError, DataError
 from plelidar.ple import PseudoLabelMap
 from plelidar.ssl_mini import (
     KIND_GROUND_TRUTH,
@@ -69,7 +69,7 @@ class TestForward:
         assert not np.array_equal(a.params["w1"], c.params["w1"])
 
     def test_forward_rejects_wrong_feature_dim(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="do not match input dimension 3"):
             ssl._forward_cache(_net(feature_dim=3), np.ones((2, 4)))
 
 
@@ -109,14 +109,14 @@ class TestNetBuffer:
     def test_missing_parameter_rejected(self):
         params = dict(_net().params)
         del params["bn"]
-        with pytest.raises(ShapeError, match="parameter bn is missing"):
+        with pytest.raises(DataError, match="parameter bn is missing"):
             DualHeadNet(params)
-        with pytest.raises(ShapeError, match="parameter w1 is missing"):
+        with pytest.raises(DataError, match="parameter w1 is missing"):
             DualHeadNet({})
 
     def test_unknown_parameter_rejected(self):
         params = {**_net().params, "w3": np.zeros((4, 4))}
-        with pytest.raises(ShapeError, match="parameter w3 is unknown"):
+        with pytest.raises(DataError, match="parameter w3 is unknown"):
             DualHeadNet(params)
 
     @pytest.mark.parametrize("name, shape", [
@@ -131,7 +131,7 @@ class TestNetBuffer:
     ])
     def test_shapes_that_form_no_net_rejected(self, name, shape):
         params = {**_net(feature_dim=3, hidden=4, classes=3).params, name: np.zeros(shape)}
-        with pytest.raises(ShapeError, match=f"parameter {name} has shape"):
+        with pytest.raises(DataError, match=f"parameter {name} has shape"):
             DualHeadNet(params)
 
     def test_ema_rejects_another_architecture_of_equal_size(self):
@@ -140,9 +140,9 @@ class TestNetBuffer:
         a = DualHeadNet.init(1, 1, 5, seed=0)
         b = DualHeadNet.init(2, 2, 2, seed=0)
         assert a.flat.size == b.flat.size == 24
-        with pytest.raises(ShapeError, match="architectures differ"):
+        with pytest.raises(DataError, match="architectures differ"):
             ssl.ema_update(a, b, 0.5)
-        with pytest.raises(ShapeError, match="architectures differ"):
+        with pytest.raises(DataError, match="architectures differ"):
             ssl.ema_update(b, a, 0.5)
 
     @pytest.mark.parametrize("operation", ["copy", "ema_update", "train_step"])
@@ -302,7 +302,7 @@ class TestSmallPieces:
         assert ssl.mt_consistency(a, a) == 0.0
 
     def test_mt_consistency_shape_guard(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="probability shapes differ"):
             ssl.mt_consistency(np.ones((2, 2)), np.ones((3, 2)))
 
     def test_pseudo_label_threshold(self):

@@ -249,6 +249,9 @@ def test_validate_rejects_bad_configs():
     ("frequency = inf", "frequency"),
     ("pose_noise_translation = nan", "pose_noise_translation"),
     ("pose_noise_rotation = inf", "pose_noise_rotation"),
+    # finite, but a draw overflows the rotation angle, or the offset of two positions
+    ("pose_noise_rotation = 1e200", "pose_noise_rotation"),
+    ("pose_noise_translation = 1e308", "pose_noise_translation"),
 ])
 def test_parse_config_rejects_scene_it_cannot_build(line, named):
     with pytest.raises(ConfigError, match=named):
