@@ -74,12 +74,10 @@ def read_flat(path) -> dict:
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
     """Load --config values as parser defaults so explicit flags win."""
-    config_path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif arg.startswith("--config="):
-            config_path = arg.split("=", 1)[1]
+    # argparse finds the flag, so an abbreviation such as --conf counts too
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
     if config_path is None:
         return
     values = read_flat(config_path)

@@ -250,22 +250,29 @@ def _sequence_dirs(root: Path) -> list:
     return [d for d in dirs if (d / "velodyne").is_dir()]
 
 
-def frame_number(stem: str) -> int | None:
-    """The frame a file stem written `<frame:06d>` names; None for any other stem."""
-    return int(stem) if stem.isascii() and stem.isdigit() and stem == f"{int(stem):06d}" else None
+def frame_files(directory, suffix: str, kind: str) -> dict:
+    """A directory's files named `<frame:06d><suffix>` as {frame: path}, in
+    frame order. Any other entry ending in `suffix`, such as an unpadded
+    name or a directory, is a data error naming the first by name."""
+    files = {}
+    for path in sorted(Path(directory).glob(f"*{suffix}")):
+        stem = path.stem
+        if not (stem.isascii() and stem.isdigit() and stem == f"{int(stem):06d}"):
+            raise DataError(f"{path}: {kind} file name is not a frame number")
+        if not path.is_file():
+            raise DataError(f"{path}: {kind} is not a file")
+        files[int(stem)] = path
+    return dict(sorted(files.items()))
 
 
-def _frame_files(directory: Path, suffix: str, seq_id: str) -> tuple:
-    files = sorted(directory.glob(f"*{suffix}"))
-    for index, f in enumerate(files):
-        stem_id = frame_number(f.stem)
-        if stem_id is None:
-            kind = "scan" if suffix == SCAN_SUFFIX else "label"
-            raise DataError(f"{f}: {kind} file name is not a frame number")
-        if stem_id != index:
+def _sequence_files(directory: Path, suffix: str, kind: str, seq_id: str) -> tuple:
+    """A sequence's scan or label paths, which must be frames 0, 1, 2, ..."""
+    files = frame_files(directory, suffix, kind)
+    for index, (frame, path) in enumerate(files.items()):
+        if frame != index:
             raise DataError(f"sequence {seq_id}: frame ids not contiguous, expected "
-                            f"{directory / f'{index:06d}{suffix}'} got {f}")
-    return tuple(files)
+                            f"{directory / f'{index:06d}{suffix}'} got {path}")
+    return tuple(files.values())
 
 
 def build_manifest(dataset_root) -> tuple:
@@ -277,7 +284,7 @@ def build_manifest(dataset_root) -> tuple:
     sequences = []
     for seq_dir in _sequence_dirs(root):
         seq_id = seq_dir.name
-        scan_paths = _frame_files(seq_dir / "velodyne", SCAN_SUFFIX, seq_id)
+        scan_paths = _sequence_files(seq_dir / "velodyne", SCAN_SUFFIX, "scan", seq_id)
         pose_path, calib_path = seq_dir / "poses.txt", seq_dir / "calib.txt"
         for path in (pose_path, calib_path):
             if not path.is_file():
@@ -289,7 +296,7 @@ def build_manifest(dataset_root) -> tuple:
             )
         label_paths = None
         if (seq_dir / "labels").is_dir():
-            label_paths = _frame_files(seq_dir / "labels", LABEL_SUFFIX, seq_id)
+            label_paths = _sequence_files(seq_dir / "labels", LABEL_SUFFIX, "label", seq_id)
             if len(label_paths) != len(scan_paths):
                 raise DataError(
                     f"sequence {seq_id}: {len(scan_paths)} scans but "

@@ -499,12 +499,13 @@ def write_estimate(root, pmap: PseudoLabelMap) -> None:
 
 class EstimateDir(Mapping):
     """The estimates of a tree `write_estimate` wrote, by (sequence, frame),
-    listed in name order, which is (sequence, frame) order. Building it
-    lists the tree: a directory that is not a sequence of `source`, or a .ple
-    other than <frame:06d>.ple for a frame of its sequence, is a data error
-    naming its path, and no .ple is an empty result. Each lookup reads its
-    file, uncached, and checks that its .meta names that frame and that it
-    holds one label per point; `in` reads no file.
+    in sequence-name order, then frame order (not name order, which differs
+    past frame 999999). Building it lists the tree: a directory that is not
+    a sequence of `source`, or a .ple other than a file <frame:06d>.ple for
+    a frame of its sequence, is a data error naming its path, and no .ple is
+    an empty result. Each lookup reads its file, uncached, and checks that
+    its .meta names that frame and that it holds one label per point; `in`
+    reads no file.
     """
 
     def __init__(self, root, source):
@@ -517,11 +518,7 @@ class EstimateDir(Mapping):
             if seq not in source.sequence_ids():
                 raise DataError(f"{seq_dir}: unknown sequence {seq!r}, not in the dataset")
             count = source.frame_count(seq)
-            for f in sorted(seq_dir.glob(f"*{PLE_SUFFIX}")):
-                frame = lidar_io.frame_number(f.stem)
-                if frame is None or not f.is_file():
-                    raise DataError(f"{f}: an estimate is a file named "
-                                    f"<frame:06d>{PLE_SUFFIX}, as ple writes it")
+            for frame, f in lidar_io.frame_files(seq_dir, PLE_SUFFIX, "estimate").items():
                 if frame >= count:
                     raise DataError(f"{f}: frame {frame} is outside 0..{count - 1} "
                                     f"of sequence {seq}")

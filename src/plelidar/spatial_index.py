@@ -21,14 +21,20 @@ _PAIR_BUDGET = 1 << 16
 # (query, leaf) pairs are scored at most this many at a time, so the gathered
 # (3, pairs, leaf width) block stays within a few hundred KiB.
 _LEAF_ROWS = 1024
+# Coordinates within this bound (m) keep every squared distance finite: three
+# squared differences of at most 2e150 sum to about 1.2e301.
+_MAX_COORDINATE = 1e150
 
 
 def _as_points(arr, name: str) -> np.ndarray:
     out = np.asarray(arr, dtype=np.float64)
     if out.ndim != 2 or out.shape[1] != 3:
         raise DataError(f"{name} must have shape (N, 3), got {out.shape}")
-    if not np.isfinite(out).all():
-        raise DataError(f"{name} contain non-finite coordinates")
+    # one min/max pair, written so that NaN fails it too
+    if out.size and not (-_MAX_COORDINATE <= out.min() and out.max() <= _MAX_COORDINATE):
+        if not np.isfinite(out).all():
+            raise DataError(f"{name} contain non-finite coordinates")
+        raise DataError(f"{name} contain a coordinate of magnitude above {_MAX_COORDINATE:g} m")
     return out
 
 

@@ -104,7 +104,7 @@ class SynthConfig:
     headings: tuple = ()
     bodies: tuple = field(default_factory=tuple)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # written so that NaN fails every check
         if self.frames < 2:
             raise ConfigError(f"frames must be >= 2, got {self.frames}")
@@ -273,7 +273,6 @@ def frames(cfg: SynthConfig):
     Each frame is built only when it is asked for, so a caller that writes
     or drops a frame before taking the next holds one frame at a time.
     """
-    cfg.validate()
     true_poses = _interpolated_poses(cfg)
     density = cfg.points_per_surface
     fixed_local = None
@@ -344,8 +343,8 @@ def export(pairs, poses, root_path) -> tuple:
     (seq_dir / "velodyne").mkdir(parents=True, exist_ok=True)
     (seq_dir / "labels").mkdir(parents=True, exist_ok=True)
     for t, (cloud, label) in enumerate(pairs):
-        lidar_io.write_scan(cloud, seq_dir / "velodyne" / f"{t:06d}.bin")
-        lidar_io.write_labels(label, seq_dir / "labels" / f"{t:06d}.label")
+        lidar_io.write_scan(cloud, seq_dir / "velodyne" / f"{t:06d}{lidar_io.SCAN_SUFFIX}")
+        lidar_io.write_labels(label, seq_dir / "labels" / f"{t:06d}{lidar_io.LABEL_SUFFIX}")
         count, points = t + 1, points + len(cloud)
     lidar_io.write_poses(poses, seq_dir / "poses.txt")
     lidar_io.write_calibration(seq_dir / "calib.txt", geometry.identity())
@@ -427,12 +426,10 @@ def parse_config(lines, source=None) -> SynthConfig:
     if headings:
         kwargs["headings"] = tuple(headings)
     kwargs["bodies"] = tuple(bodies)
-    cfg = SynthConfig(**kwargs)
     try:
-        cfg.validate()
+        return SynthConfig(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}" if source is not None else exc) from None
-    return cfg
 
 
 def _fmt(v: float) -> str:

@@ -248,6 +248,23 @@ def test_broken_dataset_file_exits_data(workspace, tmp_path, capsys, name, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["split", "ple", "eval", "train"])
+@pytest.mark.parametrize("name, kind", [("velodyne/000003.bin", "scan"),
+                                        ("labels/000003.label", "label")])
+def test_directory_named_as_a_frame_file_exits_data(workspace, estimates, tmp_path, capsys,
+                                                   command, name, kind):
+    # refused when the dataset is listed, before its size is taken as a point count
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    path = data / "sequences" / "00" / name
+    path.unlink()
+    path.mkdir()
+    out = tmp_path / "out"
+    assert cli.main(_argv(command, data, workspace["split"], estimates, out)) == 3
+    assert capsys.readouterr().err == f"error: {path}: {kind} is not a file\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("00 x", "frame id 'x' is not an integer"),
     ("00 -1", "negative frame id -1"),
@@ -348,6 +365,22 @@ def test_ple_unusable_window_leaves_a_finished_run_in_place(workspace, estimates
                      str(workspace["split"]), *flags, "--out", str(out)]) == 2
     assert "is not a positive, finite number of frames" in capsys.readouterr().err
     assert _tree_bytes(out) == before
+
+
+@pytest.mark.filterwarnings("error")
+def test_ple_refuses_poses_too_far_apart_to_square_their_distances(tmp_path, capsys):
+    # reported positions 1e300 m apart would overflow the kd-tree's squared
+    # distances to inf, where every match ties
+    scene = _scene_file(tmp_path, corridor_config(frames=3, points_per_surface=1.0,
+                                                  pose_noise_translation=1e300))
+    data, split, out = tmp_path / "data", tmp_path / "labeled.split", tmp_path / "est"
+    assert cli.main(["synth", "--config", str(scene), "--out", str(data)]) == 0
+    assert cli.main(["split", "--root", str(data), "--ratio", "34%", "--out", str(split)]) == 0
+    capsys.readouterr()
+    assert cli.main(["ple", "--root", str(data), "--split", str(split), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: sequence 00, frame 1: points contain a "
+                                       "coordinate of magnitude above 1e+150 m\n")
+    assert not (out / "ple.config").exists()
 
 
 def test_ple_starts_no_thread(workspace, tmp_path, monkeypatch):
@@ -480,6 +513,29 @@ def test_every_command_replays_from_its_echo(workspace, estimates, tmp_path, com
     assert set(cli.read_flat(echo)) == dests
     assert cli.main([command, "--config", str(echo), "--out", str(again)]) == 0
     assert _run_outputs(command, again) == _run_outputs(command, first)
+
+
+@pytest.mark.parametrize("form", ["separate", "joined"])
+@pytest.mark.parametrize("command", ["split", "ple", "eval", "train"])
+def test_abbreviated_config_flag_applies_the_file(workspace, estimates, tmp_path, command, form):
+    # argparse takes --conf for --config, so the file must not be skipped
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main([command, *_replay_flags(command, workspace, estimates),
+                     "--out", str(first)]) == 0
+    echo = Path(f"{first}.config") if command == "split" else first / f"{command}.config"
+    flag = ["--conf", str(echo)] if form == "separate" else [f"--conf={echo}"]
+    assert cli.main([command, *flag, "--out", str(again)]) == 0
+    assert _run_outputs(command, again) == _run_outputs(command, first)
+
+
+def test_config_flag_without_a_value_is_a_usage_error(workspace, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ple", "--root", str(workspace["data"]), "--split", str(workspace["split"]),
+                  "--out", str(tmp_path / "e"), "--config"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ("usage: ple ple [--config CONFIG]\n"
+                                       "ple ple: error: argument --config: expected one argument\n")
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("command", ["split", "eval", "train"])

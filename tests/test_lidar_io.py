@@ -315,6 +315,15 @@ def test_build_manifest_frame_names_are_written_06d(tmp_path, subdir, suffix, ki
         lidar_io.build_manifest(tmp_path)
 
 
+def test_frame_files_are_in_frame_order(tmp_path):
+    for frame in (1_000_000, 10, 999_999, 0):
+        (tmp_path / f"{frame:06d}.bin").touch()
+    (tmp_path / "000001.label").touch()  # another suffix is not looked at
+    files = lidar_io.frame_files(tmp_path, ".bin", "scan")
+    assert list(files) == [0, 10, 999_999, 1_000_000]
+    assert all(path == tmp_path / f"{frame:06d}.bin" for frame, path in files.items())
+
+
 def test_build_manifest_missing_root(tmp_path):
     with pytest.raises(DataError, match="does not exist"):
         lidar_io.build_manifest(tmp_path / "nope")

@@ -857,3 +857,18 @@ class TestEstimateDir:
             (tmp_path / seq).mkdir()
         with pytest.raises(EmptyResultError, match=f"^no .ple files under {re.escape(str(tmp_path))}$"):
             ple.EstimateDir(tmp_path, source)
+
+    def test_lists_frames_in_frame_order_past_six_digits(self, tmp_path):
+        # by name, 1000000.ple sorts before 999999.ple; no file is read
+        class MillionFrames:
+            def sequence_ids(self):
+                return ("00",)
+
+            def frame_count(self, seq):
+                return 1_000_001
+
+        (tmp_path / "00").mkdir()
+        for frame in (1_000_000, 999_999, 5):
+            (tmp_path / "00" / f"{frame:06d}.ple").touch()
+        tree = ple.EstimateDir(tmp_path, MillionFrames())
+        assert list(tree) == [("00", 5), ("00", 999_999), ("00", 1_000_000)]

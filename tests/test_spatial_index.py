@@ -220,11 +220,35 @@ def test_bad_shapes_rejected():
         tree.nearest(np.zeros((3, 2)))
 
 
-def test_non_finite_points_rejected():
-    pts = np.zeros((3, 3))
-    pts[1, 1] = np.nan
-    with pytest.raises(DataError):
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(value):
+    # among coordinates beyond the bound too, a non-finite one is named as such
+    pts = np.full((3, 3), 1e200)
+    pts[1, 1] = value
+    with pytest.raises(DataError, match="^points contain non-finite coordinates$"):
         KdTree(pts)
+
+
+@pytest.mark.parametrize("value", [1.0000001e150, -1e151, 1e300])
+def test_coordinates_whose_squares_could_overflow_are_rejected(value):
+    pts = np.zeros((3, 3))
+    pts[2, 0] = value
+    with pytest.raises(DataError, match=r"^points contain a coordinate of magnitude above 1e\+150 m$"):
+        KdTree(pts)
+    tree = KdTree(np.zeros((3, 3)))
+    with pytest.raises(DataError, match="^queries contain a coordinate of magnitude above"):
+        tree.nearest(pts)
+    with pytest.raises(DataError, match="^queries contain a coordinate of magnitude above"):
+        nearest_brute(np.zeros((3, 3)), pts)
+
+
+@pytest.mark.filterwarnings("error")
+def test_coordinates_at_the_bound_keep_distances_finite():
+    pts = np.array([[1e150, 1e150, 1e150], [-1e150, -1e150, -1e150]])
+    queries = np.array([[-1e150, -1e150, -1e150], [1e150, -1e150, 1e150]])
+    idx, dist = KdTree(pts).nearest(queries)
+    assert idx.tolist() == [1, 0] and np.isfinite(dist).all()
+    assert np.array_equal(dist, nearest_brute(pts, queries)[1])
 
 
 def test_empty_query_set():

@@ -212,6 +212,18 @@ def test_parse_config_rejects_bad_arity():
         synth.parse_config(["wall = [9, 0, 0, 1]"])
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"frames": 1}, "frames must be >= 2"),
+    ({"bodies": ()}, "scene has no bodies"),
+    ({"headings": (0.0,)}, "1 headings for 2 waypoints"),
+    ({"pose_noise_rotation": 1e200}, "pose_noise_rotation draws a rotation angle"),
+])
+def test_invalid_config_cannot_be_built(overrides, message):
+    # so no function that takes a config meets one it cannot run
+    with pytest.raises(ConfigError, match=message):
+        corridor_config(**overrides)
+
+
 def test_validate_rejects_bad_configs():
     base = corridor_config()
     with pytest.raises(ConfigError):
