@@ -16,7 +16,8 @@ The fixed class palette is 1 = ground, 9 = wall, 10 = moving vehicle,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
@@ -41,11 +42,16 @@ class Ground:
     y_max: float
     z: float = 0.0
 
-    def values(self) -> list:
-        return [self.class_id, self.x_min, self.x_max, self.y_min, self.y_max, self.z]
-
     def extents(self) -> tuple:
         return (self.x_max - self.x_min, self.y_max - self.y_min)
+
+    def surface_areas(self) -> tuple:
+        return (math.prod(self.extents()),)
+
+    def sample(self, counts: list, rng) -> np.ndarray:
+        (n,) = counts
+        return np.column_stack([rng.uniform(self.x_min, self.x_max, n),
+                                rng.uniform(self.y_min, self.y_max, n), np.full(n, self.z)])
 
 
 @dataclass(frozen=True)
@@ -60,11 +66,22 @@ class Wall:
     height: float
     z_base: float = 0.0
 
-    def values(self) -> list:
-        return [self.class_id, self.x0, self.y0, self.x1, self.y1, self.height, self.z_base]
-
     def extents(self) -> tuple:
         return (math.hypot(self.x1 - self.x0, self.y1 - self.y0), self.height)
+
+    def surface_areas(self) -> tuple:
+        return (math.prod(self.extents()),)
+
+    def sample(self, counts: list, rng) -> np.ndarray:
+        (n,) = counts
+        s = rng.uniform(0.0, 1.0, n)
+        return np.column_stack([self.x0 + s * (self.x1 - self.x0),
+                                self.y0 + s * (self.y1 - self.y0),
+                                self.z_base + rng.uniform(0.0, self.height, n)])
+
+
+# a box's sampled faces as (fixed axis, side): the four sides, then the top
+_BOX_FACES = ((0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0), (2, 1.0))
 
 
 @dataclass(frozen=True)
@@ -83,15 +100,44 @@ class Box:
     def moving(self) -> bool:
         return any(v != 0.0 for v in self.velocity)
 
-    def values(self) -> list:
-        return [self.class_id, *self.center, *self.size, *self.velocity]
-
     def extents(self) -> tuple:
         return self.size
+
+    def surface_areas(self) -> tuple:
+        """The areas of the sampled faces, in sampling order."""
+        return tuple(math.prod(s for i, s in enumerate(self.size) if i != axis)
+                     for axis, _ in _BOX_FACES)
+
+    def sample(self, counts: list, rng) -> np.ndarray:
+        faces = []
+        for (axis, side), n in zip(_BOX_FACES, counts):
+            face = np.empty((n, 3))
+            for i, s in enumerate(self.size):
+                face[:, i] = side * s / 2.0 if i == axis else rng.uniform(-s / 2.0, s / 2.0, n)
+            faces.append(face)
+        return np.concatenate(faces, axis=0)
+
+
+# A body's scene line is its kind, then its dataclass fields in order: the
+# class id, floats, and (x, y, z) triples. Field types are read as the strings
+# that postponed annotations leave. A body's sample(counts, rng) draws counts[i]
+# points on the surface whose area is surface_areas()[i].
+_BODY_KINDS = {cls.__name__.lower(): cls for cls in (Ground, Wall, Box)}
+_WIDTHS = {"int": 1, "float": 1, "tuple": 3}
+_CASTS = {"int": int, "float": float, "str": str}
+_MAX_POINTS = np.iinfo(np.intp).max // 24  # the most one (n, 3) float64 array holds
+
+
+def _flat(body) -> list:
+    """A body's values in scene-line order: its fields, a triple spread out."""
+    return [v for f in fields(body)
+            for v in (getattr(body, f.name) if f.type == "tuple" else (getattr(body, f.name),))]
 
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """A scene. Each field that is not a tuple is a scene-file key, echoed in field order."""
+
     seed: int = 0
     frames: int = 2
     frequency: float = 10.0
@@ -133,16 +179,23 @@ class SynthConfig:
         if not self.bodies:
             raise ConfigError("scene has no bodies")
         for body in self.bodies:
-            kind = type(body).__name__.lower()
-            if body.class_id < 1:
-                raise ConfigError(f"class ids must be >= 1, got {body.class_id}")
-            if not all(map(math.isfinite, body.values())):
-                raise ConfigError(f"{kind} values must be finite, got {body.values()}")
+            kind, values = type(body).__name__.lower(), _flat(body)
+            if not 1 <= body.class_id <= 0xFFFF:
+                raise ConfigError(f"{kind} class ids must be in [1, 65535] to fit a label's 16 "
+                                  f"bits, got {body.class_id}")
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{kind} values must be finite, got {values}")
             if not all(0 <= e < math.inf for e in body.extents()):
-                raise ConfigError(f"{kind} extents must be >= 0 and finite, got {body.values()}")
-            if not all(math.isfinite(a * self.points_per_surface) for a in _surface_areas(body)):
-                raise ConfigError(f"{kind} surface area times points_per_surface must be "
-                                  f"finite, got {body.values()}")
+                raise ConfigError(f"{kind} extents must be >= 0 and finite, got {values}")
+            if not all(a * self.points_per_surface <= _MAX_POINTS for a in body.surface_areas()):
+                raise ConfigError(f"{kind} surface area times points_per_surface must be finite "
+                                  f"and at most {_MAX_POINTS:.3g}, the points one array holds, "
+                                  f"got {values}")
+        # each moving box takes the next instance id
+        moving = sum(isinstance(body, Box) and body.moving() for body in self.bodies)
+        if moving > 0xFFFF:
+            raise ConfigError(f"box: {moving} moving boxes, but their instance ids must be in "
+                              "[1, 65535] to fit a label's 16 bits")
         if self.pose_noise_translation or self.pose_noise_rotation:
             # a finite noise can draw an angle whose norm overflows, or positions whose offset does
             with np.errstate(over="ignore", invalid="ignore"):
@@ -178,54 +231,8 @@ def _rng(seed: int, stream: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, *key)))
 
 
-# a box's sampled faces as (fixed axis, side): the four sides, then the top
-_BOX_FACES = ((0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0), (2, 1.0))
-
-
-def _surface_areas(body) -> tuple:
-    """The areas of a body's sampled surfaces, in sampling order."""
-    if isinstance(body, Box):
-        return tuple(math.prod(s for i, s in enumerate(body.size) if i != axis)
-                     for axis, _ in _BOX_FACES)
-    return (math.prod(body.extents()),)
-
-
-def _sample_ground(body: Ground, n: int, rng) -> np.ndarray:
-    pts = np.empty((n, 3))
-    pts[:, 0] = rng.uniform(body.x_min, body.x_max, n)
-    pts[:, 1] = rng.uniform(body.y_min, body.y_max, n)
-    pts[:, 2] = body.z
-    return pts
-
-
-def _sample_wall(body: Wall, n: int, rng) -> np.ndarray:
-    s = rng.uniform(0.0, 1.0, n)
-    pts = np.empty((n, 3))
-    pts[:, 0] = body.x0 + s * (body.x1 - body.x0)
-    pts[:, 1] = body.y0 + s * (body.y1 - body.y0)
-    pts[:, 2] = body.z_base + rng.uniform(0.0, body.height, n)
-    return pts
-
-
-def _sample_box_local(body: Box, counts: list, rng) -> np.ndarray:
-    faces = []
-    for (axis, side), n in zip(_BOX_FACES, counts):
-        face = np.empty((n, 3))
-        for i, s in enumerate(body.size):
-            face[:, i] = side * s / 2.0 if i == axis else rng.uniform(-s / 2.0, s / 2.0, n)
-        faces.append(face)
-    return np.concatenate(faces, axis=0)
-
-
 def _sample_body_local(body, density: float, rng) -> np.ndarray:
-    counts = [max(1, math.ceil(area * density)) for area in _surface_areas(body)]
-    if isinstance(body, Ground):
-        return _sample_ground(body, counts[0], rng)
-    if isinstance(body, Wall):
-        return _sample_wall(body, counts[0], rng)
-    if isinstance(body, Box):
-        return _sample_box_local(body, counts, rng)
-    raise ConfigError(f"unknown body type {type(body).__name__}")
+    return body.sample([max(1, math.ceil(area * density)) for area in body.surface_areas()], rng)
 
 
 def _body_world_points(body, local: np.ndarray, t: int, frequency: float) -> np.ndarray:
@@ -351,19 +358,6 @@ def export(pairs, poses, root_path) -> tuple:
     return count, points
 
 
-_SCALAR_KEYS = {
-    "seed": int,
-    "frames": int,
-    "frequency": float,
-    "sensor_range": float,
-    "points_per_surface": float,
-    "sampling": str,
-    "pose_noise_translation": float,
-    "pose_noise_rotation": float,
-}
-_BODY_ARITY = {"ground": 6, "wall": 7, "box": 10}
-
-
 def _parse_list(value: str, key: str, at: str) -> list:
     raw = value.strip()
     if not (raw.startswith("[") and raw.endswith("]")):
@@ -378,16 +372,17 @@ def _parse_list(value: str, key: str, at: str) -> list:
 
 
 def _body_from_values(kind: str, vals: list, at: str):
-    if len(vals) != _BODY_ARITY[kind]:
-        raise ConfigError(f"{at}: {kind} expects {_BODY_ARITY[kind]} values, got {len(vals)}")
+    layout = fields(_BODY_KINDS[kind])
+    arity = sum(_WIDTHS[f.type] for f in layout)
+    if len(vals) != arity:
+        raise ConfigError(f"{at}: {kind} expects {arity} values, got {len(vals)}")
     if not vals[0].is_integer():
         raise ConfigError(f"{at}: class id must be an integer")
-    class_id = int(vals[0])
-    if kind == "ground":
-        return Ground(class_id, *vals[1:])
-    if kind == "wall":
-        return Wall(class_id, *vals[1:])
-    return Box(class_id, tuple(vals[1:4]), tuple(vals[4:7]), tuple(vals[7:10]))
+    values, args = iter(vals), []
+    for f in layout:
+        part = tuple(islice(values, _WIDTHS[f.type]))
+        args.append(part if f.type == "tuple" else _CASTS[f.type](*part))
+    return _BODY_KINDS[kind](*args)
 
 
 def parse_config(lines, source=None) -> SynthConfig:
@@ -397,37 +392,29 @@ def parse_config(lines, source=None) -> SynthConfig:
     An error names its place as ``source:line`` for the file ``source`` the
     lines came from, or as ``line N`` when none is given.
     """
-    scalars: dict = {}
-    path: list = []
-    headings: list = []
+    casts = {f.name: _CASTS[f.type] for f in fields(SynthConfig) if f.type in _CASTS}
+    kwargs: dict = {}
     bodies: list = []
     for at, key, value in lidar_io.key_values(lines, source, ConfigError):
         value = value.split("#", 1)[0].strip()
-        if key in _SCALAR_KEYS:
-            caster = _SCALAR_KEYS[key]
+        if key in casts:
             try:
-                scalars[key] = caster(value)
+                kwargs[key] = casts[key](value)
             except ValueError:
                 raise ConfigError(f"{at}: bad value for {key}: {value!r}") from None
         elif key == "path":
             vals = _parse_list(value, key, at)
             if len(vals) % 3 != 0 or not vals:
                 raise ConfigError(f"{at}: path needs 3 values per waypoint")
-            path = [tuple(vals[i : i + 3]) for i in range(0, len(vals), 3)]
+            kwargs[key] = tuple(tuple(vals[i : i + 3]) for i in range(0, len(vals), 3))
         elif key == "headings":
-            headings = _parse_list(value, key, at)
-        elif key in _BODY_ARITY:
+            kwargs[key] = tuple(_parse_list(value, key, at))
+        elif key in _BODY_KINDS:
             bodies.append(_body_from_values(key, _parse_list(value, key, at), at))
         else:
             raise ConfigError(f"{at}: unknown key {key!r}")
-    kwargs = dict(scalars)
-    if path:
-        kwargs["path"] = tuple(path)
-    if headings:
-        kwargs["headings"] = tuple(headings)
-    kwargs["bodies"] = tuple(bodies)
     try:
-        return SynthConfig(**kwargs)
+        return SynthConfig(**kwargs, bodies=tuple(bodies))
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}" if source is not None else exc) from None
 
@@ -438,16 +425,13 @@ def _fmt(v: float) -> str:
 
 def config_to_text(cfg: SynthConfig) -> str:
     """Serialize a config with every field materialized; parse round-trips."""
-    lines = [
-        f"{key} = {(_fmt if caster is float else str)(getattr(cfg, key))}"
-        for key, caster in _SCALAR_KEYS.items()
-    ]
+    lines = [f"{f.name} = {(_fmt if f.type == 'float' else str)(getattr(cfg, f.name))}"
+             for f in fields(cfg) if f.type in _CASTS]
     lines.append("path = [" + ", ".join(_fmt(v) for wp in cfg.path for v in wp) + "]")
     if cfg.headings:
         lines.append("headings = [" + ", ".join(_fmt(h) for h in cfg.headings) + "]")
     for body in cfg.bodies:
-        kind = type(body).__name__.lower()
-        vals = body.values()
-        rendered = [str(int(vals[0]))] + [_fmt(v) for v in vals[1:]]
-        lines.append(f"{kind} = [" + ", ".join(rendered) + "]")
+        vals = _flat(body)
+        rendered = [str(int(vals[0])), *map(_fmt, vals[1:])]
+        lines.append(f"{type(body).__name__.lower()} = [" + ", ".join(rendered) + "]")
     return "\n".join(lines) + "\n"

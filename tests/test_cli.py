@@ -462,6 +462,7 @@ def test_config_file_help_key_is_ignored(workspace, tmp_path):
 def _replay_flags(command, workspace, estimates) -> list:
     data, split = str(workspace["data"]), str(workspace["split"])
     return {
+        "synth": ["--config", str(workspace["root"] / "scene.config")],
         "split": ["--root", data, "--ratio", "25%", "--mode", "per-sequence"],
         "ple": ["--root", data, "--split", split, "--progressive", "--window-seconds", "0.5",
                 "--max-refs", "2", "--max-distance", "0.75"],
@@ -502,15 +503,16 @@ def test_flag_defaults_equal_the_config_defaults():
             assert type(default) is type(getattr(cfg, field)), (command, dest)
 
 
-@pytest.mark.parametrize("command", ["split", "ple", "eval", "train"])
+@pytest.mark.parametrize("command", ["synth", "split", "ple", "eval", "train"])
 def test_every_command_replays_from_its_echo(workspace, estimates, tmp_path, command):
     first, again = tmp_path / "first", tmp_path / "again"
     flags = _replay_flags(command, workspace, estimates)
     assert cli.main([command, *flags, "--out", str(first)]) == 0
     echo = Path(f"{first}.config") if command == "split" else first / f"{command}.config"
-    _, commands = cli.build_parser()
-    dests = {action.dest for action in commands[command]._actions} - {"help", "config"}
-    assert set(cli.read_flat(echo)) == dests
+    if command != "synth":  # synth's echo is its scene, not its flags
+        _, commands = cli.build_parser()
+        dests = {action.dest for action in commands[command]._actions} - {"help", "config"}
+        assert set(cli.read_flat(echo)) == dests
     assert cli.main([command, "--config", str(echo), "--out", str(again)]) == 0
     assert _run_outputs(command, again) == _run_outputs(command, first)
 
@@ -702,13 +704,33 @@ def test_synth_scene_it_cannot_build_exits_config(tmp_path, capsys):
     assert not (tmp_path / "ds").exists()
 
 
-def test_synth_surface_it_cannot_sample_exits_config(tmp_path, capsys):
+@pytest.mark.parametrize("ground", [
+    "[1, -1e200, 1e200, -1e200, 1e200, 0]",  # an area too large to be a finite number
+    "[1, -1e10, 1e10, -1e10, 1e10, 0]",  # a count too large for one numpy array
+])
+def test_synth_surface_it_cannot_sample_exits_config(tmp_path, capsys, ground):
     scene = tmp_path / "scene.config"
-    scene.write_text("frames = 2\nground = [1, -1e200, 1e200, -1e200, 1e200, 0]\n")
+    scene.write_text(f"frames = 2\nground = {ground}\n")
     assert cli.main(["synth", "--config", str(scene), "--out", str(tmp_path / "ds")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {scene}: ground surface area times points_per_surface")
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("bodies, message", [
+    (["ground = [70000, -10.0, 20.0, -8.0, 8.0, 0.0]"],
+     "ground class ids must be in [1, 65535] to fit a label's 16 bits, got 70000"),
+    (["box = [10, 0, 0, 0, 0.1, 0.1, 0.1, 1, 0, 0]"] * 65536,
+     "box: 65536 moving boxes, but their instance ids must be in [1, 65535] to fit a "
+     "label's 16 bits"),
+])
+def test_synth_ids_beyond_16_bits_exit_config_before_writing(tmp_path, capsys, bodies, message):
+    scene = tmp_path / "scene.config"
+    scene.write_text("\n".join(["frames = 2", "points_per_surface = 0.001", *bodies]) + "\n")
+    out = tmp_path / "ds"
+    assert cli.main(["synth", "--config", str(scene), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {scene}: {message}\n"
+    assert not out.exists()
 
 
 def test_synth_missing_scene_file_exits_config(tmp_path, capsys):

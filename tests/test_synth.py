@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plelidar import geometry, lidar_io, synth
 from plelidar.errors import ConfigError
@@ -196,6 +199,46 @@ def test_config_text_round_trip():
     assert synth.config_to_text(again) == text
 
 
+_COORD = st.floats(-1e3, 1e3)
+_LENGTH = st.floats(0.0, 1e2)
+_TRIPLE = st.tuples(_COORD, _COORD, _COORD)
+_CLASS_ID = st.integers(1, 0xFFFF)
+_BODIES = st.one_of(
+    st.builds(lambda c, x, dx, y, dy, z: Ground(c, x, x + dx, y, y + dy, z),
+              _CLASS_ID, _COORD, _LENGTH, _COORD, _LENGTH, _COORD),
+    st.builds(Wall, _CLASS_ID, _COORD, _COORD, _COORD, _COORD, _LENGTH, _COORD),
+    st.builds(Box, _CLASS_ID, _TRIPLE, st.tuples(_LENGTH, _LENGTH, _LENGTH),
+              st.one_of(st.just((0.0, 0.0, 0.0)), _TRIPLE)),
+)
+
+
+@st.composite
+def _configs(draw):
+    path = tuple(draw(st.lists(_TRIPLE, min_size=1, max_size=4)))
+    return SynthConfig(
+        seed=draw(st.integers(0, 2**32)),
+        frames=draw(st.integers(2, 30)),
+        frequency=draw(st.floats(1e-3, 1e3)),
+        sensor_range=draw(st.one_of(st.floats(1e-3, 1e3), st.just(math.inf))),
+        points_per_surface=draw(st.floats(1e-3, 1e2)),
+        sampling=draw(st.sampled_from(synth.SAMPLING_MODES)),
+        pose_noise_translation=draw(st.floats(0.0, 10.0)),
+        pose_noise_rotation=draw(st.floats(0.0, 1.0)),
+        path=path,
+        headings=draw(st.one_of(st.just(()), st.tuples(*[_COORD] * len(path)))),
+        bodies=tuple(draw(st.lists(_BODIES, min_size=1, max_size=4))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_configs())
+def test_any_scene_round_trips_through_its_text(cfg):
+    text = synth.config_to_text(cfg)
+    again = synth.parse_config(text.splitlines())
+    assert again == cfg
+    assert synth.config_to_text(again) == text
+
+
 def test_parse_config_minimal():
     cfg = synth.parse_config(["frames = 3", "ground = [1, -5, 5, -5, 5, 0]"])
     assert cfg.frames == 3
@@ -217,11 +260,19 @@ def test_parse_config_rejects_bad_arity():
     ({"bodies": ()}, "scene has no bodies"),
     ({"headings": (0.0,)}, "1 headings for 2 waypoints"),
     ({"pose_noise_rotation": 1e200}, "pose_noise_rotation draws a rotation angle"),
+    # instance ids are 16 bits, one per moving box
+    ({"bodies": (Box(10, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0)),) * 65536},
+     "box: 65536 moving boxes"),
 ])
 def test_invalid_config_cannot_be_built(overrides, message):
     # so no function that takes a config meets one it cannot run
     with pytest.raises(ConfigError, match=message):
         corridor_config(**overrides)
+
+
+def test_ids_at_16_bits_are_accepted():
+    moving = Box(0xFFFF, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0))
+    assert len(corridor_config(bodies=(moving,) * 0xFFFF).bodies) == 0xFFFF
 
 
 def test_validate_rejects_bad_configs():
@@ -249,6 +300,10 @@ def test_validate_rejects_bad_configs():
     ("ground = [1, -1e308, 1e308, -5, 5, 0]", "ground"),
     ("ground = [1, 5, -5, -5, 5, 0]", "ground"),
     ("ground = [1, -1e200, 1e200, -1e200, 1e200, 0]", "ground surface area"),
+    # a finite area, but more points than one numpy array holds
+    ("ground = [1, -1e10, 1e10, -1e10, 1e10, 0]", "ground surface area"),
+    ("ground = [70000, -5, 5, -5, 5, 0]", "ground class ids must be in"),
+    ("ground = [0, -5, 5, -5, 5, 0]", "ground class ids must be in"),
     ("ground = [nan, -5, 5, -5, 5, 0]", "line 3"),
     ("wall = [9, 0, 0, 1, 0, -1, 0]", "wall"),
     ("box = [10, 0, 0, 1, -1, 1, 1, 0, 0, 0]", "box"),
