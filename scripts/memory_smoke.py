@@ -3,14 +3,17 @@
 
     python3 scripts/memory_smoke.py
 
-Runs `synth`, `split`, `ple` and `ple --progressive` (10 % labelled), then
-`eval --group-by-offset` and `train --steps 2` on the naive estimates, on
+Runs `synth`, `split`, `ple` and `ple --progressive` (10 % labelled), each
+at the default worker count and at `--workers 1`, then `eval
+--group-by-offset` and `train --steps 2` on the naive estimates, on
 one corridor scene at `SHORT` and `LONG` frames, each command as its own
 process, and reads each command's peak resident memory (`ru_maxrss`,
 Linux) from `os.wait4`. Both lengths cover the same drive through the same scene, so
 every frame holds about the same points and only the number of frames
 grows. Exits 1 if any command's peak on the long sequence exceeds its peak
-on the short one by more than `TOLERANCE`. The package is used from
+on the short one by more than `TOLERANCE`. A forked `ple` reports its
+largest process, not the sum: the parent, which holds the estimates it
+relays, or a worker; the `--workers 1` rows cover the one-process loop. The package is used from
 `src/` of this checkout; scratch files go to a temporary directory.
 """
 
@@ -23,8 +26,8 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-COMMANDS = ("synth", "split", "ple", "ple --progressive", "eval --group-by-offset",
-            "train --steps 2")
+COMMANDS = ("synth", "split", "ple", "ple --progressive", "ple --workers 1",
+            "ple --progressive --workers 1", "eval --group-by-offset", "train --steps 2")
 SHORT, LONG, TOLERANCE = 40, 400, 0.10
 
 
@@ -72,6 +75,9 @@ def peaks(frames: int, work: Path) -> dict:
         "split": ["split", "--root", data, "--ratio", "10%", "--out", split],
         "ple": ["ple", *common, "--out", naive],
         "ple --progressive": ["ple", *common, "--progressive", "--out", str(base / "progressive")],
+        "ple --workers 1": ["ple", *common, "--workers", "1", "--out", str(base / "naive-1")],
+        "ple --progressive --workers 1": ["ple", *common, "--progressive", "--workers", "1",
+                                          "--out", str(base / "progressive-1")],
         "eval --group-by-offset": ["eval", *common, "--ple-dir", naive, "--group-by-offset",
                                    "--out", str(base / "scores")],
         "train --steps 2": ["train", *common, "--ple-dir", naive, "--steps", "2",
@@ -89,7 +95,7 @@ def main() -> int:
         growth = long[command] / short[command] - 1.0
         over = growth > TOLERANCE
         failed |= over
-        print(f"{command:22} {SHORT} frames {short[command]:6.1f} MB  "
+        print(f"{command:30} {SHORT} frames {short[command]:6.1f} MB  "
               f"{LONG} frames {long[command]:6.1f} MB  {growth:+6.1%}"
               + ("  FAIL" if over else ""))
     return 1 if failed else 0

@@ -6,8 +6,8 @@ flat `key = value` file next to its outputs; pass that file back through
 override the file). A command returns nothing and refuses by raising a
 `ConfigError`, `DataError` or `EmptyResultError`; `main` alone turns the
 outcome into an exit code: 0 success, 2 configuration problem, 3 data problem
-(a `DataError` or an `OSError`), 4 empty result. The `ple` module owns the
-estimate tree that `ple` writes and `eval` and `train` read, and
+(a `DataError`, an `OSError` or a `MemoryError`), 4 empty result. The `ple`
+module owns the estimate tree that `ple` writes and `eval` and `train` read, and
 `evaluation.score` the tally, fold and offset curve of an `eval` run. The
 PLE_LOG environment variable (debug/info/warning/error) sets log verbosity.
 """
@@ -146,6 +146,7 @@ def cmd_ple(args) -> None:
     from . import ple
 
     # checked before anything is read, written or removed
+    ple.check_workers(args.workers)
     cfg = ple.PleConfig(
         window_seconds=args.window_seconds,
         max_references=args.max_refs,
@@ -166,7 +167,7 @@ def cmd_ple(args) -> None:
 
     # only a finished run leaves a ple.config, also over an earlier run's files
     (out / "ple.config").unlink(missing_ok=True)
-    runner(source, labeled, cfg, emit=write)
+    runner(source, labeled, cfg, args.workers, emit=write)
     # no estimate is a finished run only when every frame is labeled
     if not frames and any(source.frame_count(s) > len(labeled.get(s, ()))
                           for s in source.sequence_ids()):
@@ -294,7 +295,9 @@ def build_parser():
     p.add_argument("--max-refs", type=int, default=4)
     p.add_argument("--max-distance", type=float, default=float("inf"),
                    help="meters; inf leaves every match valid")
-    p.add_argument("--workers", type=int, default=1, help="ignored; ple is single-threaded")
+    p.add_argument("--workers", type=int, default=0,
+                   help="processes that make the estimates; 0 (the default) is one per CPU "
+                        "this process may use. The outputs are the same at any count")
     p.add_argument("--frequency", type=float, default=10.0,
                    help="scan rate in Hz; turns --window-seconds into frames")
     p.set_defaults(func=cmd_ple)
@@ -353,8 +356,9 @@ def main(argv=None) -> int:
         if args.command != "synth":
             _check_echoable(args)
         args.func(args)
-    except (ConfigError, DataError, EmptyResultError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, DataError, EmptyResultError, OSError, MemoryError) as exc:
+        # a MemoryError, also one a ple worker raised, need not carry a message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, ConfigError):
             return EXIT_CONFIG
         return EXIT_EMPTY if isinstance(exc, EmptyResultError) else EXIT_DATA

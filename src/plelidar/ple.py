@@ -14,7 +14,9 @@ belongs to one chain, rooted at its temporally nearest ground-truth frame
 reference any frame within the root's window whose own offset is below k.
 ``run_order`` fixes, before the run, an order in which every estimated
 reference comes before its targets; the loop runs the targets in that order
-and hands each estimate on as soon as it is made.
+and hands each estimate on as soon as it is made. With more than one worker,
+forked processes each run the loop over a share of that order, and the
+estimates are handed on in the same order.
 
 An estimate is stored as ``<root>/<sequence>/<frame:06d>.ple`` with a
 ``.meta`` beside it. ``write_estimate`` writes that tree and ``EstimateDir``
@@ -25,9 +27,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+import pickle
+import struct
+import threading
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -121,6 +127,10 @@ class PseudoLabelMap:
 
     def __len__(self) -> int:
         return len(self.semantic)
+
+    def __reduce__(self):
+        # unpickled through __init__, so its arrays come back checked and read-only
+        return PseudoLabelMap, tuple(getattr(self, f.name) for f in fields(self))
 
 
 def select_references(labeled: set, target: int, cfg: PleConfig) -> list:
@@ -263,15 +273,10 @@ class ManifestSource:
         return self._info(seq, frame).poses[frame]
 
 
-def _estimate_for(source, seq: str, target: int, refs, scans, labels,
-                  cfg: PleConfig) -> PseudoLabelMap:
-    target_pose = source.pose(seq, target)
+def _estimate_for(source, target, refs, scans, labels, cfg: PleConfig) -> PseudoLabelMap:
+    target_pose = source.pose(*target)
     references = [
-        (
-            scans.take(g),
-            labels.take(g),
-            geometry.relative_transform(source.pose(seq, g), target_pose),
-        )
+        (scans.take(g), labels.take(g), geometry.relative_transform(source.pose(*g), target_pose))
         for g in refs
     ]
     return estimate_labels(scans.take(target), references, cfg)
@@ -367,32 +372,275 @@ def run_order(refs_of: dict) -> tuple:
     return tuple(order)
 
 
-def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit) -> None:
-    """Run each sequence's plan in `run_order`, handing every estimate to
-    emit((sequence, frame), estimate) as soon as it is made.
+def check_workers(workers: int) -> None:
+    """Refuse a negative worker count; 0 stands for one per CPU."""
+    if workers < 0:
+        raise ConfigError(f"workers must be 0 (one per CPU) or a process count, got {workers}")
+
+
+def _process_count(workers: int, targets: int) -> int:
+    """Processes for `targets` estimates: `workers`, or for 0 one per CPU
+    this process may use; at most one per target. 1 without os.fork, and in
+    a process with more than one thread: a forked child holds only the
+    calling thread, so a lock another thread held would never be released."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if workers == 0:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    return max(1, min(workers, targets))
+
+
+def _shares(plan: dict, targets, workers: int) -> list:
+    """`targets`, in run order, dealt to `workers` processes, each share in
+    run order; empty shares are left out.
+
+    Each target goes to the process that could start it first, after its
+    estimated references, if every estimate took the same time (the lower
+    process on ties). A naive plan is dealt out in turn; a progressive one
+    follows its chains.
+    """
+    done_at, free, shares = {}, [0] * workers, [[] for _ in range(workers)]
+    for f in targets:
+        ready = max((done_at[g] for g in plan[f] if g in done_at), default=0)
+        w = min(range(workers), key=lambda w: (max(free[w], ready), w))
+        done_at[f] = free[w] = max(free[w], ready) + 1
+        shares[w].append(f)
+    return [share for share in shares if share]
+
+
+def _run_share(source, cfg: PleConfig, plan: dict, share, emit, receive=None) -> None:
+    """Make the estimates of `share`, targets of `plan` in run order, and hand
+    each to emit(target, estimate) as soon as it is made.
 
     A scan, a ground-truth label map or an estimate is read (or made) once,
-    kept while a later target still needs it, and dropped after its last
-    use; a target's label file is never read.
+    kept while a later target of the share still needs it, and dropped after
+    its last use; a target's label file is never read. An estimate made by
+    another process comes from receive(target).
     """
+    label_uses = Counter(g for f in share for g in plan[f])
+    # each target also reads its own scan once
+    scans = _UseCounted(lambda f: source.cloud(*f), label_uses + Counter(share))
+    labels = _UseCounted(lambda f: receive(f) if f in plan else source.gt_labels(*f),
+                         label_uses)
+    for f in share:
+        try:
+            pmap = _estimate_for(source, f, plan[f], scans, labels, cfg)
+        except PlelidarError as exc:
+            raise type(exc)("sequence {}, frame {}: {}".format(*f, exc)) from exc
+        labels.keep(f, pmap)
+        emit(f, pmap)
+        del pmap  # not held while the next target runs
+
+
+def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit, workers: int) -> None:
+    """Run every sequence's plan, its targets in `run_order`, handing each
+    estimate to emit((sequence, frame), estimate) in that order.
+
+    This process makes them all when `_process_count` gives one process or
+    `_shares` one share of the targets after the first; otherwise it makes
+    the first and forked workers the rest (`_run_forked`). The estimates are
+    the same either way.
+    """
+    check_workers(workers)
+    plan = {}
     for seq in source.sequence_ids():
         labeled = set(split.get(seq, ()))
-        if not labeled:
-            continue
-        refs_of = schedule(labeled, source.frame_count(seq), cfg)
-        order = run_order(refs_of)
-        label_uses = Counter(g for f in order for g in refs_of[f])
-        # each target also reads its own scan once
-        scans = _UseCounted(partial(source.cloud, seq), label_uses + Counter(order))
-        labels = _UseCounted(partial(source.gt_labels, seq), label_uses)
-        for f in order:
+        if labeled:
+            refs_of = schedule(labeled, source.frame_count(seq), cfg)
+            plan.update(((seq, f), tuple((seq, g) for g in refs_of[f]))
+                        for f in run_order(refs_of))
+    order = tuple(plan)
+    shares = _shares(plan, order[1:], _process_count(workers, len(order) - 1))
+    if len(shares) < 2:
+        _run_share(source, cfg, plan, order, emit)
+    else:
+        _run_forked(source, cfg, plan, order, shares, emit)
+
+
+# a message between the parent and a worker: its pickle's length, then the pickle
+_HEADER = struct.Struct("<Q")
+
+
+def _send(file, message) -> None:
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    file.write(_HEADER.pack(len(data)))
+    file.write(data)
+    file.flush()
+
+
+def _receive(file):
+    header = file.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise EOFError("the parent process closed its pipe")
+    return pickle.loads(file.read(_HEADER.unpack(header)[0]))
+
+
+def _work(source, cfg: PleConfig, plan: dict, order: tuple, share, first: dict,
+          down, up) -> None:
+    """A worker's run: make `share` and send each estimate up as (its index
+    in `order`, estimate), or the exception that stopped it as (the failing
+    target's index, exception). An estimate made elsewhere is `first`'s, or
+    is read from `down` as the parent relays it."""
+    index = {f: i for i, f in enumerate(order)}
+    inbox = dict(first)  # made elsewhere, not yet taken
+
+    def receive(f):
+        while f not in inbox:
+            i, pmap = _receive(down)
+            inbox[order[i]] = pmap
+        return inbox.pop(f)
+
+    sent = 0
+
+    def send(f, pmap) -> None:
+        nonlocal sent
+        _send(up, (index[f], pmap))
+        sent += 1
+
+    try:
+        _run_share(source, cfg, plan, share, send, receive)
+    except BaseException as exc:
+        _send(up, (index[share[sent]], exc))
+        raise
+
+
+class _Worker:
+    """A forked worker as the parent sees it: its share, the write end of
+    the pipe it reads relayed estimates from (non-blocking), and the read
+    end of the pipe it sends its results up.
+
+    The worker runs work(down, up) on its ends of the two pipes, having
+    closed the parent's ends of the pipes of the workers `started` before
+    it, so that each pipe ends when its one process on the other side does.
+    """
+
+    def __init__(self, share, work, started: list):
+        down_r, self.down = os.pipe()
+        self.up, up_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (down_r, self.down, self.up, up_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
             try:
-                pmap = _estimate_for(source, seq, f, refs_of[f], scans, labels, cfg)
-            except PlelidarError as exc:
-                raise type(exc)(f"sequence {seq}, frame {f}: {exc}") from exc
-            labels.keep(f, pmap)
-            emit((seq, f), pmap)
-            del pmap  # not held while the next target runs
+                for w in (self, *started):
+                    os.close(w.down)
+                    os.close(w.up)
+                with os.fdopen(down_r, "rb") as down, os.fdopen(up_w, "wb") as up:
+                    work(down, up)
+                code = 0
+            finally:
+                os._exit(code)  # never returns into the parent's code
+        os.close(down_r)
+        os.close(up_w)
+        os.set_blocking(self.down, False)
+        self.share = share
+        self.received = 0  # estimates of the share received so far
+        self.unread = bytearray()  # the start of a message not yet whole
+        self.unsent = bytearray()  # relayed messages it has not read yet
+
+    def messages(self):
+        """The whole messages in `unread`, as (raw bytes, (index, result))."""
+        while len(self.unread) >= _HEADER.size:
+            end = _HEADER.size + _HEADER.unpack_from(self.unread)[0]
+            if len(self.unread) < end:
+                return
+            raw = bytes(self.unread[:end])
+            del self.unread[:end]
+            yield raw, pickle.loads(memoryview(raw)[_HEADER.size:])
+
+
+def _run_forked(source, cfg: PleConfig, plan: dict, order: tuple, shares: list,
+                emit) -> None:
+    """Make order[0] here, then fork one worker per share.
+
+    Every worker starts from this process's state after that estimate, and
+    gets the estimate itself with it. Each worker runs `_run_share` over its
+    share and sends its estimates up a pipe; this process relays each
+    estimate to every other worker whose share references it and emits the
+    estimates in `order`. A failed target stops the run once every earlier
+    target is emitted, so it leaves exactly what one process would: the
+    estimates before the earliest failing target, and that target's
+    exception. Every worker is killed and reaped on the way out, whatever
+    the way.
+    """
+    import select
+    import signal
+
+    first = {}
+
+    def keep_first(f, pmap) -> None:
+        first[f] = pmap
+        emit(f, pmap)
+
+    _run_share(source, cfg, plan, order[:1], keep_first)
+    index = {f: i for i, f in enumerate(order)}
+    owner = {f: w for w, share in enumerate(shares) for f in share}
+    relay_to: dict = {}  # index -> the workers, other than its maker, that reference it
+    for w, share in enumerate(shares):
+        for f in share:
+            for g in plan[f]:
+                if owner.get(g, w) != w:
+                    relay_to.setdefault(index[g], set()).add(w)
+    workers: list = []
+    try:
+        for share in shares:
+            work = partial(_work, source, cfg, plan, order, share, first)
+            workers.append(_Worker(share, work, workers))
+        first.clear()  # each worker has its copy
+        poller = select.poll()
+        fds = {}
+        for w in workers:
+            poller.register(w.up, select.POLLIN)
+            fds[w.up] = fds[w.down] = w
+        made, failed, emitted = {}, {}, 1  # failed: index -> exception
+        while emitted < min(failed, default=len(order)):
+            for fd, _ in poller.poll():
+                w = fds[fd]
+                if fd == w.down:
+                    try:
+                        del w.unsent[:os.write(fd, w.unsent)]
+                    except BlockingIOError:
+                        continue
+                    except BrokenPipeError:  # the worker is gone, and needs nothing more
+                        w.unsent.clear()
+                    if not w.unsent:
+                        poller.unregister(fd)
+                    continue
+                data = os.read(fd, 1 << 20)
+                if not data:  # the worker has exited
+                    poller.unregister(fd)
+                    if w.received < len(w.share):
+                        i = index[w.share[w.received]]
+                        failed.setdefault(i, ChildProcessError(
+                            "sequence {}, frame {}: the worker making it stopped without "
+                            "a result".format(*order[i])))
+                    continue
+                w.unread += data
+                for raw, (i, result) in w.messages():
+                    if isinstance(result, BaseException):
+                        failed[i] = result
+                        continue
+                    w.received += 1
+                    made[i] = result
+                    for r in relay_to.get(i, ()):
+                        workers[r].unsent += raw
+                        poller.register(workers[r].down, select.POLLOUT)
+            while emitted in made:
+                emit(order[emitted], made.pop(emitted))
+                emitted += 1
+        if failed:
+            raise failed[min(failed)]
+    finally:
+        for w in workers:
+            os.close(w.down)
+            os.close(w.up)
+            os.kill(w.pid, signal.SIGKILL)
+            os.waitpid(w.pid, 0)
 
 
 def run_naive(source, split: dict, cfg: PleConfig, workers: int = 1, *, emit=None) -> dict:
@@ -401,13 +649,14 @@ def run_naive(source, split: dict, cfg: PleConfig, workers: int = 1, *, emit=Non
     Returns {(sequence_id, frame_id): PseudoLabelMap}. Frames with no
     in-window ground-truth reference are left out. Given `emit`, each
     estimate is instead handed to emit((sequence_id, frame_id), estimate)
-    as soon as it is made, and the returned dict is empty. `workers` is
-    accepted and ignored: the run is single-threaded.
+    in run order, and the returned dict is empty. `workers` processes make
+    the estimates (0: one per CPU this process may use); the result is the
+    same at any count.
     """
     if cfg.progressive:
         raise ConfigError("run_naive requires cfg.progressive = False")
     results: dict = {}
-    _run_plan(source, split, cfg, schedule_naive, emit or results.__setitem__)
+    _run_plan(source, split, cfg, schedule_naive, emit or results.__setitem__, workers)
     return results
 
 
@@ -417,13 +666,12 @@ def run_progressive(source, split: dict, cfg: PleConfig, workers: int = 1, *,
     a frame may reference estimates closer to its chain root than itself.
 
     Covers exactly the frames run_naive covers, and returns or emits them
-    the same way. `workers` is accepted and ignored: the run is
-    single-threaded.
+    the same way, made by as many processes.
     """
     if not cfg.progressive:
         raise ConfigError("run_progressive requires cfg.progressive = True")
     results: dict = {}
-    _run_plan(source, split, cfg, schedule_progressive, emit or results.__setitem__)
+    _run_plan(source, split, cfg, schedule_progressive, emit or results.__setitem__, workers)
     return results
 
 

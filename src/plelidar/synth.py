@@ -128,6 +128,11 @@ _CASTS = {"int": int, "float": float, "str": str}
 _MAX_POINTS = np.iinfo(np.intp).max // 24  # the most one (n, 3) float64 array holds
 
 
+def _arity(kind) -> int:
+    """The number of values on a scene line of body class `kind`."""
+    return sum(_WIDTHS[f.type] for f in fields(kind))
+
+
 def _flat(body) -> list:
     """A body's values in scene-line order: its fields, a triple spread out."""
     return [v for f in fields(body)
@@ -180,6 +185,8 @@ class SynthConfig:
             raise ConfigError("scene has no bodies")
         for body in self.bodies:
             kind, values = type(body).__name__.lower(), _flat(body)
+            if len(values) != _arity(type(body)):
+                raise ConfigError(f"{kind} expects {_arity(type(body))} values, got {values}")
             if not 1 <= body.class_id <= 0xFFFF:
                 raise ConfigError(f"{kind} class ids must be in [1, 65535] to fit a label's 16 "
                                   f"bits, got {body.class_id}")
@@ -372,14 +379,13 @@ def _parse_list(value: str, key: str, at: str) -> list:
 
 
 def _body_from_values(kind: str, vals: list, at: str):
-    layout = fields(_BODY_KINDS[kind])
-    arity = sum(_WIDTHS[f.type] for f in layout)
-    if len(vals) != arity:
-        raise ConfigError(f"{at}: {kind} expects {arity} values, got {len(vals)}")
+    if len(vals) != _arity(_BODY_KINDS[kind]):
+        raise ConfigError(f"{at}: {kind} expects {_arity(_BODY_KINDS[kind])} values, "
+                          f"got {len(vals)}")
     if not vals[0].is_integer():
         raise ConfigError(f"{at}: class id must be an integer")
     values, args = iter(vals), []
-    for f in layout:
+    for f in fields(_BODY_KINDS[kind]):
         part = tuple(islice(values, _WIDTHS[f.type]))
         args.append(part if f.type == "tuple" else _CASTS[f.type](*part))
     return _BODY_KINDS[kind](*args)

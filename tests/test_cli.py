@@ -317,23 +317,52 @@ def test_ple_naive_then_eval(workspace, tmp_path, capsys):
     assert len(curve_rows) > 1
 
 
-def test_ple_worker_count_keeps_bytes_identical(workspace, tmp_path):
-    outs = []
-    for workers in ("1", "8"):
-        est = tmp_path / f"w{workers}"
-        code = cli.main(
-            [
-                "ple",
-                "--root", str(workspace["data"]),
-                "--split", str(workspace["split"]),
-                "--workers", workers,
-                "--progressive",
-                "--out", str(est),
-            ]
-        )
-        assert code == 0
-        outs.append(_tree_bytes(est, skip_names=("ple.config",)))
-    assert outs[0] == outs[1]
+@pytest.mark.parametrize("workers", ["1", "2", "8"])
+@pytest.mark.parametrize("mode", [[], ["--progressive"]], ids=["naive", "progressive"])
+def test_ple_worker_count_keeps_bytes_identical(workspace, tmp_path, mode, workers):
+    def run(name, *flags):
+        est = tmp_path / name
+        assert cli.main(["ple", "--root", str(workspace["data"]), "--split",
+                         str(workspace["split"]), *mode, *flags, "--out", str(est)]) == 0
+        return _tree_bytes(est, skip_names=("ple.config",))
+
+    assert run("default") == run(f"w{workers}", "--workers", workers)
+
+
+@pytest.mark.parametrize("mode", [[], ["--progressive"]], ids=["naive", "progressive"])
+def test_forked_ple_failure_is_the_serial_failure(workspace, tmp_path, monkeypatch, capsys,
+                                                  mode):
+    # a middle root gives every round two targets, one on each side
+    middle = tmp_path / "middle.split"
+    split_mod.write_split({"00": (5,)}, middle)
+
+    def estimate(target_cloud, *args, _real=ple.estimate_labels):
+        if target_cloud.frame_id == 8:
+            raise DataError("injected")
+        return _real(target_cloud, *args)
+
+    monkeypatch.setattr(ple, "estimate_labels", estimate)
+    runs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert cli.main(["ple", "--root", str(workspace["data"]), "--split", str(middle),
+                         "--workers", workers, *mode, "--out", str(out)]) == 3
+        runs[workers] = capsys.readouterr().err, _tree_bytes(out)
+        assert not (out / "ple.config").exists()
+    assert runs["1"][0] == "error: sequence 00, frame 8: injected\n"
+    assert runs["2"] == runs["1"]
+    # every worker was reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_negative_worker_count_exits_config_before_reading(tmp_path, capsys):
+    code = cli.main(["ple", "--root", str(tmp_path / "nope"), "--split",
+                     str(tmp_path / "nope.split"), "--workers", "-1",
+                     "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert "workers must be 0 (one per CPU) or a process count, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("progressive", [False, True], ids=["naive", "progressive"])
@@ -717,6 +746,29 @@ def test_synth_surface_it_cannot_sample_exits_config(tmp_path, capsys, ground):
     assert not (tmp_path / "ds").exists()
 
 
+def test_synth_scene_too_big_for_memory_exits_data(tmp_path, capsys):
+    # 1e16 points a frame: a count numpy can index, but no machine can hold
+    scene = tmp_path / "scene.config"
+    scene.write_text("frames = 2\npoints_per_surface = 1\nground = [1, 0, 1e8, 0, 1e8, 0]\n")
+    assert cli.main(["synth", "--config", str(scene), "--out", str(tmp_path / "ds")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
+def test_ple_worker_out_of_memory_exits_data(workspace, tmp_path, monkeypatch, capsys):
+    def estimate(target_cloud, *args, _real=ple.estimate_labels):
+        if target_cloud.frame_id == 8:
+            raise MemoryError
+        return _real(target_cloud, *args)
+
+    monkeypatch.setattr(ple, "estimate_labels", estimate)
+    out = tmp_path / "e"
+    assert cli.main(["ple", "--root", str(workspace["data"]), "--split",
+                     str(workspace["split"]), "--workers", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not (out / "ple.config").exists()
+
+
 @pytest.mark.parametrize("bodies, message", [
     (["ground = [70000, -10.0, 20.0, -8.0, 8.0, 0.0]"],
      "ground class ids must be in [1, 65535] to fit a label's 16 bits, got 70000"),
@@ -815,7 +867,10 @@ def test_ple_exit_empty_takes_away_the_ple_config_of_a_finished_run(workspace, e
 @pytest.mark.parametrize("mode", [[], ["--progressive"]], ids=["naive", "progressive"])
 def test_failed_ple_keeps_the_estimates_written_before_it(workspace, tmp_path, monkeypatch,
                                                           capsys, mode, k):
-    argv = ["ple", "--root", str(workspace["data"]), "--split", str(workspace["split"]), *mode]
+    # one process, so that the k-th estimate_labels call is the k-th estimate;
+    # test_forked_ple_failure_is_the_serial_failure covers the forked run
+    argv = ["ple", "--root", str(workspace["data"]), "--split", str(workspace["split"]),
+            "--workers", "1", *mode]
     full, failed = tmp_path / "full", tmp_path / "failed"
     written = []
 
@@ -1595,6 +1650,6 @@ def test_config_echo_round_trips_through_read_flat(workspace, tmp_path):
         == 0
     )
     values = cli.read_flat(out / "ple.config")
-    assert values["workers"] == "1"
+    assert values["workers"] == "0"
     assert values["progressive"] == "false"
     assert values["max_distance"] == "inf"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+import os
 import re
 import shutil
 import weakref
@@ -634,6 +635,65 @@ def test_streamed_run_equals_round_order_run(moving_40, case):
     _assert_same_estimates(run(source, split, cfg), want)
 
 
+_FORK_SPLIT = {"00": (3, 9, 15, 31)}
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+@pytest.mark.parametrize("progressive", [False, True], ids=["naive", "progressive"])
+def test_forked_run_emits_what_one_process_emits(moving_40, workers, progressive):
+    source = DatasetSource(moving_40)
+    cfg = PleConfig(0.5, 6, 0.4, progressive)
+    run = ple.run_progressive if progressive else ple.run_naive
+    serial, forked = [], []
+    run(source, _FORK_SPLIT, cfg, 1, emit=lambda key, pmap: serial.append((key, pmap)))
+    run(source, _FORK_SPLIT, cfg, workers, emit=lambda key, pmap: forked.append((key, pmap)))
+    assert [key for key, _ in forked] == [key for key, _ in serial]
+    _assert_same_estimates(dict(forked), dict(serial))
+    # relayed estimates are rebuilt as estimates: checked and read-only
+    assert not any(pmap.semantic.flags.writeable for _, pmap in forked)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("where", ["worker", "parent"])
+@pytest.mark.parametrize("error", [DataError, RuntimeError, KeyboardInterrupt])
+def test_forked_run_reaps_every_worker_however_it_ends(moving_40, monkeypatch, where, error):
+    def estimate(target_cloud, *args, _real=ple.estimate_labels):
+        if where == "worker" and target_cloud.frame_id == 20:
+            raise error("injected")
+        return _real(target_cloud, *args)
+
+    def emit(key, pmap):
+        if where == "parent" and key == ("00", 20):
+            raise error("injected")
+
+    monkeypatch.setattr(ple, "estimate_labels", estimate)
+    with pytest.raises(error, match="injected"):
+        ple.run_progressive(DatasetSource(moving_40), _FORK_SPLIT, PleConfig(progressive=True),
+                            2, emit=emit)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_run_names_the_frame_of_a_worker_that_died(moving_40, monkeypatch):
+    parent = os.getpid()
+
+    def estimate(target_cloud, *args, _real=ple.estimate_labels):
+        if target_cloud.frame_id == 20 and os.getpid() != parent:
+            os._exit(1)
+        return _real(target_cloud, *args)
+
+    monkeypatch.setattr(ple, "estimate_labels", estimate)
+    emitted = []
+    with pytest.raises(ChildProcessError, match="sequence 00, frame 20: the worker making it "
+                                                "stopped without a result"):
+        ple.run_naive(DatasetSource(moving_40), _FORK_SPLIT, PleConfig(), 2,
+                      emit=lambda key, pmap: emitted.append(key))
+    order = [key for key, _ in ple.run_naive(DatasetSource(moving_40), _FORK_SPLIT,
+                                             PleConfig()).items()]
+    assert emitted == order[:order.index(("00", 20))]
+
+
 @pytest.fixture(scope="module")
 def long_sparse(tmp_path_factory):
     """300 exported frames of a few dozen points each."""
@@ -812,6 +872,15 @@ def two_sequences(tmp_path_factory, corridor_short):
 
     ple.run_naive(source, {"00": (4,), "01": (0, 7)}, PleConfig(window_seconds=0.3), emit=write)
     return source, root / "est", written
+
+
+def test_forked_run_over_two_sequences_emits_what_one_process_emits(two_sequences):
+    source, _, written = two_sequences
+    forked = []
+    ple.run_naive(source, {"00": (4,), "01": (0, 7)}, PleConfig(window_seconds=0.3), 3,
+                  emit=lambda key, pmap: forked.append((key, pmap)))
+    assert [key for key, _ in forked] == list(written)
+    _assert_same_estimates(dict(forked), written)
 
 
 class TestEstimateDir:

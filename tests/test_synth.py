@@ -293,6 +293,16 @@ def test_validate_rejects_bad_configs():
         synth.generate(corridor_config(headings=(0.0,)))
 
 
+@pytest.mark.parametrize("box", [
+    Box(10, (0.0, 0.0), (1.0, 1.0), (0.0, 0.0)),
+    Box(10, (0.0, 0.0, 1.0), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0)),
+])
+def test_box_whose_triples_are_not_three_values_is_refused(box):
+    # the scene format holds exactly three values per triple
+    with pytest.raises(ConfigError, match="box expects 10 values"):
+        SynthConfig(frames=2, bodies=(box,))
+
+
 @pytest.mark.parametrize("line, named", [
     ("points_per_surface = nan", "points_per_surface"),
     ("points_per_surface = inf", "points_per_surface"),
