@@ -12,8 +12,9 @@ Linux) from `os.wait4`. Both lengths cover the same drive through the same scene
 every frame holds about the same points and only the number of frames
 grows. Exits 1 if any command's peak on the long sequence exceeds its peak
 on the short one by more than `TOLERANCE`. A forked `ple` reports its
-largest process, not the sum: the parent, which holds the estimates it
-relays, or a worker; the `--workers 1` rows cover the one-process loop. The package is used from
+largest process, not the sum: the parent, which holds the estimates it has
+yet to write or to send to a worker, or a worker; the `--workers 1` rows
+cover the one-process loop. The package is used from
 `src/` of this checkout; scratch files go to a temporary directory.
 """
 

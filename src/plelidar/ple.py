@@ -13,10 +13,9 @@ belongs to one chain, rooted at its temporally nearest ground-truth frame
 (ties to the earlier frame id), and a target at offset k from its root may
 reference any frame within the root's window whose own offset is below k.
 ``run_order`` fixes, before the run, an order in which every estimated
-reference comes before its targets; the loop runs the targets in that order
-and hands each estimate on as soon as it is made. With more than one worker,
-forked processes each run the loop over a share of that order, and the
-estimates are handed on in the same order.
+reference comes before its targets, and each estimate is handed on in that
+order. One process makes them in that order; with more than one worker, it
+deals each ready target to an idle forked worker instead.
 
 An estimate is stored as ``<root>/<sequence>/<frame:06d>.ple`` with a
 ``.meta`` beside it. ``write_estimate`` writes that tree and ``EstimateDir``
@@ -25,6 +24,7 @@ lists, checks and reads it; ``write_ple`` and ``read_ple`` are the file pair.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 import os
@@ -34,7 +34,6 @@ import threading
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -273,13 +272,17 @@ class ManifestSource:
         return self._info(seq, frame).poses[frame]
 
 
-def _estimate_for(source, target, refs, scans, labels, cfg: PleConfig) -> PseudoLabelMap:
-    target_pose = source.pose(*target)
-    references = [
-        (scans.take(g), labels.take(g), geometry.relative_transform(source.pose(*g), target_pose))
-        for g in refs
-    ]
-    return estimate_labels(scans.take(target), references, cfg)
+def _estimate_for(source, target, refs, scan, labels, cfg: PleConfig) -> PseudoLabelMap:
+    """The estimate of `target` from `refs`, whose scans come from scan(frame)
+    and labels from labels(frame); a failure names the target."""
+    try:
+        target_pose = source.pose(*target)
+        references = [(scan(g), labels(g),
+                       geometry.relative_transform(source.pose(*g), target_pose))
+                      for g in refs]
+        return estimate_labels(scan(target), references, cfg)
+    except PlelidarError as exc:
+        raise type(exc)("sequence {}, frame {}: {}".format(*target, exc)) from exc
 
 
 def schedule_naive(labeled: set, length: int, cfg: PleConfig) -> dict:
@@ -341,6 +344,19 @@ class _UseCounted:
         return item
 
 
+def _dependencies(refs_of: dict) -> tuple:
+    """Per target of a plan `{target: references}`: how many of its references
+    are targets too, and which targets reference it."""
+    waiting = dict.fromkeys(refs_of, 0)
+    dependents: dict = {}
+    for f, refs in refs_of.items():
+        for g in refs:
+            if g in refs_of:
+                waiting[f] += 1
+                dependents.setdefault(g, []).append(f)
+    return waiting, dependents
+
+
 def run_order(refs_of: dict) -> tuple:
     """The targets of a plan `{target: references}` in the order the run
     makes them.
@@ -352,13 +368,7 @@ def run_order(refs_of: dict) -> tuple:
     estimated references are all done, the lowest frame id goes next, so
     the run advances through the sequence.
     """
-    waiting = dict.fromkeys(refs_of, 0)
-    dependents: dict = {}
-    for f, refs in refs_of.items():
-        for g in refs:
-            if g in refs_of:
-                waiting[f] += 1
-                dependents.setdefault(g, []).append(f)
+    waiting, dependents = _dependencies(refs_of)
     ready = [f for f, n in waiting.items() if n == 0]
     heapq.heapify(ready)
     order = []
@@ -391,43 +401,20 @@ def _process_count(workers: int, targets: int) -> int:
     return max(1, min(workers, targets))
 
 
-def _shares(plan: dict, targets, workers: int) -> list:
-    """`targets`, in run order, dealt to `workers` processes, each share in
-    run order; empty shares are left out.
-
-    Each target goes to the process that could start it first, after its
-    estimated references, if every estimate took the same time (the lower
-    process on ties). A naive plan is dealt out in turn; a progressive one
-    follows its chains.
-    """
-    done_at, free, shares = {}, [0] * workers, [[] for _ in range(workers)]
-    for f in targets:
-        ready = max((done_at[g] for g in plan[f] if g in done_at), default=0)
-        w = min(range(workers), key=lambda w: (max(free[w], ready), w))
-        done_at[f] = free[w] = max(free[w], ready) + 1
-        shares[w].append(f)
-    return [share for share in shares if share]
-
-
-def _run_share(source, cfg: PleConfig, plan: dict, share, emit, receive=None) -> None:
-    """Make the estimates of `share`, targets of `plan` in run order, and hand
-    each to emit(target, estimate) as soon as it is made.
+def _run_serial(source, cfg: PleConfig, plan: dict, emit) -> None:
+    """Make the estimates of `plan`'s targets in its order, in this process,
+    and hand each to emit(target, estimate) as soon as it is made.
 
     A scan, a ground-truth label map or an estimate is read (or made) once,
-    kept while a later target of the share still needs it, and dropped after
-    its last use; a target's label file is never read. An estimate made by
-    another process comes from receive(target).
+    kept while a later target still needs it, and dropped after its last
+    use; a target's label file is never read.
     """
-    label_uses = Counter(g for f in share for g in plan[f])
+    label_uses = Counter(g for refs in plan.values() for g in refs)
     # each target also reads its own scan once
-    scans = _UseCounted(lambda f: source.cloud(*f), label_uses + Counter(share))
-    labels = _UseCounted(lambda f: receive(f) if f in plan else source.gt_labels(*f),
-                         label_uses)
-    for f in share:
-        try:
-            pmap = _estimate_for(source, f, plan[f], scans, labels, cfg)
-        except PlelidarError as exc:
-            raise type(exc)("sequence {}, frame {}: {}".format(*f, exc)) from exc
+    scans = _UseCounted(lambda f: source.cloud(*f), label_uses + Counter(plan.keys()))
+    labels = _UseCounted(lambda f: source.gt_labels(*f), label_uses)
+    for f, refs in plan.items():
+        pmap = _estimate_for(source, f, refs, scans.take, labels.take, cfg)
         labels.keep(f, pmap)
         emit(f, pmap)
         del pmap  # not held while the next target runs
@@ -437,9 +424,8 @@ def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit, workers: int)
     """Run every sequence's plan, its targets in `run_order`, handing each
     estimate to emit((sequence, frame), estimate) in that order.
 
-    This process makes them all when `_process_count` gives one process or
-    `_shares` one share of the targets after the first; otherwise it makes
-    the first and forked workers the rest (`_run_forked`). The estimates are
+    This process makes them all when `_process_count` gives one process;
+    otherwise forked workers make them (`_run_forked`). The estimates are
     the same either way.
     """
     check_workers(workers)
@@ -450,12 +436,11 @@ def _run_plan(source, split: dict, cfg: PleConfig, schedule, emit, workers: int)
             refs_of = schedule(labeled, source.frame_count(seq), cfg)
             plan.update(((seq, f), tuple((seq, g) for g in refs_of[f]))
                         for f in run_order(refs_of))
-    order = tuple(plan)
-    shares = _shares(plan, order[1:], _process_count(workers, len(order) - 1))
-    if len(shares) < 2:
-        _run_share(source, cfg, plan, order, emit)
+    processes = _process_count(workers, len(plan))
+    if processes < 2:
+        _run_serial(source, cfg, plan, emit)
     else:
-        _run_forked(source, cfg, plan, order, shares, emit)
+        _run_forked(source, cfg, plan, processes, emit)
 
 
 # a message between the parent and a worker: its pickle's length, then the pickle
@@ -470,177 +455,142 @@ def _send(file, message) -> None:
 
 
 def _receive(file):
+    """The next message on `file`; EOFError if the file ends first."""
     header = file.read(_HEADER.size)
-    if len(header) < _HEADER.size:
-        raise EOFError("the parent process closed its pipe")
-    return pickle.loads(file.read(_HEADER.unpack(header)[0]))
+    if len(header) == _HEADER.size:
+        (size,) = _HEADER.unpack(header)
+        data = file.read(size)
+        if len(data) == size:
+            return pickle.loads(data)
+    raise EOFError("the process on the other side of the pipe has stopped")
 
 
-def _work(source, cfg: PleConfig, plan: dict, order: tuple, share, first: dict,
-          down, up) -> None:
-    """A worker's run: make `share` and send each estimate up as (its index
-    in `order`, estimate), or the exception that stopped it as (the failing
-    target's index, exception). An estimate made elsewhere is `first`'s, or
-    is read from `down` as the parent relays it."""
-    index = {f: i for i, f in enumerate(order)}
-    inbox = dict(first)  # made elsewhere, not yet taken
-
-    def receive(f):
-        while f not in inbox:
-            i, pmap = _receive(down)
-            inbox[order[i]] = pmap
-        return inbox.pop(f)
-
-    sent = 0
-
-    def send(f, pmap) -> None:
-        nonlocal sent
-        _send(up, (index[f], pmap))
-        sent += 1
-
-    try:
-        _run_share(source, cfg, plan, share, send, receive)
-    except BaseException as exc:
-        _send(up, (index[share[sent]], exc))
-        raise
-
-
-class _Worker:
-    """A forked worker as the parent sees it: its share, the write end of
-    the pipe it reads relayed estimates from (non-blocking), and the read
-    end of the pipe it sends its results up.
-
-    The worker runs work(down, up) on its ends of the two pipes, having
-    closed the parent's ends of the pipes of the workers `started` before
-    it, so that each pipe ends when its one process on the other side does.
-    """
-
-    def __init__(self, share, work, started: list):
-        down_r, self.down = os.pipe()
-        self.up, up_w = os.pipe()
+def _serve(source, cfg: PleConfig, plan: dict, down, up) -> None:
+    """A worker's loop until `down` ends: read a target of `plan` and the
+    estimates it references, and send up its estimate, or the exception that
+    stopped it. Each target reads its own scans and ground-truth labels."""
+    while True:
         try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (down_r, self.down, self.up, up_w):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                for w in (self, *started):
-                    os.close(w.down)
-                    os.close(w.up)
-                with os.fdopen(down_r, "rb") as down, os.fdopen(up_w, "wb") as up:
-                    work(down, up)
-                code = 0
-            finally:
-                os._exit(code)  # never returns into the parent's code
-        os.close(down_r)
-        os.close(up_w)
-        os.set_blocking(self.down, False)
-        self.share = share
-        self.received = 0  # estimates of the share received so far
-        self.unread = bytearray()  # the start of a message not yet whole
-        self.unsent = bytearray()  # relayed messages it has not read yet
-
-    def messages(self):
-        """The whole messages in `unread`, as (raw bytes, (index, result))."""
-        while len(self.unread) >= _HEADER.size:
-            end = _HEADER.size + _HEADER.unpack_from(self.unread)[0]
-            if len(self.unread) < end:
-                return
-            raw = bytes(self.unread[:end])
-            del self.unread[:end]
-            yield raw, pickle.loads(memoryview(raw)[_HEADER.size:])
+            f, estimates = _receive(down)
+        except EOFError:
+            return
+        try:
+            result = _estimate_for(source, f, plan[f], lambda g: source.cloud(*g),
+                                   lambda g: estimates[g] if g in estimates
+                                   else source.gt_labels(*g), cfg)
+        except BaseException as exc:  # re-raised in the parent, which decides the run's end
+            result = exc
+        _send(up, result)
+        del result, estimates  # not held while the worker waits
 
 
-def _run_forked(source, cfg: PleConfig, plan: dict, order: tuple, shares: list,
-                emit) -> None:
-    """Make order[0] here, then fork one worker per share.
+def _fork(serve, started: list) -> tuple:
+    """Fork a worker that runs serve(down, up) on its ends of two pipes, and
+    return (its pid, the file this process writes its targets to, the file
+    this process reads its results from). The worker first closes the files
+    of the workers `started` before it, so that each pipe ends when its one
+    process on the other side does."""
+    down_r, down_w = os.pipe()
+    up_r, up_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (down_r, down_w, up_r, up_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for _, down, up in started:
+                down.close()
+                up.close()
+            os.close(down_w)
+            os.close(up_r)
+            with os.fdopen(down_r, "rb") as down, os.fdopen(up_w, "wb") as up:
+                serve(down, up)
+            code = 0
+        finally:
+            os._exit(code)  # never returns into the parent's code
+    os.close(down_r)
+    os.close(up_w)
+    return pid, os.fdopen(down_w, "wb"), os.fdopen(up_r, "rb")
 
-    Every worker starts from this process's state after that estimate, and
-    gets the estimate itself with it. Each worker runs `_run_share` over its
-    share and sends its estimates up a pipe; this process relays each
-    estimate to every other worker whose share references it and emits the
-    estimates in `order`. A failed target stops the run once every earlier
-    target is emitted, so it leaves exactly what one process would: the
-    estimates before the earliest failing target, and that target's
-    exception. Every worker is killed and reaped on the way out, whatever
-    the way.
+
+def _run_forked(source, cfg: PleConfig, plan: dict, processes: int, emit) -> None:
+    """Fork `processes` workers, deal them the targets of `plan`, and emit
+    the estimates in the plan's order.
+
+    The ready target earliest in the order (every estimate it references
+    made) goes to an idle worker with those estimates, which this process
+    holds until their last such dispatch. A worker is sent a target only
+    while it waits for one, so every write to it completes. A failed target
+    stops the run once every earlier target is emitted, so it leaves what
+    one process would: the estimates before the earliest failing target, and
+    that target's exception. A worker that dies fails the target it was
+    making; the earliest target not yet made is always being made, so a run
+    whose every worker dies fails there. Every worker is killed and reaped
+    on the way out, whatever the way.
     """
     import select
     import signal
 
-    first = {}
-
-    def keep_first(f, pmap) -> None:
-        first[f] = pmap
-        emit(f, pmap)
-
-    _run_share(source, cfg, plan, order[:1], keep_first)
+    order = tuple(plan)
     index = {f: i for i, f in enumerate(order)}
-    owner = {f: w for w, share in enumerate(shares) for f in share}
-    relay_to: dict = {}  # index -> the workers, other than its maker, that reference it
-    for w, share in enumerate(shares):
-        for f in share:
-            for g in plan[f]:
-                if owner.get(g, w) != w:
-                    relay_to.setdefault(index[g], set()).add(w)
-    workers: list = []
+    waiting, dependents = _dependencies(plan)
+    ready = [index[f] for f, n in waiting.items() if n == 0]
+    heapq.heapify(ready)
+    # an estimate is kept before any target that references it is ready, so none is read
+    estimates = _UseCounted(None, Counter(g for refs in plan.values() for g in refs
+                                          if g in plan))
+    workers: list = []  # (pid, file of targets, file of results), as _fork returns them
     try:
-        for share in shares:
-            work = partial(_work, source, cfg, plan, order, share, first)
-            workers.append(_Worker(share, work, workers))
-        first.clear()  # each worker has its copy
+        for _ in range(processes):
+            workers.append(_fork(lambda down, up: _serve(source, cfg, plan, down, up), workers))
+        idle, busy = list(workers), {}  # busy: result file descriptor -> (worker, index)
         poller = select.poll()
-        fds = {}
-        for w in workers:
-            poller.register(w.up, select.POLLIN)
-            fds[w.up] = fds[w.down] = w
-        made, failed, emitted = {}, {}, 1  # failed: index -> exception
-        while emitted < min(failed, default=len(order)):
-            for fd, _ in poller.poll():
-                w = fds[fd]
-                if fd == w.down:
-                    try:
-                        del w.unsent[:os.write(fd, w.unsent)]
-                    except BlockingIOError:
-                        continue
-                    except BrokenPipeError:  # the worker is gone, and needs nothing more
-                        w.unsent.clear()
-                    if not w.unsent:
-                        poller.unregister(fd)
-                    continue
-                data = os.read(fd, 1 << 20)
-                if not data:  # the worker has exited
-                    poller.unregister(fd)
-                    if w.received < len(w.share):
-                        i = index[w.share[w.received]]
-                        failed.setdefault(i, ChildProcessError(
-                            "sequence {}, frame {}: the worker making it stopped without "
-                            "a result".format(*order[i])))
-                    continue
-                w.unread += data
-                for raw, (i, result) in w.messages():
-                    if isinstance(result, BaseException):
-                        failed[i] = result
-                        continue
-                    w.received += 1
-                    made[i] = result
-                    for r in relay_to.get(i, ()):
-                        workers[r].unsent += raw
-                        poller.register(workers[r].down, select.POLLOUT)
-            while emitted in made:
+        made, failed, emitted = {}, {}, 0  # by index; failed holds exceptions
+        while True:
+            stop = min(failed, default=len(order))
+            while idle and ready and ready[0] < stop:
+                i = heapq.heappop(ready)
+                worker = idle.pop()
+                _send(worker[1], (order[i], {g: estimates.take(g) for g in plan[order[i]]
+                                             if g in plan}))
+                busy[worker[2].fileno()] = worker, i
+                poller.register(worker[2], select.POLLIN)
+            while emitted in made:  # written while the workers make their targets
                 emit(order[emitted], made.pop(emitted))
                 emitted += 1
+            if emitted == stop:
+                break
+            for fd, _ in poller.poll():
+                poller.unregister(fd)
+                worker, i = busy.pop(fd)
+                try:
+                    result = _receive(worker[2])
+                except EOFError:
+                    failed[i] = ChildProcessError("sequence {}, frame {}: the worker making it "
+                                                  "stopped without a result".format(*order[i]))
+                    continue
+                idle.append(worker)
+                if isinstance(result, BaseException):
+                    failed[i] = result
+                    continue
+                made[i] = result
+                estimates.keep(order[i], result)
+                for d in dependents.get(order[i], ()):
+                    waiting[d] -= 1
+                    if not waiting[d]:
+                        heapq.heappush(ready, index[d])
         if failed:
-            raise failed[min(failed)]
+            raise failed[stop]
     finally:
-        for w in workers:
-            os.close(w.down)
-            os.close(w.up)
-            os.kill(w.pid, signal.SIGKILL)
-            os.waitpid(w.pid, 0)
+        for pid, down, up in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            up.close()
+            with contextlib.suppress(BrokenPipeError):  # a message its worker never read
+                down.close()
 
 
 def run_naive(source, split: dict, cfg: PleConfig, workers: int = 1, *, emit=None) -> dict:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 import math
 import os
 import re
 import shutil
+import signal
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -25,7 +27,7 @@ from plelidar.lidar_io import LabelMap, PointCloud
 from plelidar.ple import DatasetSource, PleConfig, PseudoLabelMap
 from plelidar.spatial_index import nearest_brute
 
-from conftest import corridor_config, export
+from conftest import corridor_config, export, one_box_config
 
 
 def _cloud(points, frame_id=0):
@@ -692,6 +694,72 @@ def test_forked_run_names_the_frame_of_a_worker_that_died(moving_40, monkeypatch
     order = [key for key, _ in ple.run_naive(DatasetSource(moving_40), _FORK_SPLIT,
                                              PleConfig()).items()]
     assert emitted == order[:order.index(("00", 20))]
+
+
+@pytest.mark.parametrize("progressive", [False, True], ids=["naive", "progressive"])
+def test_forked_run_with_no_worker_left_names_the_earliest_target(moving_40, monkeypatch,
+                                                                   progressive):
+    parent = os.getpid()
+
+    def estimate(target_cloud, *args, _real=ple.estimate_labels):
+        if os.getpid() != parent:
+            os._exit(1)
+        return _real(target_cloud, *args)
+
+    def hung(signum, frame):
+        raise TimeoutError("the run did not return")
+
+    cfg = PleConfig(progressive=progressive)
+    run = ple.run_progressive if progressive else ple.run_naive
+    first = next(iter(run(DatasetSource(moving_40), _FORK_SPLIT, cfg)))
+    monkeypatch.setattr(ple, "estimate_labels", estimate)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ChildProcessError, match="sequence {}, frame {}: the worker making "
+                                                    "it stopped without a result".format(*first)):
+            run(DatasetSource(moving_40), _FORK_SPLIT, cfg, 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("progressive", [False, True], ids=["naive", "progressive"])
+def test_forked_run_fails_as_one_process_at_any_one_or_two_targets(monkeypatch, workers,
+                                                                   progressive):
+    source = DatasetSource(synth.generate(one_box_config(points_per_surface=0.5)))
+    split = {"00": (3, 14)}
+    cfg = PleConfig(0.5, progressive=progressive)
+    run = ple.run_progressive if progressive else ple.run_naive
+    frames = [f for _, f in run(source, split, cfg)]
+    failing = set()
+
+    def estimate(target_cloud, *args, _real=ple.estimate_labels):
+        if target_cloud.frame_id in failing:
+            raise DataError("injected")
+        return _real(target_cloud, *args)
+
+    def outcome(processes):
+        emitted = []
+        with pytest.raises(DataError) as raised:
+            run(source, split, cfg, processes, emit=lambda key, pmap: emitted.append(key))
+        return str(raised.value), emitted
+
+    monkeypatch.setattr(ple, "estimate_labels", estimate)
+    for case in [{f} for f in frames] + [set(pair) for pair in itertools.combinations(frames, 2)]:
+        failing.clear()
+        failing.update(case)
+        earliest = min(frames.index(f) for f in case)
+        serial = (f"sequence 00, frame {frames[earliest]}: injected",
+                  [("00", f) for f in frames[:earliest]])
+        if len(case) == 1:
+            assert outcome(1) == serial
+        assert outcome(workers) == serial, case
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
